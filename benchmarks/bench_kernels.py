@@ -1,7 +1,8 @@
 """Benchmark the numba kernels against the pure-numpy fallbacks.
 
 Times each kernel pair on identical inputs (median of repeated runs,
-after a warmup call so numba's compilation cost is not counted), then
+after a warmup call so numba's compilation cost is not counted; the
+separator counts have a numpy build only), then
 times one end-to-end sparsification under whichever backend is active.
 Run `IDCODES_BACKEND=numpy python3 benchmarks/bench_kernels.py` to see
 the fallback as the active backend instead.
@@ -14,12 +15,13 @@ import time
 import numpy as np
 
 from idcodes import BACKEND, SparsifyParams, disjoint_cliques, gnp, sparsify
+from idcodes import _kernels
 from idcodes._kernels import (
     NUMBA_AVAILABLE,
     greedy_cover_numpy,
     pairs_equal_rows_numpy,
     row_popcounts_numpy,
-    separator_counts_numpy,
+    separator_counts,
 )
 
 
@@ -58,28 +60,31 @@ def main():
     pv[:: 10] = pu[:: 10]  # force some equal pairs
     g = gnp(600, 0.02, seed=3)
     closed = g.packed_closed
-    xors = rows[pu[:20_000]] ^ rows[pv[:20_000]]
+    # closed-neighborhood incidence of g and a partition into 64 classes
+    es = np.asarray(g.edges(), dtype=np.int64).reshape(-1, 2)
+    loops = np.arange(g.n, dtype=np.int64)
+    xs = np.concatenate((loops, es[:, 0], es[:, 1]))
+    ws = np.concatenate((loops, es[:, 1], es[:, 0]))
+    label = np.unique(rng.integers(0, 64, size=g.n), return_inverse=True)[1]
 
     cases = [
         ("row_popcounts", row_popcounts_numpy, (rows,)),
         ("pairs_equal_rows", pairs_equal_rows_numpy, (rows, pu, pv)),
-        ("separator_counts", separator_counts_numpy, (xors, n)),
+        ("separator_counts", separator_counts, (label, xs, ws, g.n)),
         ("greedy_cover", greedy_cover_numpy, (closed, g.n)),
     ]
 
     print(f"active backend: {BACKEND} (numba importable: {NUMBA_AVAILABLE})")
     print(f"inputs: {m} rows x {n} bits, {args.pairs} pairs, "
-          f"greedy cover on G({g.n}, 0.02)")
+          f"greedy cover and separator counts on G({g.n}, 0.02)")
     print()
     header = f"{'kernel':<20} {'numpy':>10} {'numba':>10} {'speedup':>8}"
     print(header)
     print("-" * len(header))
     for name, np_fn, fn_args in cases:
         t_np = bench(np_fn, fn_args, args.repeats)
-        if NUMBA_AVAILABLE:
-            import idcodes._kernels as k
-
-            nb_fn = getattr(k, name + "_numba")
+        nb_fn = getattr(_kernels, name + "_numba", None)
+        if nb_fn is not None:
             t_nb = bench(nb_fn, fn_args, args.repeats)
             print(f"{name:<20} {t_np*1e3:>8.2f}ms {t_nb*1e3:>8.2f}ms "
                   f"{t_np/t_nb:>7.1f}x")

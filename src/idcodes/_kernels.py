@@ -2,9 +2,10 @@
 
 Graphs store closed neighborhoods as rows of uint64 words (bit w of word
 w >> 6 in row v is set iff w is in N[v]).  The kernels below do the
-inner-loop work: popcounts, greedy max-coverage selection, and batched
-signature comparisons.  Each kernel has a numba build and a pure-numpy
-build; the active backend is chosen once at import time:
+inner-loop work: popcounts, greedy max-coverage selection, batched
+signature comparisons, and the per-pick separator counts of the greedy
+identifying code.  Each kernel but the last has a numba build and a
+pure-numpy build; the active backend is chosen once at import time:
 
     IDCODES_BACKEND=numpy   force the numpy fallback
     IDCODES_BACKEND=numba   require numba (ImportError if missing)
@@ -53,14 +54,32 @@ def pairs_equal_rows_numpy(rows: np.ndarray, pu: np.ndarray, pv: np.ndarray) -> 
     return (rows[pu] == rows[pv]).all(axis=1)
 
 
-def separator_counts_numpy(xors: np.ndarray, n: int) -> np.ndarray:
-    """For each vertex w < n, count rows of `xors` with bit w set."""
+def separator_counts(
+    label: np.ndarray, xs: np.ndarray, ws: np.ndarray, n: int
+) -> np.ndarray:
+    """For each vertex w < n, the still-unseparated pairs that w separates.
+
+    `label` partitions the vertices: a pair is unseparated while both ends
+    share a label. `xs`, `ws` list the closed-neighborhood incidence, one
+    entry (x, w) per w in N[x]; entries may be left out only for vertices
+    x alone in their class. w separates the pairs of a class S that have
+    exactly one end in N[w], so its count is the sum over S of
+    |S & N[w]| * |S - N[w]|. The (w, class) counts are taken sparsely, by
+    sorting the keys w * K + label[x] (K labels), never as a dense n-by-K
+    table.
+    """
     out = np.zeros(n, dtype=np.int64)
-    if len(xors) == 0:
+    sizes = np.bincount(label, minlength=1)
+    lab = label[xs]
+    keep = sizes[lab] >= 2
+    k = len(sizes)
+    keys, inside = np.unique(ws[keep] * k + lab[keep], return_counts=True)
+    if len(keys) == 0:
         return out
-    for w in range(n):
-        bit = _ONE << np.uint64(w & 63)
-        out[w] = int(np.count_nonzero(xors[:, w >> 6] & bit))
+    w = keys // k
+    pairs = inside * (sizes[keys % k] - inside)
+    starts = np.flatnonzero(np.concatenate(([True], w[1:] != w[:-1])))
+    out[w[starts]] = np.add.reduceat(pairs, starts)
     return out
 
 
@@ -136,22 +155,6 @@ if NUMBA_AVAILABLE:
         return out
 
     @njit(cache=True)
-    def separator_counts_numba(xors, n):
-        out = np.zeros(n, dtype=np.int64)
-        m, W = xors.shape
-        for i in range(m):
-            for j in range(W):
-                x = xors[i, j]
-                base = 64 * j
-                while x:
-                    lsb = x & (~x + _U1)
-                    idx = base + np.int64(_popcount64(lsb - _U1))
-                    if idx < n:
-                        out[idx] += 1
-                    x &= x - _U1
-        return out
-
-    @njit(cache=True)
     def greedy_cover_numba(closed, n):
         W = closed.shape[1]
         uncovered = np.empty(W, dtype=np.uint64)
@@ -184,10 +187,8 @@ if NUMBA_AVAILABLE:
 if USE_NUMBA:
     row_popcounts = row_popcounts_numba
     pairs_equal_rows = pairs_equal_rows_numba
-    separator_counts = separator_counts_numba
     greedy_cover = greedy_cover_numba
 else:
     row_popcounts = row_popcounts_numpy
     pairs_equal_rows = pairs_equal_rows_numpy
-    separator_counts = separator_counts_numpy
     greedy_cover = greedy_cover_numpy

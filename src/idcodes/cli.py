@@ -11,6 +11,7 @@ hold one vertex index per line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -501,9 +502,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `run_cli`, built on its first call and reused after."""
+    return build_parser()
+
+
 def run_cli(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (FormatError, OSError, json.JSONDecodeError) as exc:

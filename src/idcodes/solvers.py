@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -43,16 +44,37 @@ class SearchResult:
         return len(self.code)
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 class _Done(Exception):
     pass
 
 
 def _branch_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+
+
+def _search(order: list[int], budget: int, expand) -> tuple[int, bool]:
+    """Depth-first walk over include/exclude decisions on order[i].
+
+    expand(i, chosen) visits one node and says whether to branch on
+    order[i]; it raises _Done to stop the walk. The include branch is
+    visited first. An explicit stack replaces recursion, so the depth is
+    not bounded by the interpreter's recursion limit. Returns the nodes
+    visited and False when the budget ran out.
+    """
+    nodes = 0
+    stack = [(0, 0)]
+    try:
+        while stack:
+            i, chosen = stack.pop()
+            nodes += 1
+            if nodes > budget:
+                return nodes, False
+            if expand(i, chosen):
+                stack.append((i + 1, chosen))
+                stack.append((i + 1, chosen | (1 << order[i])))
+    except _Done:
+        pass
+    return nodes, True
 
 
 def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -81,16 +103,12 @@ def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     for v in incumbent:
         best_mask |= 1 << v
     lb = idcode_lower_bound(n)
-    nodes = 0
 
-    def walk(i: int, chosen: int) -> None:
-        nonlocal nodes, best_size, best_mask
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetHit
+    def expand(i: int, chosen: int) -> bool:
+        nonlocal best_size, best_mask
         size = chosen.bit_count()
         if size >= best_size:
-            return
+            return False
         undom = 0
         groups: dict[int, list[int]] = {}
         for v in range(n):
@@ -103,10 +121,10 @@ def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
             best_size, best_mask = size, chosen
             if best_size <= lb:
                 raise _Done
-            return
+            return False
         avail = suffix[i]
         if undom & ~_dominable(masks, undom, chosen | avail):
-            return
+            return False
         extra = ceil_log2(max_cls)
         for members in groups.values():
             if len(members) == 1:
@@ -114,23 +132,12 @@ def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
             for a in range(len(members)):
                 for b in range(a + 1, len(members)):
                     if not (masks[members[a]] ^ masks[members[b]]) & avail:
-                        return
+                        return False
         if undom and extra == 0:
             extra = 1
-        if size + extra >= best_size:
-            return
-        w = order[i]
-        walk(i + 1, chosen | (1 << w))
-        walk(i + 1, chosen)
+        return size + extra < best_size
 
-    optimal = True
-    if best_size > lb:
-        try:
-            walk(0, 0)
-        except _BudgetHit:
-            optimal = False
-        except _Done:
-            pass
+    nodes, optimal = _search(order, budget, expand) if best_size > lb else (0, True)
     return SearchResult(mask_to_set(best_mask), optimal, nodes)
 
 
@@ -165,16 +172,12 @@ def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult
         best_mask |= 1 << v
     max_deg = max(g.degree(v) for v in range(n))
     lb = math.ceil(n / (max_deg + 1))
-    nodes = 0
 
-    def walk(i: int, chosen: int) -> None:
-        nonlocal nodes, best_size, best_mask
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetHit
+    def expand(i: int, chosen: int) -> bool:
+        nonlocal best_size, best_mask
         size = chosen.bit_count()
         if size >= best_size:
-            return
+            return False
         undom = 0
         for v in range(n):
             if not masks[v] & chosen:
@@ -183,11 +186,11 @@ def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult
             best_size, best_mask = size, chosen
             if best_size <= lb:
                 raise _Done
-            return
+            return False
         avail = suffix[i]
         pool = chosen | avail
         if undom & ~_dominable(masks, undom, pool):
-            return
+            return False
         best_cover = 0
         a = avail
         while a:
@@ -198,22 +201,11 @@ def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult
                 best_cover = cov
             a ^= low
         if best_cover == 0:
-            return
+            return False
         extra = -(-undom.bit_count() // best_cover)
-        if size + extra >= best_size:
-            return
-        w = order[i]
-        walk(i + 1, chosen | (1 << w))
-        walk(i + 1, chosen)
+        return size + extra < best_size
 
-    optimal = True
-    if best_size > lb:
-        try:
-            walk(0, 0)
-        except _BudgetHit:
-            optimal = False
-        except _Done:
-            pass
+    nodes, optimal = _search(order, budget, expand) if best_size > lb else (0, True)
     return SearchResult(mask_to_set(best_mask), optimal, nodes)
 
 
@@ -230,37 +222,49 @@ def greedy_dominating(g: Graph) -> frozenset[int]:
 def greedy_idcode(g: Graph) -> frozenset[int]:
     """Greedy identifying code: each step picks the vertex with the largest
     (newly dominated vertices + newly separated pairs), ties to the lowest
-    index. Output is verified before returning."""
+    index. Output is verified before returning.
+
+    The still-unseparated pairs are never listed. The solver keeps the
+    partition of V by current signature N[x] & C instead (label 0 holds the
+    empty signature: the undominated vertices), so the gain of w is
+    |N[w] & class 0| + sum over classes S of |S & N[w]| * |S - N[w]|. Each
+    pick scores every vertex in one pass over the closed-neighborhood
+    incidence, then refines label <- compact(2 * label + [x in N[w]]).
+    Vertices alone in a nonzero class stay alone, so their incidence is
+    dropped for good. Memory per pick is O(n + m).
+    """
     if g.n < 1:
         raise ValueError("greedy_idcode needs n >= 1")
     twins = find_twins(g)
     if twins:
         raise NotTwinFreeError(twins[0])
     n = g.n
-    masks = g.closed_masks
-    packed = g.packed_closed
-    us, vs = np.triu_indices(n, k=1)
-    xors = packed[us] ^ packed[vs]
-    undom = (1 << n) - 1
+    es = np.fromiter(chain.from_iterable(g.edges()), np.int64, 2 * g.m).reshape(-1, 2)
+    loops = np.arange(n, dtype=np.int64)
+    # incidence (x, w) for w in N[x], sorted by w so N[w] is one slice
+    ws = np.concatenate((loops, es[:, 0], es[:, 1]))
+    xs = np.concatenate((loops, es[:, 1], es[:, 0]))
+    order = np.argsort(ws, kind="stable")
+    ws, xs = ws[order], xs[order]
+    label = np.zeros(n, dtype=np.int64)
     code: list[int] = []
-    while undom or len(us):
-        if len(us):
-            gain = _kernels.separator_counts(xors, n)
-        else:
-            gain = np.zeros(n, dtype=np.int64)
-        if undom:
-            gain = gain + np.fromiter(
-                ((masks[w] & undom).bit_count() for w in range(n)),
-                dtype=np.int64,
-                count=n,
-            )
+    while True:
+        active = (label == 0) | (np.bincount(label)[label] >= 2)
+        if not active.any():
+            break
+        keep = active[xs]
+        xs, ws = xs[keep], ws[keep]
+        gain = _kernels.separator_counts(label, xs, ws, n)
+        gain += np.bincount(ws[label[xs] == 0], minlength=n)
         w = int(np.argmax(gain))  # argmax takes the first maximum
         assert gain[w] > 0, "twin-free graph must always offer progress"
         code.append(w)
-        undom &= ~masks[w]
-        if len(us):
-            keep = (xors[:, w >> 6] & np.uint64(1 << (w & 63))) == 0
-            us, vs, xors = us[keep], vs[keep], xors[keep]
+        lo, hi = np.searchsorted(ws, (w, w + 1))
+        label *= 2
+        label[xs[lo:hi]] += 1
+        values, label = np.unique(label, return_inverse=True)
+        if values[0] != 0:  # label 0 stays the empty signature
+            label += 1
     verdict = is_identifying_code(g, code, "full")
     assert verdict.ok, f"greedy produced an invalid code: {verdict}"
     return frozenset(code)

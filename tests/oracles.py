@@ -161,6 +161,33 @@ def oracle_greedy_cover(n, edges):
     return picks
 
 
+def oracle_greedy_idcode(n, edges):
+    """Greedy identifying code over an explicit pair list, picks in order.
+
+    Each pick maximises (newly dominated vertices + newly separated pairs),
+    ties to the lowest vertex; w separates u, v when exactly one of them
+    lies in N[w]. Raises ValueError when no vertex makes progress (twins).
+    """
+    adj = adjacency(n, edges)
+    nb = [closed(adj, v) for v in range(n)]
+    undom = set(range(n))
+    unsep = list(combinations(range(n), 2))
+    picks = []
+
+    def gain(w):
+        split = sum(1 for u, v in unsep if (u in nb[w]) != (v in nb[w]))
+        return len(nb[w] & undom) + split
+
+    while undom or unsep:
+        best = max(range(n), key=lambda w: (gain(w), -w))
+        if gain(best) == 0:
+            raise ValueError("no vertex makes progress: the graph has twins")
+        picks.append(best)
+        undom -= nb[best]
+        unsep = [(u, v) for u, v in unsep if (u in nb[best]) == (v in nb[best])]
+    return picks
+
+
 def oracle_verify_watching(n, edges, watchers):
     """(undominated list, unseparated list) for (host, zone) pairs assumed
     structurally legal."""

@@ -81,6 +81,28 @@ def test_greedy_subcommand(tmp_path):
     assert r.returncode == 0 and int(r.stdout.strip()) == 2
 
 
+def test_run_cli_reuses_parser_without_leaking_state(tmp_path, capsys):
+    from idcodes import cli
+
+    gfile = tmp_path / "g.txt"
+    assert run(["gen", "--family", "gnp", "--n", "40", "--p", "0.2",
+                "--graph-seed", "3", "--out", str(gfile)]).returncode == 0
+    fresh_out = tmp_path / "fresh.txt"
+    fresh = run(["greedy", "--in", str(gfile), "--out", str(fresh_out)])
+    assert fresh.returncode == 0
+
+    dom_out = tmp_path / "dom.txt"
+    assert run_cli(["greedy", "--dominating", "--in", str(gfile), "--out", str(dom_out)]) == 0
+    dom_stdout = capsys.readouterr().out
+    parser = cli._parser()
+    again_out = tmp_path / "again.txt"
+    assert run_cli(["greedy", "--in", str(gfile), "--out", str(again_out)]) == 0
+    assert cli._parser() is parser
+    assert capsys.readouterr().out == fresh.stdout
+    assert again_out.read_text() == fresh_out.read_text()
+    assert dom_out.read_text() != fresh_out.read_text() and dom_stdout != fresh.stdout
+
+
 def test_parse_errors_exit_two(tmp_path):
     r = run(["verify", "--in", str(tmp_path / "nope.txt"), "--code", str(tmp_path / "c")])
     assert r.returncode == 2

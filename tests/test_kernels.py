@@ -11,7 +11,7 @@ from idcodes._kernels import (
     greedy_cover_numpy,
     pairs_equal_rows_numpy,
     row_popcounts_numpy,
-    separator_counts_numpy,
+    separator_counts,
 )
 
 from oracles import oracle_greedy_cover
@@ -47,13 +47,32 @@ def test_pairs_equal_rows_numpy_basics():
     assert pairs_equal_rows_numpy(rows, pu[:0], pv[:0]).shape == (0,)
 
 
+def closed_incidence(g):
+    """(xs, ws): one entry (x, w) per w in N[x]."""
+    pairs = [(x, w) for x in range(g.n) for w in g.closed_neighborhood(x)]
+    xs, ws = np.array(pairs, dtype=np.int64).T
+    return xs, ws
+
+
 def test_separator_counts_against_naive():
-    n = 90
-    xors = random_rows(40, n, 2)
-    got = separator_counts_numpy(xors, n)
-    for w in range(n):
-        naive = sum(1 for row in xors if int(row[w >> 6]) >> (w & 63) & 1)
-        assert got[w] == naive
+    rng = np.random.default_rng(2)
+    for seed in range(8):
+        g = gnp(int(rng.integers(5, 40)), float(rng.uniform(0.05, 0.6)), seed)
+        n = g.n
+        label = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+        label = np.unique(label, return_inverse=True)[1]  # compact labels
+        xs, ws = closed_incidence(g)
+        got = separator_counts(label, xs, ws, n)
+        unsep = [(u, v) for u in range(n) for v in range(u + 1, n) if label[u] == label[v]]
+        for w in range(n):
+            nw = g.closed_neighborhood(w)
+            naive = sum(1 for u, v in unsep if (u in nw) != (v in nw))
+            assert got[w] == naive, (seed, w)
+        # entries of vertices alone in their class change nothing
+        alone = np.bincount(label)[label] == 1
+        keep = ~alone[xs]
+        assert np.array_equal(separator_counts(label, xs[keep], ws[keep], n), got)
+    assert not separator_counts(np.arange(5), *closed_incidence(gnp(5, 0.5, 0)), 5).any()
 
 
 def test_greedy_cover_matches_python_oracle():
@@ -81,14 +100,10 @@ def test_numba_parity_popcounts_and_equality():
 
 
 @needs_numba
-def test_numba_parity_separators_and_cover():
-    from idcodes._kernels import greedy_cover_numba, separator_counts_numba
+def test_numba_parity_greedy_cover():
+    from idcodes._kernels import greedy_cover_numba
 
     for seed in range(4):
-        xors = random_rows(80, 77, seed)
-        assert np.array_equal(
-            separator_counts_numba(xors, 77), separator_counts_numpy(xors, 77)
-        )
         g = gnp(50, 0.12, seed)
         assert np.array_equal(
             greedy_cover_numba(g.packed_closed, g.n),

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from idcodes import (
@@ -11,6 +14,7 @@ from idcodes import (
     gnp,
     greedy_dominating,
     greedy_idcode,
+    idcode_lower_bound,
     is_dominating,
     is_identifying_code,
     path,
@@ -18,7 +22,14 @@ from idcodes import (
 )
 
 from corpus import small_corpus
-from oracles import oracle_greedy_cover, oracle_min_dominating, oracle_min_idcode
+from oracles import (
+    oracle_greedy_cover,
+    oracle_greedy_idcode,
+    oracle_min_dominating,
+    oracle_min_idcode,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_exact_idcode_known_sizes():
@@ -76,6 +87,30 @@ def test_budget_exhaustion_returns_incumbent():
     assert not dom.optimal and is_dominating(g, dom.code).ok
 
 
+def test_exact_search_node_counts_pinned():
+    # node counts and codes of the recursive walk (include branch first);
+    # the explicit-stack walk must visit the same nodes in the same order
+    res = exact_min_idcode(cycle(23))
+    assert (res.nodes, sorted(res.code)) == (3379, [0, 1, 2, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21])
+    g = gnp(16, 0.3, 5)
+    res = exact_min_idcode(g)
+    assert (res.nodes, sorted(res.code)) == (693, [4, 5, 7, 8, 11, 13])
+    res = exact_min_dominating(g)
+    assert (res.nodes, sorted(res.code)) == (77, [6, 7, 8, 10])
+    res = exact_min_dominating(gnp(40, 0.2, 1), budget=50)
+    assert (res.nodes, res.optimal, sorted(res.code)) == (51, False, [0, 1, 6, 7, 9, 10, 37])
+
+
+def test_budget_exhaustion_deep_search_returns_incumbent():
+    # the walk passes depth 1000 before this budget runs out; a recursive
+    # walk dies there with RecursionError
+    g = gnp(1050, 0.3, 0)
+    res = exact_min_idcode(g, budget=2200)
+    assert not res.optimal and res.nodes == 2201
+    assert is_identifying_code(g, res.code).ok
+    assert res.code == greedy_idcode(g)
+
+
 def test_greedy_dominating_matches_maxcover_oracle():
     for name, g in list(small_corpus())[::5]:
         got = greedy_dominating(g)
@@ -102,6 +137,38 @@ def test_greedy_idcode_larger_graph():
     code = greedy_idcode(g)
     assert is_identifying_code(g, code).ok
     assert len(code) < 30
+
+
+def test_greedy_idcode_matches_golden():
+    doc = json.loads((GOLDEN / "greedy_idcode.json").read_text())
+    families = {"cycle": cycle, "path": path, "gnp": gnp}
+    assert len(doc["cases"]) == 17
+    for case in doc["cases"]:
+        g = families[case["family"]](*case["args"])
+        assert sorted(greedy_idcode(g)) == case["code"], case
+
+
+def test_greedy_idcode_matches_pair_oracle():
+    checked = 0
+    for name, g in small_corpus():
+        if find_twins(g):
+            continue
+        assert greedy_idcode(g) == set(oracle_greedy_idcode(g.n, g.edges())), name
+        checked += 1
+    assert checked > 100
+
+
+def test_greedy_idcode_large_sparse_graphs():
+    # far beyond the reach of an O(n^2) pair list
+    c = cycle(1200)
+    code = greedy_idcode(c)
+    assert is_identifying_code(c, code).ok
+    assert len(code) == 801  # gamma_ID(C_1200) = 600; greedy takes about 2n/3
+    g = gnp(2000, 0.01, 3)
+    assert not find_twins(g)
+    code = greedy_idcode(g)
+    assert is_identifying_code(g, code).ok
+    assert idcode_lower_bound(g.n) <= len(code) == 234
 
 
 def test_exact_beats_or_ties_greedy():
