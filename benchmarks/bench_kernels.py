@@ -61,7 +61,7 @@ def main():
     g = gnp(600, 0.02, seed=3)
     closed = g.packed_closed
     # closed-neighborhood incidence of g and a partition into 64 classes
-    es = np.asarray(g.edges(), dtype=np.int64).reshape(-1, 2)
+    es = g.edge_array()
     loops = np.arange(g.n, dtype=np.int64)
     xs = np.concatenate((loops, es[:, 0], es[:, 1]))
     ws = np.concatenate((loops, es[:, 1], es[:, 0]))

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .graphs import Graph, dist2_pairs
+import numpy as np
+
+from .graphs import Graph, dist2_pair_array
 
 
 class InvalidCodeError(ValueError):
@@ -125,10 +127,12 @@ def is_identifying_code(g: Graph, c: Iterable[int], mode: str = "full") -> Verdi
     if mode == "full":
         return is_separating(g, c)
     cmask = code_mask(g, c)
-    masks = g.closed_masks
-    for u, v in dist2_pairs(g):
-        if masks[u] & cmask == masks[v] & cmask:
-            return Verdict(False, UnseparatedPair(u, v))
+    ids: dict[int, int] = {}
+    sig = np.array([ids.setdefault(m & cmask, len(ids)) for m in g.closed_masks])
+    pairs = dist2_pair_array(g)
+    same = np.flatnonzero(sig[pairs[:, 0]] == sig[pairs[:, 1]])
+    if len(same):
+        return Verdict(False, UnseparatedPair(*pairs[same[0]].tolist()))
     return _OK
 
 

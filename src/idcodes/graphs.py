@@ -1,8 +1,21 @@
 """Immutable undirected graphs on vertices 0..n-1, generators, file formats.
 
-Graphs expose adjacency as frozensets plus two lazily built forms used by
-the rest of the package: Python-int bitmasks of closed neighborhoods (fast
-for n <= 64) and bit-packed uint64 rows for the array kernels.
+A Graph stores one thing: its edges as a sorted (m, 2) int64 array, one
+row (u, v) with u < v per edge, rows in ascending lexicographic order.
+Every other form is derived from that array on first use and cached:
+
+- the CSR adjacency (`indptr` and ascending neighbor lists), the degrees
+  and the connected components;
+- `packed_closed`: closed neighborhoods as bit-packed uint64 rows, for the
+  array kernels;
+- `closed_masks`: the same rows as Python ints, for the exact solvers and
+  the verifiers;
+- frozenset neighborhoods (`neighbors`, `closed_neighborhood`, `has_edge`)
+  and the `edges()` tuples, only when a caller asks for them.
+
+The builders (the constructor, `parse_edge_list`, `delete_edges`,
+`complement`, the generators) and the distance-2 pair enumeration work on
+whole arrays; none of them loops over the edges in Python.
 """
 
 from __future__ import annotations
@@ -16,12 +29,42 @@ import numpy as np
 
 Edge = tuple[int, int]
 
+# largest vertex count whose edge keys u * n + v fit in int64
+MAX_VERTICES = 3_037_000_499
+
 
 class FormatError(ValueError):
     """Malformed edge-list text."""
 
 
-def _norm_edge(u: int, v: int) -> Edge:
+def _edge_rows(n: int, edges) -> tuple[np.ndarray, object]:
+    """(rows, source): the edges as a (k, 2) int64 array, plus an indexable
+    copy of the input for error messages.
+
+    Endpoints beyond int64 are clamped to -1 or n, which keeps them out of
+    range without changing any in-range value.
+    """
+    src = edges if isinstance(edges, (np.ndarray, list, tuple)) else list(edges)
+    if len(src) == 0:
+        return np.empty((0, 2), dtype=np.int64), src
+    arr = np.asarray(src)
+    if arr.dtype.kind not in "biu":
+        # numpy reads Python ints past int64 as floats or objects
+        arr = np.array(src, dtype=object)
+        if not all(isinstance(x, (int, np.integer)) for x in arr.flat):
+            raise TypeError("edge endpoints must be integers")
+        arr = np.clip(arr, -1, n)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("edges must be pairs of vertices")
+    return arr.astype(np.int64), src
+
+
+def _pairs(u, v) -> np.ndarray:
+    return np.stack((u, v), axis=1).astype(np.int64, copy=False)
+
+
+def _norm_edge(u, v) -> Edge:
+    u, v = int(u), int(v)
     return (u, v) if u < v else (v, u)
 
 
@@ -29,28 +72,47 @@ class Graph:
     """Undirected simple graph, immutable after construction.
 
     Edge deletion and complementation return new graphs. Self-loops and
-    duplicate edges are rejected at construction.
+    duplicate edges are rejected at construction; the first bad edge in
+    input order is reported.
     """
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        seen: set[Edge] = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            e = _norm_edge(u, v)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            adj[u].add(v)
-            adj[v].add(u)
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count {n} too large (at most {MAX_VERTICES})")
+        rows, src = _edge_rows(n, edges)
+        u, v = rows[:, 0], rows[:, 1]
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        out = (lo < 0) | (hi >= n)
+        loop = u == v
+        # duplicates: a stable sort puts the later copies of a key after the
+        # first; bad rows get distinct negative keys so they match nothing
+        keys = np.where(out | loop, -1 - np.arange(len(rows)), lo * n + hi)
+        order = np.argsort(keys, kind="stable")
+        dup = np.zeros(len(rows), dtype=bool)
+        dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+        bad = out | loop | dup
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, b = src[i]
+            if out[i]:
+                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+            if loop[i]:
+                raise ValueError(f"self-loop at vertex {a}")
+            raise ValueError(f"duplicate edge {_norm_edge(a, b)}")
         self._n = n
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._edges: tuple[Edge, ...] = tuple(sorted(seen))
+        self._edges = np.stack((lo, hi), axis=1)[order]
+        self._edges.setflags(write=False)
+
+    @classmethod
+    def _from_sorted(cls, n: int, rows: np.ndarray) -> "Graph":
+        """Graph over int64 rows that are already valid, unique and sorted."""
+        g = cls.__new__(cls)
+        g._n = n
+        g._edges = rows
+        rows.setflags(write=False)
+        return g
 
     @property
     def n(self) -> int:
@@ -60,8 +122,12 @@ class Graph:
     def m(self) -> int:
         return len(self._edges)
 
-    def edges(self) -> tuple[Edge, ...]:
+    def edge_array(self) -> np.ndarray:
+        """The edges as a read-only (m, 2) int64 array, u < v, rows sorted."""
         return self._edges
+
+    def edges(self) -> tuple[Edge, ...]:
+        return self._edge_tuples
 
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adj[v]
@@ -70,10 +136,57 @@ class Graph:
         return self._closed[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return int(self.degrees[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
+
+    def is_spanning_subgraph_of(self, other: "Graph") -> bool:
+        """Same vertex set as other, and every edge of self is an edge of other."""
+        return self._n == other._n and bool(other._find(self._keys).all())
+
+    @cached_property
+    def _edge_tuples(self) -> tuple[Edge, ...]:
+        return tuple(map(tuple, self._edges.tolist()))
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """u * n + v per edge, ascending."""
+        return self._edges[:, 0] * self._n + self._edges[:, 1]
+
+    def _find(self, keys: np.ndarray) -> np.ndarray:
+        """Per key, whether it is the key of an edge."""
+        if not self.m:
+            return np.zeros(len(keys), dtype=bool)
+        pos = np.minimum(np.searchsorted(self._keys, keys), self.m - 1)
+        return self._keys[pos] == keys
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, nbrs): the neighbors of v are nbrs[indptr[v]:indptr[v+1]],
+        ascending."""
+        # row v lists the u < v (as the second endpoint of (u, v), in
+        # ascending u) before the w > v; a stable sort keeps both runs
+        lo, hi = self._edges[:, 0], self._edges[:, 1]
+        src = np.concatenate((hi, lo))
+        order = np.argsort(src, kind="stable")
+        nbrs = np.concatenate((lo, hi))[order]
+        indptr = np.zeros(self._n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self._n), out=indptr[1:])
+        return indptr, nbrs
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Read-only vertex degrees."""
+        deg = np.diff(self._csr[0])
+        deg.setflags(write=False)
+        return deg
+
+    @cached_property
+    def _adj(self) -> tuple[frozenset[int], ...]:
+        indptr, nbrs = self._csr
+        ip, nb = indptr.tolist(), nbrs.tolist()
+        return tuple(frozenset(nb[ip[v] : ip[v + 1]]) for v in range(self._n))
 
     @cached_property
     def _closed(self) -> tuple[frozenset[int], ...]:
@@ -82,13 +195,13 @@ class Graph:
     @cached_property
     def closed_masks(self) -> tuple[int, ...]:
         """Closed neighborhoods as Python-int bitmasks (bit w set iff w in N[v])."""
-        masks = []
-        for v in range(self._n):
-            m = 1 << v
-            for w in self._adj[v]:
-                m |= 1 << w
-            masks.append(m)
-        return tuple(masks)
+        rows = self.packed_closed
+        data = rows.astype("<u8", copy=False).tobytes()
+        step = 8 * rows.shape[1]
+        return tuple(
+            int.from_bytes(data[i : i + step], "little")
+            for i in range(0, len(data), step)
+        )
 
     @cached_property
     def packed_closed(self) -> np.ndarray:
@@ -99,55 +212,75 @@ class Graph:
         n = self._n
         W = max(1, (n + 63) >> 6)
         arr = np.zeros((n, W), dtype=np.uint64)
-        if n == 0:
-            return arr
         vs = np.arange(n)
-        arr[vs, vs >> 6] |= np.uint64(1) << (vs & 63).astype(np.uint64)
-        if self._edges:
-            es = np.asarray(self._edges, dtype=np.int64)
-            for a, b in ((es[:, 0], es[:, 1]), (es[:, 1], es[:, 0])):
-                np.bitwise_or.at(
-                    arr, (a, b >> 6), np.uint64(1) << (b & 63).astype(np.uint64)
-                )
+        arr[vs, vs >> 6] = np.uint64(1) << (vs & 63).astype(np.uint64)
+        indptr, nbrs = self._csr
+        if len(nbrs):
+            # CSR order is (row, neighbor) ascending, so the flat word index
+            # never decreases: OR each run of equal words in one reduceat
+            rows = np.repeat(vs, np.diff(indptr))
+            words = rows * W + (nbrs >> 6)
+            bits = np.uint64(1) << (nbrs & 63).astype(np.uint64)
+            starts = np.flatnonzero(np.concatenate(([True], words[1:] != words[:-1])))
+            arr.reshape(-1)[words[starts]] |= np.bitwise_or.reduceat(bits, starts)
         arr.setflags(write=False)
         return arr
 
     @cached_property
+    def component_ids(self) -> np.ndarray:
+        """Per vertex, the index of its connected component (read-only);
+        components are numbered in order of their least vertex."""
+        u, v = self._edges[:, 0], self._edges[:, 1]
+        parent = np.arange(self._n)
+        # hook the larger root of every edge with split roots onto the
+        # smaller, then jump pointers until every vertex points at its root;
+        # a root is always the least vertex of its tree
+        while True:
+            ru, rv = parent[u], parent[v]
+            split = ru != rv
+            if not split.any():
+                break
+            np.minimum.at(parent, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+            while True:
+                up = parent[parent]
+                if np.array_equal(up, parent):
+                    break
+                parent = up
+        ids = np.unique(parent, return_inverse=True)[1].reshape(-1)
+        ids.setflags(write=False)
+        return ids
+
+    @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by least vertex."""
-        seen = [False] * self._n
-        comps = []
-        for s in range(self._n):
-            if seen[s]:
-                continue
-            stack = [s]
-            seen[s] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in self._adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
+        if not self._n:
+            return ()
+        ids = self.component_ids
+        order = np.argsort(ids, kind="stable")
+        cuts = np.flatnonzero(np.diff(ids[order])) + 1
+        return tuple(tuple(part.tolist()) for part in np.split(order, cuts))
 
     def delete_edges(self, to_delete: Iterable[Edge]) -> "Graph":
         """New graph without the given edges (edges must exist)."""
-        drop = {_norm_edge(u, v) for u, v in to_delete}
-        missing = drop - set(self._edges)
-        if missing:
-            raise ValueError(f"edges not in graph: {sorted(missing)[:3]}")
-        return Graph(self._n, [e for e in self._edges if e not in drop])
+        n = self._n
+        rows, src = _edge_rows(n, to_delete)
+        lo, hi = rows.min(axis=1), rows.max(axis=1)
+        keys = lo * n + hi
+        found = (lo >= 0) & (hi < n) & self._find(keys)
+        if not found.all():
+            missing = sorted({_norm_edge(*src[i]) for i in np.flatnonzero(~found)})
+            raise ValueError(f"edges not in graph: {missing[:3]}")
+        keep = np.ones(self.m, dtype=bool)
+        keep[np.searchsorted(self._keys, keys)] = False
+        return Graph._from_sorted(n, self._edges[keep])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._edges == other._edges
+        return self._n == other._n and np.array_equal(self._edges, other._edges)
 
     def __hash__(self) -> int:
-        return hash((self._n, self._edges))
+        return hash((self._n, self._edges.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self.m})"
@@ -157,13 +290,12 @@ class Graph:
 
 def complement(g: Graph) -> Graph:
     """Complement graph: edge uv present iff absent in g."""
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
-    return Graph(g.n, edges)
+    n = g.n
+    iu, iv = np.triu_indices(n, 1)
+    keep = np.ones(len(iu), dtype=bool)
+    u, v = g.edge_array()[:, 0], g.edge_array()[:, 1]
+    keep[u * (2 * n - u - 1) // 2 + v - u - 1] = False  # row-major pair index
+    return Graph._from_sorted(n, _pairs(iu[keep], iv[keep]))
 
 
 def find_twins(g: Graph) -> list[Edge]:
@@ -178,26 +310,60 @@ def find_twins(g: Graph) -> list[Edge]:
     return sorted(pairs)
 
 
+# words gathered or unpacked per block of dist2_pairs (2 MiB)
+_BLOCK_WORDS = 1 << 18
+
+
+def _dist2_blocks(g: Graph) -> Iterator[np.ndarray]:
+    """The pairs of dist2_pair_array, one (k, 2) array per block of rows u.
+
+    Row u of a block is the OR of the packed closed neighborhoods of N[u];
+    its bits v > u are the partners of u. A block gathers at most
+    _BLOCK_WORDS words of neighbor rows and unpacks at most 8 * _BLOCK_WORDS
+    bits, so the memory beyond the graph stays bounded.
+    """
+    n = g.n
+    rows = g.packed_closed
+    W = rows.shape[1]
+    indptr, nbrs = g._csr
+    deg = g.degrees
+    gather_cap = max(1, _BLOCK_WORDS // W)
+    rows_cap = max(1, 8 * _BLOCK_WORDS // (64 * W))
+    a = 0
+    while a < n:
+        b = int(np.searchsorted(indptr, indptr[a] + gather_cap, side="right")) - 1
+        b = min(n, a + rows_cap, max(a + 1, b))
+        reach = rows[a:b].copy()
+        busy = deg[a:b] > 0
+        if busy.any():
+            hood = rows[nbrs[indptr[a] : indptr[b]]]
+            reach[busy] |= np.bitwise_or.reduceat(hood, (indptr[a:b] - indptr[a])[busy])
+        bits = np.unpackbits(
+            reach.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little"
+        )
+        pu, pv = np.nonzero(np.triu(bits, k=a + 1))  # keep v > u, row-major
+        yield np.stack((pu + a, pv), axis=1)
+        a = b
+
+
+def dist2_pair_array(g: Graph) -> np.ndarray:
+    """Pairs u < v at distance 1 or 2 as a (k, 2) int64 array, rows in
+    ascending lexicographic order."""
+    blocks = list(_dist2_blocks(g))
+    return np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+
+
 def dist2_pairs(g: Graph) -> Iterator[Edge]:
     """Pairs u < v at distance 1 or 2, in ascending lexicographic order."""
-    masks = g.closed_masks
-    for u in range(g.n):
-        reach = masks[u]
-        for w in g.neighbors(u):
-            reach |= masks[w]
-        reach >>= u + 1  # keep only v > u
-        while reach:
-            low = reach & -reach
-            yield (u, u + low.bit_length())
-            reach ^= low
+    for block in _dist2_blocks(g):
+        yield from map(tuple, block.tolist())
 
 
 def degree_stats(g: Graph) -> tuple[int, int]:
     """(minimum degree, maximum degree)."""
     if g.n < 1:
         raise ValueError("degree_stats needs n >= 1")
-    degs = [g.degree(v) for v in range(g.n)]
-    return (min(degs), max(degs))
+    return int(g.degrees.min()), int(g.degrees.max())
 
 
 # ------------------------------------------------------------- generators --
@@ -219,33 +385,36 @@ class FamilySpec:
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    vs = np.arange(n - 1)
+    return Graph(n, _pairs(vs, vs + 1))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    vs = np.arange(n)
+    return Graph(n, _pairs(vs, (vs + 1) % n))
 
 
 def star(leaves: int) -> Graph:
     """Star K_{1,leaves} with the center at vertex 0."""
     if leaves < 1:
         raise ValueError("star needs >= 1 leaf")
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    vs = np.arange(1, leaves + 1)
+    return Graph(leaves + 1, _pairs(np.zeros_like(vs), vs))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete needs n >= 1")
-    return Graph(n, list(combinations(range(n), 2)))
+    return Graph(n, _pairs(*np.triu_indices(n, 1)))
 
 
 def complete_bipartite(r: int, s: int) -> Graph:
     """K_{r,s}: left side 0..r-1, right side r..r+s-1."""
     if r < 1 or s < 1:
         raise ValueError("complete_bipartite needs r, s >= 1")
-    return Graph(r + s, [(i, r + j) for i in range(r) for j in range(s)])
+    return Graph(r + s, _pairs(np.repeat(np.arange(r), s), np.tile(np.arange(r, r + s), r)))
 
 
 def disjoint_cliques(delta: int, k: int) -> Graph:
@@ -253,13 +422,9 @@ def disjoint_cliques(delta: int, k: int) -> Graph:
     if delta < 1 or k < 1:
         raise ValueError("disjoint_cliques needs delta, k >= 1")
     size = delta + 1
-    edges = []
-    for c in range(k):
-        base = c * size
-        edges.extend(
-            (base + i, base + j) for i, j in combinations(range(size), 2)
-        )
-    return Graph(k * size, edges)
+    iu, iv = np.triu_indices(size, 1)
+    base = (np.arange(k) * size)[:, None]
+    return Graph(k * size, _pairs((base + iu).ravel(), (base + iv).ravel()))
 
 
 def connected_cliques(delta: int, k: int) -> Graph:
@@ -267,8 +432,8 @@ def connected_cliques(delta: int, k: int) -> Graph:
     consecutive cliques."""
     g = disjoint_cliques(delta, k)
     size = delta + 1
-    extra = [(c * size, (c + 1) * size) for c in range(k - 1)]
-    return Graph(g.n, list(g.edges()) + extra)
+    firsts = np.arange(k - 1) * size
+    return Graph(g.n, np.concatenate((g.edge_array(), _pairs(firsts, firsts + size))))
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
@@ -282,15 +447,11 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise ValueError("gnp needs 0 <= p <= 1")
     rng = np.random.default_rng(seed)
-    draws = rng.random(n * (n - 1) // 2)
-    edges = []
-    i = 0
-    for u in range(n - 1):
-        cnt = n - 1 - u
-        hits = np.nonzero(draws[i : i + cnt] < p)[0]
-        i += cnt
-        edges.extend((u, u + 1 + int(j)) for j in hits)
-    return Graph(n, edges)
+    hits = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+    vs = np.arange(n)
+    row_start = vs * (2 * n - vs - 1) // 2  # index of the pair (u, u + 1)
+    u = np.searchsorted(row_start, hits, side="right") - 1
+    return Graph._from_sorted(n, _pairs(u, hits - row_start[u] + u + 1))
 
 
 _FAMILY_BUILDERS = {
@@ -323,36 +484,128 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The code points str.split() treats as whitespace, and among them the line
+# boundaries of str.splitlines(); all lie below _SPACE_END. _KIND maps every
+# code point below it, plus one slot for all those above, to _WORD, _SPACE
+# or _BREAK.
+SPACE_CODES = (
+    *range(9, 14), *range(28, 33), 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B),
+    0x2028, 0x2029, 0x202F, 0x205F, 0x3000,
+)
+BREAK_CODES = (*range(10, 14), 28, 29, 30, 0x85, 0x2028, 0x2029)
+_SPACE_END = 0x3001
+_WORD, _SPACE, _BREAK = 0, 1, 2
+_KIND = np.full(_SPACE_END + 1, _WORD, dtype=np.int8)
+_KIND[list(SPACE_CODES)] = _SPACE
+_KIND[list(BREAK_CODES)] = _BREAK
+# longest run of decimal digits whose value always fits in int64
+_SHORT_DIGITS = 18
+
+
+def _token_values(cp: np.ndarray, text: str, ts: np.ndarray, te: np.ndarray):
+    """(values, ok) for the tokens text[ts[i]:te[i]], read as int() reads
+    them; ok[i] is False where int() fails.
+
+    Runs of at most 18 ASCII digits are converted in array passes, one per
+    run length; any other token (sign, underscores, non-ASCII digits, long
+    runs, junk) goes through int() itself. Values are clamped to int64.
+    """
+    length = te - ts
+    plain = np.zeros(len(ts), dtype=bool)
+    values = np.zeros(len(ts), dtype=np.int64)
+    ok = np.ones(len(ts), dtype=bool)
+    sizes = np.bincount(np.minimum(length, _SHORT_DIGITS + 1))[: _SHORT_DIGITS + 1]
+    for size in np.flatnonzero(sizes).tolist():
+        at = np.flatnonzero(length == size)
+        acc = np.zeros(len(at), dtype=np.int64)
+        runs = np.ones(len(at), dtype=bool)
+        start = ts[at]
+        for k in range(size):
+            # unsigned, so characters below "0" wrap to large values
+            digit = (cp[start + k] - 48).astype(np.int64)
+            runs &= digit <= 9
+            acc = acc * 10 + digit
+        values[at[runs]] = acc[runs]
+        plain[at[runs]] = True
+    for i in np.flatnonzero(~plain).tolist():
+        try:
+            values[i] = min(max(int(text[ts[i] : te[i]]), -1), 1 << 62)
+        except ValueError:
+            ok[i] = False
+    return values, ok
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format; raises FormatError on any violation."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Parse the edge-list format; raises FormatError on any violation.
+
+    Blank lines are skipped, lines and tokens split as str.splitlines() and
+    str.split() split them, and endpoints are read as int() reads them.
+    Line numbers in messages count the non-blank lines. The whole text is
+    scanned in array passes over its code points; only tokens that are not
+    short ASCII digit runs are handed to int() one by one.
+    """
+    if text.isascii():
+        cp = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+        cls = cp
+    else:
+        cp = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        cls = np.minimum(cp, _SPACE_END)
+    kind = _KIND[cls]
+    # a line ends at each boundary; "\r\n" leaves an empty line between its
+    # two characters, which is blank and so skipped like any other
+    ends = np.flatnonzero(kind == _BREAK)
+    line_start = np.concatenate(([0], ends + 1))
+    line_end = np.concatenate((ends, [len(cp)]))
+
+    def line(k: int) -> str:
+        return text[line_start[k] : line_end[k]]
+
+    # tokens are the maximal runs of word characters: starts and ends alternate
+    word = np.zeros(len(cp) + 2, dtype=np.int8)
+    word[1:-1] = kind == _WORD
+    bounds = np.flatnonzero(np.diff(word))
+    ts, te = bounds[0::2], bounds[1::2]
+    first = np.searchsorted(ts, line_start)  # index of each line's first token
+    counts = np.diff(first, append=len(ts))
+    filled = np.flatnonzero(counts)
+
+    if not len(filled):
         raise FormatError("empty input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError(f"header must be 'n m', got {lines[0]!r}")
+    head = filled[0]
+    if counts[head] != 2:
+        raise FormatError(f"header must be 'n m', got {line(head)!r}")
+    t = first[head]
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = int(text[ts[t] : te[t]]), int(text[ts[t + 1] : te[t + 1]])
     except ValueError as exc:
-        raise FormatError(f"bad header {lines[0]!r}") from exc
+        raise FormatError(f"bad header {line(head)!r}") from exc
     if n < 0 or m < 0:
         raise FormatError("negative n or m")
-    if len(lines) - 1 != m:
-        raise FormatError(f"header says {m} edges, found {len(lines) - 1}")
-    edges = []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) != 2:
+    body = filled[1:]
+    if len(body) != m:
+        raise FormatError(f"header says {m} edges, found {len(body)}")
+
+    pair = counts[body] == 2
+    t = first[body][pair]
+    t = np.concatenate((t, t + 1))  # first endpoints, then second ones
+    values, ok = _token_values(cp, text, ts[t], te[t])
+    u, v = values.reshape(2, -1)
+    readable = ok.reshape(2, -1).all(axis=0)
+    bad = ~pair
+    bad[pair] = ~readable | ~((0 <= u) & (u < v) & (v < n))
+    if bad.any():
+        k = int(np.argmax(bad))
+        i, ln = k + 2, line(body[k])
+        if not pair[k]:
             raise FormatError(f"line {i}: expected 'u v', got {ln!r}")
+        a, b = ln.split()
         try:
-            u, v = int(parts[0]), int(parts[1])
+            a, b = int(a), int(b)
         except ValueError as exc:
             raise FormatError(f"line {i}: non-integer endpoint") from exc
-        if not (0 <= u < v < n):
-            raise FormatError(f"line {i}: need 0 <= u < v < n, got {u} {v}")
-        edges.append((u, v))
+        raise FormatError(f"line {i}: need 0 <= u < v < n, got {a} {b}")
     try:
-        return Graph(n, edges)
+        return Graph(n, np.stack((u, v), axis=1))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

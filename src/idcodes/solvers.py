@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -49,7 +48,8 @@ class _Done(Exception):
 
 
 def _branch_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    """Vertices by descending degree, ties to the lower index."""
+    return np.argsort(-g.degrees, kind="stable").tolist()
 
 
 def _search(order: list[int], budget: int, expand) -> tuple[int, bool]:
@@ -110,29 +110,27 @@ def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
         if size >= best_size:
             return False
         undom = 0
-        groups: dict[int, list[int]] = {}
+        class_size: dict[int, int] = {}
         for v in range(n):
             sig = masks[v] & chosen
             if not sig:
                 undom |= 1 << v
-            groups.setdefault(sig, []).append(v)
-        max_cls = max(len(m) for m in groups.values())
+            class_size[sig] = class_size.get(sig, 0) + 1
+        max_cls = max(class_size.values())
         if max_cls == 1 and not undom:
             best_size, best_mask = size, chosen
             if best_size <= lb:
                 raise _Done
             return False
-        avail = suffix[i]
-        if undom & ~_dominable(masks, undom, chosen | avail):
+        pool = chosen | suffix[i]
+        if undom & ~_dominable(masks, undom, pool):
+            return False
+        # two vertices of one class that no undecided vertex splits keep
+        # equal traces on the pool; vertices of different classes already
+        # differ on chosen
+        if len({m & pool for m in masks}) < n:
             return False
         extra = ceil_log2(max_cls)
-        for members in groups.values():
-            if len(members) == 1:
-                continue
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    if not (masks[members[a]] ^ masks[members[b]]) & avail:
-                        return False
         if undom and extra == 0:
             extra = 1
         return size + extra < best_size
@@ -170,7 +168,7 @@ def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult
     best_mask = 0
     for v in incumbent:
         best_mask |= 1 << v
-    max_deg = max(g.degree(v) for v in range(n))
+    max_deg = int(g.degrees.max())
     lb = math.ceil(n / (max_deg + 1))
 
     def expand(i: int, chosen: int) -> bool:
@@ -239,7 +237,7 @@ def greedy_idcode(g: Graph) -> frozenset[int]:
     if twins:
         raise NotTwinFreeError(twins[0])
     n = g.n
-    es = np.fromiter(chain.from_iterable(g.edges()), np.int64, 2 * g.m).reshape(-1, 2)
+    es = g.edge_array()
     loops = np.arange(n, dtype=np.int64)
     # incidence (x, w) for w in N[x], sorted by w so N[w] is one slice
     ws = np.concatenate((loops, es[:, 0], es[:, 1]))

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .codes import is_dominating, is_identifying_code
-from .graphs import Edge, Graph, degree_stats, dist2_pairs
+from .graphs import Edge, Graph, degree_stats, dist2_pair_array
 from .solvers import greedy_dominating
 
 
@@ -178,7 +178,7 @@ def sample_subgraph(
     if not g.m:
         return g, frozenset()
     terms = np.divide(f, dc, out=np.zeros(n), where=dc > 0)
-    es = np.asarray(g.edges(), dtype=np.int64)
+    es = g.edge_array()
     in_code = (code_row[es >> 6] >> (es & 63).astype(np.uint64)) & np.uint64(1)
     incident = (in_code[:, 0] | in_code[:, 1]).astype(bool)
     inc = es[incident]
@@ -186,8 +186,7 @@ def sample_subgraph(
     assert np.all(p_edge <= 0.5), "deletion probability exceeded 1/2"
     draws = np.random.default_rng(seed).random(len(inc))
     dropped = inc[draws < p_edge]
-    deleted = frozenset((int(u), int(v)) for u, v in dropped)
-    return g.delete_edges(deleted), deleted
+    return g.delete_edges(dropped), frozenset(map(tuple, dropped.tolist()))
 
 
 def check_events(
@@ -202,23 +201,22 @@ def check_events(
     retries for.
     """
     dmin, dmax = _degree_checks(g)
-    if h.n != g.n or not set(h.edges()) <= set(g.edges()):
+    if not h.is_spanning_subgraph_of(g):
         raise ValueError("h must be a spanning subgraph of g")
     p = _inclusion_prob(c * math.log(dmax) / dmin, True)
     code_row = _pack_set(code, g.n)
     dc = _code_degrees(g, code_row).astype(np.float64)
-    dg = np.array([g.degree(v) for v in range(g.n)], dtype=np.float64)
+    dg = g.degrees.astype(np.float64)
     aflag = np.abs(dc - dg * p) >= dg * p / 2.0
-    pairs = list(dist2_pairs(g))
-    out: list[Violation] = []
-    if not pairs:
-        return out
-    ps = np.asarray(pairs, dtype=np.int64)
+    ps = dist2_pair_array(g)
+    aeq = aflag[ps[:, 0]] | aflag[ps[:, 1]]
     beq = _kernels.pairs_equal_rows(h.packed_closed & code_row, ps[:, 0], ps[:, 1])
-    for (u, v), eq in zip(pairs, beq):
-        if aflag[u] or aflag[v]:
+    out: list[Violation] = []
+    for k in np.flatnonzero(aeq | beq).tolist():
+        u, v = ps[k].tolist()
+        if aeq[k]:
             out.append(Violation("A", u, v))
-        if eq:
+        if beq[k]:
             out.append(Violation("B", u, v))
     return out
 
@@ -240,6 +238,16 @@ def _greedy_cover_masks(comp: tuple[int, ...], hmask: dict[int, int]) -> set[int
         picks.add(best)
         undom &= ~hmask[best]
     return picks
+
+
+def _by_component(rows: np.ndarray, comp_ids: np.ndarray, k: int) -> list[np.ndarray]:
+    """Split vertex-pair rows by the component of their first vertex,
+    keeping the row order inside each component."""
+    if k == 1:
+        return [rows]
+    lab = comp_ids[rows[:, 0]]
+    order = np.argsort(lab, kind="stable")
+    return np.split(rows[order], np.searchsorted(lab[order], np.arange(1, k)))
 
 
 def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
@@ -276,16 +284,17 @@ def _sparsify_engine(g: Graph, params: SparsifyParams, variant: str) -> Sparsify
     p = _inclusion_prob(raw_p, params.clamp)
     cap = params.c * math.log(dmax)
     masks = g.closed_masks
-    deg = [g.degree(v) for v in range(n)]
+    deg = g.degrees.tolist()
 
     comps = g.components
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    comp_edges: list[list[Edge]] = [[] for _ in comps]
-    for e in g.edges():
-        comp_edges[comp_of[e[0]]].append(e)
-    comp_pairs: list[list[Edge]] = [[] for _ in comps]
-    for u, v in dist2_pairs(g):
-        comp_pairs[comp_of[u]].append((u, v))
+    comp_vs = [np.asarray(comp) for comp in comps]
+    comp_ids = g.component_ids
+    comp_edges = _by_component(g.edge_array(), comp_ids, len(comps))
+    comp_pairs = _by_component(dist2_pair_array(g), comp_ids, len(comps))
+    # per-vertex scratch; a component's round writes only its own vertices
+    in_code = np.zeros(n, dtype=bool)
+    term = np.zeros(n)
+    sig_id = np.zeros(n, dtype=np.int64)
 
     accepted = [False] * len(comps)
     cur_c: list[set[int]] = [set() for _ in comps]
@@ -308,19 +317,21 @@ def _sparsify_engine(g: Graph, params: SparsifyParams, variant: str) -> Sparsify
             cmask = 0
             for v in c_i:
                 cmask |= 1 << v
-            incident = [e for e in comp_edges[i] if e[0] in c_i or e[1] in c_i]
+            in_code[comp_vs[i]] = vdraws < p
+            es = comp_edges[i]
+            incident = es[in_code[es[:, 0]] | in_code[es[:, 1]]]
             if variant == "theorem1":
                 dc = {w: (masks[w] & cmask).bit_count() - (w in c_i) for w in comp}
-                term = {w: min(cap, dc[w]) / dc[w] if dc[w] else 0.0 for w in comp}
+                term[comp_vs[i]] = [min(cap, dc[w]) / dc[w] if dc[w] else 0.0 for w in comp]
+                pe = (term[incident[:, 0]] + term[incident[:, 1]]) / 4.0
+            else:
+                pe = 0.25
             edraws = rng.random(len(incident))
+            f_i: list[Edge] = list(map(tuple, incident[edraws < pe].tolist()))
             hmask = {v: masks[v] for v in comp}
-            f_i: list[Edge] = []
-            for (eu, ev), x in zip(incident, edraws):
-                pe = (term[eu] + term[ev]) / 4.0 if variant == "theorem1" else 0.25
-                if x < pe:
-                    f_i.append((eu, ev))
-                    hmask[eu] ^= 1 << ev
-                    hmask[ev] ^= 1 << eu
+            for eu, ev in f_i:
+                hmask[eu] ^= 1 << ev
+                hmask[ev] ^= 1 << eu
             if variant == "theorem1":
                 d_i: set[int] = set()
                 gate_mask = cmask
@@ -333,13 +344,13 @@ def _sparsify_engine(g: Graph, params: SparsifyParams, variant: str) -> Sparsify
                 for v in d_i:
                     gate_mask |= 1 << v
                 a_cnt = 0
-            b_cnt = sum(
-                1
-                for u, v in comp_pairs[i]
-                if hmask[u] & gate_mask == hmask[v] & gate_mask
-            )
-            if variant == "uniform":
-                b_cnt += sum(1 for w in comp if not hmask[w] & gate_mask)
+            # equal signatures get equal ids; then count the pairs that share one
+            ids: dict[int, int] = {}
+            sig_id[comp_vs[i]] = [ids.setdefault(hmask[w] & gate_mask, len(ids)) for w in comp]
+            ps = comp_pairs[i]
+            b_cnt = int(np.count_nonzero(sig_id[ps[:, 0]] == sig_id[ps[:, 1]]))
+            if variant == "uniform" and 0 in ids:
+                b_cnt += int(np.count_nonzero(sig_id[comp_vs[i]] == ids[0]))
             a_total += a_cnt
             b_total += b_cnt
             cur_c[i], cur_f[i], cur_d[i] = c_i, f_i, d_i

@@ -103,7 +103,7 @@ def watching_from_subgraph_code(
     """One watcher per code vertex, hosted there, zone = its closed
     neighborhood in the spanning subgraph h. Since N_h[v] is contained in
     N_g[v], the system is legal for g and has size exactly |c|."""
-    if h.n != g.n or not set(h.edges()) <= set(g.edges()):
+    if not h.is_spanning_subgraph_of(g):
         raise ValueError("h must be a spanning subgraph of g")
     code = sorted(set(c))
     verdict = is_identifying_code(h, code, "full")

@@ -202,3 +202,87 @@ def oracle_verify_watching(n, edges, watchers):
         if membership[u] == membership[v]
     ]
     return undom, unsep
+
+
+class OracleFormatError(ValueError):
+    """Malformed edge-list text, as the oracle parser reports it."""
+
+
+def oracle_graph_edges(n, edges):
+    """Sorted normalised edge tuples of a simple graph on 0..n-1, checked
+    one edge at a time in input order; raises ValueError with the message
+    of the first bad edge."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+    return sorted(seen)
+
+
+def oracle_parse_edge_list(text):
+    """(n, sorted edges) of an edge-list text, read line by line; raises
+    OracleFormatError with the message of the first violation."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise OracleFormatError("empty input")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise OracleFormatError(f"header must be 'n m', got {lines[0]!r}")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise OracleFormatError(f"bad header {lines[0]!r}") from exc
+    if n < 0 or m < 0:
+        raise OracleFormatError("negative n or m")
+    if len(lines) - 1 != m:
+        raise OracleFormatError(f"header says {m} edges, found {len(lines) - 1}")
+    edges = []
+    for i, ln in enumerate(lines[1:], start=2):
+        parts = ln.split()
+        if len(parts) != 2:
+            raise OracleFormatError(f"line {i}: expected 'u v', got {ln!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise OracleFormatError(f"line {i}: non-integer endpoint") from exc
+        if not (0 <= u < v < n):
+            raise OracleFormatError(f"line {i}: need 0 <= u < v < n, got {u} {v}")
+        edges.append((u, v))
+    try:
+        return n, oracle_graph_edges(n, edges)
+    except ValueError as exc:
+        raise OracleFormatError(str(exc)) from exc
+
+
+def oracle_closed_masks(n, edges):
+    """Closed neighborhoods as Python-int bitmasks."""
+    adj = adjacency(n, edges)
+    return tuple(sum(1 << w for w in closed(adj, v)) for v in range(n))
+
+
+def oracle_packed_rows(n, edges):
+    """Closed-neighborhood bitmasks split into 64-bit words, W = max(1,
+    ceil(n / 64)) words per row, lowest word first."""
+    words = max(1, (n + 63) // 64)
+    return [
+        [(mask >> (64 * j)) & (2**64 - 1) for j in range(words)]
+        for mask in oracle_closed_masks(n, edges)
+    ]
+
+
+def oracle_delete_edges(n, edges, drop):
+    """Sorted edges left after removing drop; ValueError listing the first
+    three missing edges when some pair of drop is not an edge."""
+    drop = {(u, v) if u < v else (v, u) for u, v in drop}
+    missing = drop - set(edges)
+    if missing:
+        raise ValueError(f"edges not in graph: {sorted(missing)[:3]}")
+    return sorted(e for e in edges if e not in drop)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from idcodes import (
+    Graph,
     SparsifyParams,
     complement,
     disjoint_cliques,
@@ -15,8 +17,11 @@ from idcodes import (
     is_identifying_code,
     path,
     sparsify,
+    write_edge_list,
 )
 from idcodes.cli import run_cli
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(args, **kw):
@@ -297,3 +302,40 @@ def test_console_script_installed():
         _assert_prints_lower_bound(
             subprocess.run([installed] + args, capture_output=True, text=True)
         )
+
+
+def test_sparsify_and_experiment_output_match_golden(tmp_path, monkeypatch, capsys):
+    # exact stdout CSV and stderr trial lines, pinned from the per-edge
+    # Python Graph before the array-backed one
+    doc = json.loads((GOLDEN / "sparsify.json").read_text())
+    families = {"disjoint_cliques": disjoint_cliques, "gnp": gnp}
+    monkeypatch.chdir(tmp_path)
+    assert len(doc["cli"]) == 7
+    for case in doc["cli"]:
+        if "input" in case:
+            fam, args = doc["graphs"][case["input"]]
+            text = write_edge_list(families[fam](*args))
+            assert hashlib.sha256(text.encode()).hexdigest() == case["input_sha256"]
+            (tmp_path / "graph.txt").write_text(text)
+        if "config" in case:
+            (tmp_path / "exp.json").write_text(json.dumps(case["config"]))
+        code = run_cli(case["argv"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"]), case["argv"]
+
+
+def test_sparsify_and_greedy_commands_build_no_per_edge_forms(tmp_path, monkeypatch):
+    # the hot path reads the edge array and its derived arrays only: no
+    # edges() tuples and no frozenset adjacency
+    graph = tmp_path / "g.txt"
+    graph.write_text(write_edge_list(gnp(60, 0.5, 4)))
+
+    def forbidden(self):
+        raise AssertionError("per-edge Python form built on the sparsify/greedy path")
+
+    monkeypatch.setattr(Graph, "_edge_tuples", property(forbidden))
+    monkeypatch.setattr(Graph, "_adj", property(forbidden))
+    for variant in ("theorem1", "uniform"):
+        argv = ["sparsify", "--in", str(graph), "--const-c", "2", "--variant", variant]
+        assert run_cli(argv + ["--out-code", str(tmp_path / "c.txt")]) == 0
+    assert run_cli(["greedy", "--in", str(graph), "--out", str(tmp_path / "g.out")]) == 0

@@ -1,0 +1,232 @@
+"""The array-backed Graph builders against the per-edge oracles of
+`oracles.py`: parsing, construction, edge deletion, distance-2 pairs and
+components must give the same graphs, or fail with the same message."""
+
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from idcodes import FormatError, Graph, dist2_pair_array, dist2_pairs, gnp, parse_edge_list
+from idcodes import graphs as graphs_mod
+
+from corpus import small_corpus
+from oracles import (
+    OracleFormatError,
+    oracle_closed_masks,
+    oracle_delete_edges,
+    oracle_dist2_pairs,
+    oracle_distances,
+    oracle_graph_edges,
+    oracle_packed_rows,
+    oracle_parse_edge_list,
+)
+
+DIGIT_SETS = ("0123456789", "٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "०१२३४५६७८९")
+# "/" and ":" sit just below and above the ASCII digits
+JUNK = ("x", "1.0", "0x1", "_1", "1_", "1__0", "--1", "²", "1e3", "+-1", "١x", "9" * 25, ":", "1:", "1/", "/2")
+SEPARATORS = (" ", "  ", "\t", " \t ", "\u3000", "\xa0", "\x1f", "\u2003")
+LINE_ENDS = ("\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028")
+BLANKS = ("", " ", "\t", "\xa0 ")
+
+
+@st.composite
+def tokens(draw, value):
+    """value spelled the way int() may read it, or now and then junk."""
+    style = draw(st.sampled_from(
+        ("plain",) * 6 + ("plus", "zeros", "underscore", "digits", "junk")
+    ))
+    text = str(value)
+    if style == "plus" and value >= 0:
+        return "+" + text
+    if style == "zeros":
+        return text.replace(text.lstrip("-"), "00" + text.lstrip("-"))
+    if style == "underscore" and len(text.lstrip("-")) >= 2:
+        return text[:-1] + "_" + text[-1]
+    if style == "digits":
+        digits = draw(st.sampled_from(DIGIT_SETS))
+        return text.translate(str.maketrans("0123456789", digits))
+    if style == "junk":
+        return draw(st.sampled_from(JUNK))
+    return text
+
+
+@st.composite
+def line_text(draw, values):
+    sep = draw(st.sampled_from(SEPARATORS))
+    words = [draw(tokens(v)) for v in values]
+    lead = draw(st.sampled_from(("", "", " ", "\t")))
+    trail = draw(st.sampled_from(("", "", " ", "\u3000")))
+    return lead + sep.join(words) + trail
+
+
+@st.composite
+def edge_list_texts(draw):
+    n = draw(st.integers(0, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(-1, n + 1), st.integers(-1, n + 1)), max_size=8))
+    if pairs and draw(st.booleans()):
+        pairs.append(draw(st.sampled_from(pairs)))  # a duplicate line
+    lines = []
+    for u, v in pairs:
+        shape = draw(st.sampled_from(("pair",) * 8 + ("one", "three")))
+        values = {"pair": [u, v], "one": [u], "three": [u, v, n]}[shape]
+        lines.append(draw(line_text(values)))
+    m = len(pairs) + draw(st.sampled_from((0, 0, 0, 0, 1, -1)))
+    header = draw(line_text([n, m]))
+    body = [header] + lines
+    out = ""
+    for ln in body:
+        if draw(st.integers(0, 4)) == 0:
+            out += draw(st.sampled_from(BLANKS)) + draw(st.sampled_from(LINE_ENDS))
+        out += ln + draw(st.sampled_from(LINE_ENDS))
+    return out
+
+
+RANDOM_TEXT = st.text(alphabet="0123456789  \n\r\t+-_x/:١\u3000\x85", max_size=40)
+
+
+def _check_parse(text):
+    try:
+        n, edges = oracle_parse_edge_list(text)
+    except OracleFormatError as exc:
+        with pytest.raises(FormatError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == str(exc)
+        return
+    if n > graphs_mod.MAX_VERTICES:
+        # edge keys u * n + v must fit in int64; a graph this large could
+        # not be built before either (its adjacency exhausts memory)
+        with pytest.raises(FormatError, match="too large"):
+            parse_edge_list(text)
+        return
+    g = parse_edge_list(text)
+    assert g.n == n and g.edges() == tuple(edges)
+    assert g == Graph(n, edges)
+    assert g.edge_array().tolist() == [list(e) for e in edges]
+    if n <= 64:
+        assert g.closed_masks == oracle_closed_masks(n, edges)
+        assert g.packed_closed.tolist() == oracle_packed_rows(n, edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_texts())
+def test_parse_edge_list_matches_oracle(text):
+    _check_parse(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(RANDOM_TEXT)
+def test_parse_edge_list_random_text_matches_oracle(text):
+    _check_parse(text)
+
+
+def test_parse_edge_list_fixed_cases_match_oracle():
+    for text in (
+        "3 2\r\n0 1\r\n\r\n1 2\r\n",
+        "3 1\n0 +1\n",
+        "12 1\n0 1_0\n",
+        "3 1\n٠ ١\n",
+        "3 1\n0 ²\n",
+        "3 1\n0 1 \x85",
+        "3 2\n0 1\n0 1\n",
+        "3 2\n1 2\n0 1\n",
+        "\n\n  \n",
+        "3 1\n0 " + "9" * 30 + "\n",
+        "12 1\n: 11\n",
+        "12 1\n1/ 11\n",
+        "3 1\n-0 1\n",
+        "3 0\n",
+        "2\u20280\u2029",
+        "9999999999999999999999999 0\n",
+        "3037000500 0\n",
+        "3037000499 0\n",
+    ):
+        _check_parse(text)
+
+
+EDGE_VALUES = st.one_of(st.integers(-2, 9), st.sampled_from((2**63, -(2**63) - 1, 2**70)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7), st.lists(st.tuples(EDGE_VALUES, EDGE_VALUES), max_size=10))
+def test_graph_constructor_matches_oracle(n, edges):
+    try:
+        expected = oracle_graph_edges(n, edges)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            Graph(n, edges)
+        assert str(err.value) == str(exc)
+        return
+    g = Graph(n, edges)
+    assert g.edges() == tuple(expected)
+    assert g.closed_masks == oracle_closed_masks(n, expected)
+    assert g.packed_closed.tolist() == oracle_packed_rows(n, expected)
+    assert g == Graph(n, iter(expected)) == Graph(n, np.array(expected, dtype=np.int64).reshape(-1, 2))
+
+
+def test_graph_constructor_rejects_non_integer_endpoints():
+    with pytest.raises(TypeError):
+        Graph(3, [(0.0, 1.0)])
+    with pytest.raises(ValueError):
+        Graph(3, [(0, 1, 2)])
+
+
+def _extra_graphs():
+    yield "empty0", Graph(0)
+    yield "single", Graph(1)
+    yield "isolated", Graph(6, [(1, 3), (3, 4)])
+    yield "lonely_pairs", Graph(9, [(0, 8), (2, 5)])
+    yield "gnp70", gnp(70, 0.05, 2)  # two words per row, isolated vertices
+    yield "gnp150", gnp(150, 0.02, 1)
+
+
+def test_dist2_pairs_and_components_match_oracle():
+    for name, g in list(small_corpus()) + list(_extra_graphs()):
+        expected = oracle_dist2_pairs(g.n, g.edges())
+        assert list(dist2_pairs(g)) == expected, name
+        assert dist2_pair_array(g).tolist() == [list(p) for p in expected], name
+        comps = sorted({tuple(sorted(oracle_distances(g.n, g.edges(), v))) for v in range(g.n)})
+        assert list(g.components) == comps, name
+
+
+def test_dist2_pairs_in_small_blocks_match_oracle(monkeypatch):
+    # force many row blocks, each gathering a handful of neighbor rows
+    monkeypatch.setattr(graphs_mod, "_BLOCK_WORDS", 8)
+    for name, g in _extra_graphs():
+        expected = oracle_dist2_pairs(g.n, g.edges())
+        assert dist2_pair_array(g).tolist() == [list(p) for p in expected], name
+        assert list(dist2_pairs(g)) == expected, name
+
+
+def test_delete_edges_matches_oracle():
+    rng = np.random.default_rng(7)
+    for name, g in list(small_corpus())[::3] + list(_extra_graphs()):
+        edges = list(g.edges())
+        for _ in range(3):
+            drop = [edges[i] for i in rng.permutation(len(edges))[: rng.integers(0, len(edges) + 1)]]
+            drop = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in drop]
+            if rng.random() < 0.3:
+                drop.append((int(rng.integers(-1, g.n + 1)), int(rng.integers(-1, g.n + 1))))
+            try:
+                expected = oracle_delete_edges(g.n, edges, drop)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    g.delete_edges(drop)
+                assert str(err.value) == str(exc), name
+                continue
+            h = g.delete_edges(drop)
+            assert h.edges() == tuple(expected), name
+            assert h.closed_masks == oracle_closed_masks(g.n, expected), name
+            assert h == g.delete_edges(np.array(drop, dtype=np.int64).reshape(-1, 2)), name
+            assert h.is_spanning_subgraph_of(g), name
+            assert g.is_spanning_subgraph_of(h) == (h.m == g.m), name
+
+
+def test_parser_character_classes_match_str():
+    everything = range(sys.maxunicode + 1)
+    assert list(graphs_mod.SPACE_CODES) == [c for c in everything if chr(c).isspace()]
+    assert list(graphs_mod.BREAK_CODES) == [
+        c for c in graphs_mod.SPACE_CODES if len(f"a{chr(c)}b".splitlines()) == 2
+    ]

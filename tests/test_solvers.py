@@ -176,3 +176,12 @@ def test_exact_beats_or_ties_greedy():
         if find_twins(g):
             continue
         assert exact_min_idcode(g).size <= len(greedy_idcode(g)), name
+
+
+def test_exact_idcode_long_cycle_budget_pinned():
+    # size, nodes and optimality pinned from the pairwise class check; the
+    # single pass over the traces on the pool must prune the same nodes
+    c = cycle(1100)
+    res = exact_min_idcode(c, budget=3000)
+    assert (res.size, res.nodes, res.optimal) == (732, 3001, False)
+    assert is_identifying_code(c, res.code).ok

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from idcodes import (
     complete,
     cycle,
     disjoint_cliques,
+    gnp,
     is_identifying_code,
     pair_collision_frequency,
     pick_code,
@@ -332,3 +335,27 @@ def test_pair_collision_frequency_nontrivial_band():
     g = cycle(6)
     freq = pair_collision_frequency(g, [2, 5], 2.0, 1, 3, trials=10_000, seed=1)
     assert 0.58 <= freq <= 0.67
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_sparsify_matches_golden():
+    # pinned from the per-edge Python Graph before the array-backed one
+    doc = json.loads((GOLDEN / "sparsify.json").read_text())
+    families = {"disjoint_cliques": disjoint_cliques, "gnp": gnp}
+    graphs = {key: families[fam](*args) for key, (fam, args) in doc["graphs"].items()}
+    assert len(doc["results"]) == 12
+    for case in doc["results"]:
+        params = SparsifyParams(c=case["c"], seed=case["seed"], variant=case["variant"])
+        res = sparsify(graphs[case["graph"]], params)
+        got = {
+            **case,
+            "final_code": sorted(res.final_code),
+            "deleted_edges": [list(e) for e in sorted(res.deleted_edges)],
+            "trials": [
+                [t.trial, t.code_size, t.deleted, t.a_violations, t.b_violations]
+                for t in res.trials
+            ],
+        }
+        assert json.dumps(got) == json.dumps(case), (case["graph"], case["variant"], case["seed"])
