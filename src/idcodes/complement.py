@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .codes import InvalidCodeError, is_identifying_code
+import numpy as np
+
+from .codes import InvalidCodeError, code_mask, is_identifying_code
 from .graphs import Graph, complement, find_twins
 from .solvers import NotTwinFreeError, exact_min_idcode
 
@@ -62,28 +64,30 @@ def equivalence_classes(g: Graph, c0: Iterable[int]) -> EquivClassPartition:
     verdict = is_identifying_code(g, c0, "full")
     if not verdict.ok:
         raise InvalidCodeError(f"base code fails verification: {verdict.witness}")
-    groups: dict[frozenset[int], list[int]] = {}
-    for v in range(g.n):
-        trace = frozenset(g.neighbors(v) & c0)
-        groups.setdefault(trace, []).append(v)
-    classes = []
-    for members in groups.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if g.has_edge(members[i], members[j]):
-                    raise AssertionError(
-                        "adjacent vertices with equal open traces under a "
-                        "verified code; upstream verification is broken"
-                    )
-        outside = [v for v in members if v not in c0]
-        if len(members) > 1 and len(outside) > 1:
-            raise AssertionError(
-                "a multi-vertex class has two members outside the code; "
-                "upstream verification is broken"
-            )
-        classes.append(frozenset(members))
-    classes.sort(key=min)
-    return EquivClassPartition(tuple(classes))
+    cmask = code_mask(g, c0)
+    # equal open traces get equal ids, numbered in order of least member
+    ids: dict[int, int] = {}
+    label = np.array(
+        [ids.setdefault(m & cmask & ~(1 << v), len(ids)) for v, m in enumerate(g.closed_masks)],
+        dtype=np.int64,
+    )
+    es = g.edge_array()
+    if np.any(label[es[:, 0]] == label[es[:, 1]]):
+        raise AssertionError(
+            "adjacent vertices with equal open traces under a "
+            "verified code; upstream verification is broken"
+        )
+    in_code = np.zeros(g.n, dtype=bool)
+    in_code[list(c0)] = True
+    sizes = np.bincount(label, minlength=len(ids))
+    outside = np.bincount(label[~in_code], minlength=len(ids))
+    if np.any(outside > 1):
+        raise AssertionError(
+            "a multi-vertex class has two members outside the code; "
+            "upstream verification is broken"
+        )
+    parts = np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])
+    return EquivClassPartition(tuple(frozenset(p.tolist()) for p in parts if len(p)))
 
 
 def separate_class(gbar: Graph, cls: Iterable[int]) -> frozenset[int]:

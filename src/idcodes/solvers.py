@@ -1,25 +1,43 @@
 """Exact minimum identifying-code and dominating-set search plus greedy
 heuristics.
 
-The exact solvers run branch and bound over include/exclude decisions on
-vertices in descending-degree order, seeded with the greedy solution as
-incumbent. Budgets count node expansions; an exhausted budget returns the
-incumbent flagged non-optimal instead of failing.
+Both exact solvers are hitting-set searches. An identifying code must hit
+N[v] for every v and N[u] ^ N[v] for every pair u, v at distance <= 2; a
+dominating set must hit every N[v]. Branch and bound runs over
+include/exclude decisions on vertices in descending-degree order. At each
+node the sets that the chosen vertices do not hit yet are restricted to
+the undecided vertices. An empty one makes the node infeasible. A greedy
+packing of pairwise disjoint ones, smallest first, bounds the extra picks
+from below, since one pick hits at most one set of a packing. The search
+prunes on the larger of that bound and a per-solver bound: ceil(log2) of
+the largest signature class for identifying codes, the undominated count
+over the best single coverage for dominating sets. The incumbent is the
+greedy solution after a reverse-delete pass. Budgets count node
+expansions; an exhausted budget returns the incumbent flagged non-optimal
+instead of failing.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
 from . import _kernels
 from .bounds import ceil_log2, idcode_lower_bound
-from .codes import is_identifying_code, mask_to_set
-from .graphs import Graph, find_twins
+from .codes import code_mask, is_identifying_code, mask_to_set
+from .graphs import Graph, dist2_pair_array, find_twins
 
 DEFAULT_BUDGET = 10_000_000
+
+# prune rules of each solver, in the order a node tests them
+IDCODE_RULES = ("size", "infeasible", "class", "log2", "packing")
+DOMINATING_RULES = ("size", "infeasible", "cover", "packing")
+
+# words of XORed neighborhood rows per block when sizing the pair sets (2 MiB)
+_PAIR_BLOCK_WORDS = 1 << 18
 
 
 class NotTwinFreeError(ValueError):
@@ -37,6 +55,8 @@ class SearchResult:
     code: frozenset[int]
     optimal: bool  # False: node budget ran out, code is the best incumbent
     nodes: int
+    # read-only: pruned nodes per rule, the first rule that fired counted
+    prunes: Mapping[str, int] = field(hash=False)
 
     @property
     def size(self) -> int:
@@ -50,6 +70,14 @@ class _Done(Exception):
 def _branch_order(g: Graph) -> list[int]:
     """Vertices by descending degree, ties to the lower index."""
     return np.argsort(-g.degrees, kind="stable").tolist()
+
+
+def _suffixes(order: list[int]) -> list[int]:
+    """suffix[i]: bitmask of order[i:], the undecided vertices at depth i."""
+    suffix = [0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | (1 << order[i])
+    return suffix
 
 
 def _search(order: list[int], budget: int, expand) -> tuple[int, bool]:
@@ -77,13 +105,112 @@ def _search(order: list[int], budget: int, expand) -> tuple[int, bool]:
     return nodes, True
 
 
+def _hitting_sets(g: Graph) -> list[int]:
+    """Sets every identifying code of g hits, as int bitmasks: N[v] for
+    every v, then for each vertex u with a partner at distance <= 2 the set
+    N[u] ^ N[w] of the partner w with the smallest (|N[u] ^ N[w]|, w).
+    Duplicates are dropped; there are at most 2n sets."""
+    n = g.n
+    rows = g.packed_closed
+    pairs = dist2_pair_array(g)
+    # per vertex the least key |N[u] ^ N[w]| * n + w over its partners w
+    best = np.full(n, -1 + (1 << 63), dtype=np.int64)
+    step = max(1, _PAIR_BLOCK_WORDS // rows.shape[1])
+    for a in range(0, len(pairs), step):
+        u, w = pairs[a : a + step, 0], pairs[a : a + step, 1]
+        size = np.bitwise_count(rows[u] ^ rows[w]).sum(axis=1, dtype=np.int64)
+        np.minimum.at(best, u, size * n + w)
+        np.minimum.at(best, w, size * n + u)
+    masks = g.closed_masks
+    sets = dict.fromkeys(masks)
+    for u in np.flatnonzero(best < n * (n + 1)).tolist():
+        sets[masks[u] ^ masks[int(best[u]) % n]] = None
+    return list(sets)
+
+
+def _unhit_sets(sets: list[int], chosen: int, undecided: int) -> Optional[list[int]]:
+    """The sets chosen does not hit, restricted to undecided; None when one
+    of them misses undecided too, so that no completion hits it."""
+    live = []
+    for s in sets:
+        if not s & chosen:
+            r = s & undecided
+            if not r:
+                return None
+            live.append(r)
+    return live
+
+
+def _packing_size(live: list[int]) -> int:
+    """Size of a greedy packing of pairwise disjoint sets, smallest first:
+    a lower bound on the picks that hit them all."""
+    used = 0
+    k = 0
+    for r in sorted(live, key=int.bit_count):
+        if not r & used:
+            used |= r
+            k += 1
+    return k
+
+
+def _reverse_delete_idcode(g: Graph, code: frozenset[int], order: list[int]) -> int:
+    """Bitmask of code after dropping each vertex, in order, whose removal
+    leaves an identifying code. A drop changes only the signatures on
+    N[v], which must stay non-empty and unique."""
+    masks = g.closed_masks
+    cmask = code_mask(g, code)
+    sig = [m & cmask for m in masks]
+    owner = {s: x for x, s in enumerate(sig)}
+    for v in order:
+        if not cmask >> v & 1:
+            continue
+        bit = 1 << v
+        hood = list(mask_to_set(masks[v]))
+        new = [sig[x] ^ bit for x in hood]
+        if not all(new):
+            continue
+        for x in hood:
+            del owner[sig[x]]
+        if len(set(new)) == len(new) and not any(s in owner for s in new):
+            sig_of = zip(hood, new)
+            cmask ^= bit
+        else:
+            sig_of = ((x, sig[x]) for x in hood)
+        for x, s in sig_of:
+            sig[x] = s
+            owner[s] = x
+    return cmask
+
+
+def _reverse_delete_dominating(g: Graph, dom: frozenset[int], order: list[int]) -> int:
+    """Bitmask of dom after dropping each vertex, in order, whose closed
+    neighborhood stays dominated by the rest."""
+    masks = g.closed_masks
+    cmask = code_mask(g, dom)
+    # per vertex the number of dominating vertices in its closed neighborhood
+    hits = [(m & cmask).bit_count() for m in masks]
+    for v in order:
+        if not cmask >> v & 1:
+            continue
+        hood = mask_to_set(masks[v])
+        if all(hits[x] > 1 for x in hood):
+            cmask ^= 1 << v
+            for x in hood:
+                hits[x] -= 1
+    return cmask
+
+
 def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Minimum-cardinality identifying code by branch and bound.
 
-    Prunes on infeasibility (some pair can no longer be separated, some
-    vertex no longer dominated), on the ceil-log2 count of extra picks any
-    unresolved signature class still needs, and stops early when the
-    incumbent meets the global lower bound.
+    A node is pruned, in this order, when it cannot beat the incumbent
+    (size), when a hitting set it leaves unhit misses the undecided
+    vertices (infeasible), when two vertices keep equal traces on
+    the chosen and undecided vertices (class), or when the incumbent is no
+    larger than the chosen vertices plus ceil(log2) of the largest
+    signature class (log2) or plus a disjoint packing of the unhit sets
+    (packing). The walk stops early once the incumbent meets the larger of
+    the counting bound idcode_lower_bound(n) and the root packing bound.
     """
     if g.n < 1:
         raise ValueError("exact_min_idcode needs n >= 1")
@@ -93,28 +220,26 @@ def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     n = g.n
     masks = g.closed_masks
     order = _branch_order(g)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << order[i])
+    suffix = _suffixes(order)
+    sets = _hitting_sets(g)
+    prunes = dict.fromkeys(IDCODE_RULES, 0)
 
-    incumbent = greedy_idcode(g)
-    best_size = len(incumbent)
-    best_mask = 0
-    for v in incumbent:
-        best_mask |= 1 << v
-    lb = idcode_lower_bound(n)
+    best_mask = _reverse_delete_idcode(g, greedy_idcode(g), order[::-1])
+    best_size = best_mask.bit_count()
+    lb = max(idcode_lower_bound(n), _packing_size(sets))
 
     def expand(i: int, chosen: int) -> bool:
         nonlocal best_size, best_mask
         size = chosen.bit_count()
         if size >= best_size:
+            prunes["size"] += 1
             return False
-        undom = 0
+        undom = False
         class_size: dict[int, int] = {}
-        for v in range(n):
-            sig = masks[v] & chosen
+        for m in masks:
+            sig = m & chosen
             if not sig:
-                undom |= 1 << v
+                undom = True
             class_size[sig] = class_size.get(sig, 0) + 1
         max_cls = max(class_size.values())
         if max_cls == 1 and not undom:
@@ -122,73 +247,76 @@ def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
             if best_size <= lb:
                 raise _Done
             return False
-        pool = chosen | suffix[i]
-        if undom & ~_dominable(masks, undom, pool):
+        live = _unhit_sets(sets, chosen, suffix[i])
+        if live is None:
+            prunes["infeasible"] += 1
             return False
         # two vertices of one class that no undecided vertex splits keep
         # equal traces on the pool; vertices of different classes already
         # differ on chosen
+        pool = chosen | suffix[i]
         if len({m & pool for m in masks}) < n:
+            prunes["class"] += 1
             return False
         extra = ceil_log2(max_cls)
         if undom and extra == 0:
             extra = 1
-        return size + extra < best_size
+        if size + extra >= best_size:
+            prunes["log2"] += 1
+            return False
+        if size + _packing_size(live) >= best_size:
+            prunes["packing"] += 1
+            return False
+        return True
 
     nodes, optimal = _search(order, budget, expand) if best_size > lb else (0, True)
-    return SearchResult(mask_to_set(best_mask), optimal, nodes)
-
-
-def _dominable(masks, undom: int, pool: int) -> int:
-    """Subset of undom whose closed neighborhood still meets pool."""
-    out = 0
-    m = undom
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        if masks[v] & pool:
-            out |= low
-        m ^= low
-    return out
+    return SearchResult(mask_to_set(best_mask), optimal, nodes, MappingProxyType(prunes))
 
 
 def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
-    """Minimum dominating set by branch and bound (always exists)."""
+    """Minimum dominating set by branch and bound (always exists).
+
+    The hitting sets are the closed neighborhoods. A node is pruned, in
+    this order, when it cannot beat the incumbent (size), when an
+    undominated vertex has no undecided vertex in its closed neighborhood
+    (infeasible), or when the incumbent is no larger than the chosen
+    vertices plus the undominated count over the largest number any one
+    undecided vertex covers (cover) or plus a disjoint packing of the
+    undominated vertices' neighborhoods among the undecided (packing).
+    """
     if g.n < 1:
         raise ValueError("exact_min_dominating needs n >= 1")
     n = g.n
     masks = g.closed_masks
     order = _branch_order(g)
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << order[i])
+    suffix = _suffixes(order)
+    prunes = dict.fromkeys(DOMINATING_RULES, 0)
 
-    incumbent = greedy_dominating(g)
-    best_size = len(incumbent)
-    best_mask = 0
-    for v in incumbent:
-        best_mask |= 1 << v
+    best_mask = _reverse_delete_dominating(g, greedy_dominating(g), order[::-1])
+    best_size = best_mask.bit_count()
     max_deg = int(g.degrees.max())
-    lb = math.ceil(n / (max_deg + 1))
+    lb = max(-(-n // (max_deg + 1)), _packing_size(masks))
 
     def expand(i: int, chosen: int) -> bool:
         nonlocal best_size, best_mask
         size = chosen.bit_count()
         if size >= best_size:
+            prunes["size"] += 1
             return False
-        undom = 0
-        for v in range(n):
-            if not masks[v] & chosen:
-                undom |= 1 << v
-        if not undom:
+        avail = suffix[i]
+        live = _unhit_sets(masks, chosen, avail)
+        if live is None:
+            prunes["infeasible"] += 1
+            return False
+        if not live:
             best_size, best_mask = size, chosen
             if best_size <= lb:
                 raise _Done
             return False
-        avail = suffix[i]
-        pool = chosen | avail
-        if undom & ~_dominable(masks, undom, pool):
-            return False
+        undom = 0
+        for v, m in enumerate(masks):
+            if not m & chosen:
+                undom |= 1 << v
         best_cover = 0
         a = avail
         while a:
@@ -198,13 +326,16 @@ def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult
             if cov > best_cover:
                 best_cover = cov
             a ^= low
-        if best_cover == 0:
+        if size - (-undom.bit_count() // best_cover) >= best_size:
+            prunes["cover"] += 1
             return False
-        extra = -(-undom.bit_count() // best_cover)
-        return size + extra < best_size
+        if size + _packing_size(live) >= best_size:
+            prunes["packing"] += 1
+            return False
+        return True
 
     nodes, optimal = _search(order, budget, expand) if best_size > lb else (0, True)
-    return SearchResult(mask_to_set(best_mask), optimal, nodes)
+    return SearchResult(mask_to_set(best_mask), optimal, nodes, MappingProxyType(prunes))
 
 
 def greedy_dominating(g: Graph) -> frozenset[int]:

@@ -64,9 +64,10 @@ class SparsifyParams:
 @dataclass(frozen=True)
 class TrialRecord:
     """One synchronized retry round. Violation counts cover only the
-    components that redrew this round; for the uniform variant
-    b_violations counts undominated vertices plus unseparated pairs and
-    a_violations is always 0."""
+    components that redrew this round: a_violations counts the vertices
+    whose code degree strays from deg * p by deg * p / 2 or more (always 0
+    for the uniform variant), b_violations the pairs at distance <= 2
+    with equal signatures."""
 
     trial: int
     code_size: int
@@ -349,8 +350,6 @@ def _sparsify_engine(g: Graph, params: SparsifyParams, variant: str) -> Sparsify
             sig_id[comp_vs[i]] = [ids.setdefault(hmask[w] & gate_mask, len(ids)) for w in comp]
             ps = comp_pairs[i]
             b_cnt = int(np.count_nonzero(sig_id[ps[:, 0]] == sig_id[ps[:, 1]]))
-            if variant == "uniform" and 0 in ids:
-                b_cnt += int(np.count_nonzero(sig_id[comp_vs[i]] == ids[0]))
             a_total += a_cnt
             b_total += b_cnt
             cur_c[i], cur_f[i], cur_d[i] = c_i, f_i, d_i

@@ -114,6 +114,26 @@ def oracle_min_dominating(n, edges):
     return None
 
 
+def oracle_fewest_extra_picks(n, edges, included, excluded, kind="idcode"):
+    """Fewest vertices, outside both included and excluded, whose union
+    with included is an identifying code (kind "idcode") or a dominating
+    set (kind "dominating"), by subset enumeration; None when no subset
+    completes it."""
+    if kind == "idcode":
+        valid = oracle_is_identifying
+    elif kind == "dominating":
+        valid = lambda n, edges, code: not oracle_undominated(n, edges, code)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    base = set(included)
+    free = [v for v in range(n) if v not in base and v not in set(excluded)]
+    for k in range(len(free) + 1):
+        for extra in combinations(free, k):
+            if valid(n, edges, base | set(extra)):
+                return k
+    return None
+
+
 def oracle_complement_edges(n, edges):
     es = {tuple(sorted(e)) for e in edges}
     return [(u, v) for u, v in combinations(range(n), 2) if (u, v) not in es]

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from idcodes import (
     ComplementNotTwinFreeError,
@@ -16,13 +17,21 @@ from idcodes import (
     exact_min_idcode,
     find_twins,
     gnp,
+    greedy_idcode,
     is_identifying_code,
     path,
     separate_class,
     star,
 )
 
-from oracles import oracle_undominated, oracle_unseparated
+from oracles import (
+    adjacency,
+    oracle_complement_edges,
+    oracle_is_identifying,
+    oracle_undominated,
+    oracle_unseparated,
+)
+from strategies import twin_free_edge_lists
 
 
 def test_equivalence_classes_p3():
@@ -197,3 +206,25 @@ def test_complement_code_overshoot_gets_trimmed():
     assert 6 in code, "the complement-isolated vertex can never be dropped"
     # the un-trimmed union is provably one over budget here
     assert exact_min_idcode(gbar).size == 2 * len(base)
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_free_edge_lists(12, complement_twin_free=True))
+def test_complement_code_property(graph):
+    # valid on the complement and within twice the base, for the exact
+    # base and for the greedy one
+    n, edges = graph
+    g = Graph(n, edges)
+    bar = oracle_complement_edges(n, edges)
+    adj = adjacency(n, edges)
+    exact = exact_min_idcode(g).code
+    assert complement_code(g) == complement_code(g, exact)
+    for base in (exact, greedy_idcode(g)):
+        code = complement_code(g, base)
+        assert oracle_is_identifying(n, bar, code), sorted(base)
+        assert len(code) <= 2 * len(base), sorted(base)
+        # the classes group the vertices by open trace of the base
+        traces = {}
+        for v in range(n):
+            traces.setdefault(frozenset(adj[v] & base), set()).add(v)
+        assert set(equivalence_classes(g, base).classes) == set(map(frozenset, traces.values()))

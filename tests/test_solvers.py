@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idcodes import (
     Graph,
@@ -20,14 +22,17 @@ from idcodes import (
     path,
     star,
 )
+from idcodes import solvers
 
 from corpus import small_corpus
 from oracles import (
+    oracle_fewest_extra_picks,
     oracle_greedy_cover,
     oracle_greedy_idcode,
     oracle_min_dominating,
     oracle_min_idcode,
 )
+from strategies import twin_free_edge_lists
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -88,27 +93,113 @@ def test_budget_exhaustion_returns_incumbent():
 
 
 def test_exact_search_node_counts_pinned():
-    # node counts and codes of the recursive walk (include branch first);
-    # the explicit-stack walk must visit the same nodes in the same order
+    # node counts, codes and prune counts of the hitting-set search
+    # (include branch first, reverse-delete incumbent, packing bound)
     res = exact_min_idcode(cycle(23))
-    assert (res.nodes, sorted(res.code)) == (3379, [0, 1, 2, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21])
+    assert (res.nodes, sorted(res.code)) == (129, [0, 2, 4, 6, 8, 9, 10, 11, 13, 15, 17, 19, 21])
+    assert dict(res.prunes) == {"size": 0, "infeasible": 26, "class": 3, "log2": 5, "packing": 31}
     g = gnp(16, 0.3, 5)
     res = exact_min_idcode(g)
-    assert (res.nodes, sorted(res.code)) == (693, [4, 5, 7, 8, 11, 13])
+    assert (res.nodes, sorted(res.code)) == (137, [4, 5, 7, 8, 11, 13])
     res = exact_min_dominating(g)
-    assert (res.nodes, sorted(res.code)) == (77, [6, 7, 8, 10])
+    assert (res.nodes, sorted(res.code)) == (5, [6, 7, 8, 10])
+    assert dict(res.prunes) == {"size": 0, "infeasible": 0, "cover": 0, "packing": 3}
     res = exact_min_dominating(gnp(40, 0.2, 1), budget=50)
     assert (res.nodes, res.optimal, sorted(res.code)) == (51, False, [0, 1, 6, 7, 9, 10, 37])
 
 
-def test_budget_exhaustion_deep_search_returns_incumbent():
+def test_budget_exhaustion_deep_search_returns_incumbent(monkeypatch):
     # the walk passes depth 1000 before this budget runs out; a recursive
     # walk dies there with RecursionError
+    depth = 0
+    search = solvers._search
+
+    def deepest(order, budget, expand):
+        def spy(i, chosen):
+            nonlocal depth
+            depth = max(depth, i)
+            return expand(i, chosen)
+
+        return search(order, budget, spy)
+
+    monkeypatch.setattr(solvers, "_search", deepest)
     g = gnp(1050, 0.3, 0)
     res = exact_min_idcode(g, budget=2200)
     assert not res.optimal and res.nodes == 2201
+    assert depth > 1000
     assert is_identifying_code(g, res.code).ok
-    assert res.code == greedy_idcode(g)
+    assert res.size <= len(greedy_idcode(g))
+
+
+def test_exact_idcode_proves_long_cycles_and_paths():
+    # gamma_ID(C_n) = n/2 for even n, gamma_ID(P_n) = ceil((n+1)/2)
+    for g, size in ((cycle(40), 20), (cycle(200), 100), (path(200), 101)):
+        res = exact_min_idcode(g)
+        assert res.optimal and res.size == size, g
+        assert is_identifying_code(g, res.code).ok, g
+
+
+def test_search_result_prunes():
+    for g in (cycle(23), path(28), gnp(16, 0.3, 5)):
+        res = exact_min_idcode(g)
+        assert tuple(res.prunes) == solvers.IDCODE_RULES
+        assert 0 < sum(res.prunes.values()) < res.nodes
+        with pytest.raises(TypeError):
+            res.prunes["size"] = 1
+        dom = exact_min_dominating(g)
+        assert tuple(dom.prunes) == solvers.DOMINATING_RULES
+        assert sum(dom.prunes.values()) <= dom.nodes
+    # an incumbent that meets the lower bound needs no search at all
+    res = exact_min_idcode(path(3))
+    assert res.nodes == 0 and not any(res.prunes.values())
+
+
+def test_exact_sizes_match_golden():
+    doc = json.loads((GOLDEN / "exact_sizes.json").read_text())
+    graphs = dict(small_corpus())
+    graphs.update((f"C{n}", cycle(n)) for n in range(4, 31))
+    graphs.update((f"P{n}", path(n)) for n in range(2, 31))
+    assert graphs.keys() == doc["idcode"].keys() == doc["dominating"].keys()
+    for name, g in graphs.items():
+        if doc["idcode"][name] is None:
+            with pytest.raises(NotTwinFreeError):
+                exact_min_idcode(g)
+        else:
+            res = exact_min_idcode(g)
+            assert res.optimal and res.size == doc["idcode"][name], name
+        res = exact_min_dominating(g)
+        assert res.optimal and res.size == doc["dominating"][name], name
+
+
+def test_hitting_sets_are_hit_by_every_code():
+    for name, g in list(small_corpus())[::4]:
+        if find_twins(g):
+            continue
+        sets = solvers._hitting_sets(g)
+        assert len(sets) == len(set(sets)) <= 2 * g.n, name
+        assert set(g.closed_masks) <= set(sets), name
+        code = sum(1 << v for v in oracle_min_idcode(g.n, g.edges()))
+        assert all(s & code for s in sets), name
+
+
+@settings(max_examples=500, deadline=None)
+@given(twin_free_edge_lists(10), st.data())
+def test_packing_bound_never_exceeds_fewest_extra_picks(graph, data):
+    n, edges = graph
+    g = Graph(n, edges)
+    # per vertex: 0 excluded, 1 included, 2 undecided
+    state = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    included = [v for v in range(n) if state[v] == 1]
+    excluded = [v for v in range(n) if state[v] == 0]
+    chosen = sum(1 << v for v in included)
+    undecided = sum(1 << v for v in range(n) if state[v] == 2)
+    for sets, kind in ((solvers._hitting_sets(g), "idcode"), (list(g.closed_masks), "dominating")):
+        fewest = oracle_fewest_extra_picks(n, edges, included, excluded, kind)
+        live = solvers._unhit_sets(sets, chosen, undecided)
+        if live is None:
+            assert fewest is None, kind
+        elif fewest is not None:
+            assert solvers._packing_size(live) <= fewest, kind
 
 
 def test_greedy_dominating_matches_maxcover_oracle():
@@ -179,9 +270,9 @@ def test_exact_beats_or_ties_greedy():
 
 
 def test_exact_idcode_long_cycle_budget_pinned():
-    # size, nodes and optimality pinned from the pairwise class check; the
-    # single pass over the traces on the pool must prune the same nodes
+    # the root packing bound is 549 and the reverse-delete incumbent 550,
+    # so the hitting-set search proves the optimum in five nodes
     c = cycle(1100)
     res = exact_min_idcode(c, budget=3000)
-    assert (res.size, res.nodes, res.optimal) == (732, 3001, False)
+    assert (res.size, res.nodes, res.optimal) == (550, 5, True)
     assert is_identifying_code(c, res.code).ok
