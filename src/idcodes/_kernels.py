@@ -1,57 +1,21 @@
-"""Hot array kernels over bit-packed vertex sets.
+"""The two numpy kernels of the greedy solvers.
 
 Graphs store closed neighborhoods as rows of uint64 words (bit w of word
-w >> 6 in row v is set iff w is in N[v]).  The kernels below do the
-inner-loop work: popcounts, greedy max-coverage selection, batched
-signature comparisons, and the per-pick separator counts of the greedy
-identifying code.  Each kernel but the last has a numba build and a
-pure-numpy build; the active backend is chosen once at import time:
+w >> 6 in row v is set iff w is in N[v]). `greedy_cover` is the greedy
+max-coverage pick loop of the dominating set; `separator_counts` gives
+the per-pick separator counts of the greedy identifying code.
 
-    IDCODES_BACKEND=numpy   force the numpy fallback
-    IDCODES_BACKEND=numba   require numba (ImportError if missing)
-
-unset -> numba when importable, numpy otherwise.  Both builds stay
-importable under their _numpy/_numba names for the benchmark suite and
-parity tests.
+They live in a module of their own, apart from the solvers that call
+them, because the benchmark tracer looks both up here by name
+(`idcodes._kernels.greedy_cover`, `idcodes._kernels.separator_counts`)
+to time them as their own layer.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV = os.environ.get("IDCODES_BACKEND", "").strip().lower()
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised via IDCODES_BACKEND=numpy
-    njit = None
-    NUMBA_AVAILABLE = False
-
-if _ENV == "numba" and not NUMBA_AVAILABLE:  # pragma: no cover
-    raise ImportError("IDCODES_BACKEND=numba but numba is not importable")
-
-USE_NUMBA = NUMBA_AVAILABLE and _ENV != "numpy"
-BACKEND = "numba" if USE_NUMBA else "numpy"
-
 _ONE = np.uint64(1)
-
-
-# ---------------------------------------------------------------- numpy ----
-
-def row_popcounts_numpy(rows: np.ndarray) -> np.ndarray:
-    """Number of set bits per row of a (m, W) uint64 array."""
-    return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
-
-
-def pairs_equal_rows_numpy(rows: np.ndarray, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    """Boolean mask: rows[pu[i]] == rows[pv[i]] for each pair i."""
-    if len(pu) == 0:
-        return np.zeros(0, dtype=np.bool_)
-    return (rows[pu] == rows[pv]).all(axis=1)
 
 
 def separator_counts(
@@ -83,7 +47,7 @@ def separator_counts(
     return out
 
 
-def greedy_cover_numpy(closed: np.ndarray, n: int) -> np.ndarray:
+def greedy_cover(closed: np.ndarray, n: int) -> np.ndarray:
     """Greedy max-coverage over closed neighborhoods.
 
     Repeatedly picks the vertex covering the most still-uncovered
@@ -111,84 +75,3 @@ def _full_bitset(n: int, W: int) -> np.ndarray:
     if tail:
         words[W - 1] = (_ONE << np.uint64(tail)) - _ONE
     return words
-
-
-# ---------------------------------------------------------------- numba ----
-
-if NUMBA_AVAILABLE:
-    _M1 = np.uint64(0x5555555555555555)
-    _M2 = np.uint64(0x3333333333333333)
-    _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    _H01 = np.uint64(0x0101010101010101)
-    _U1 = np.uint64(1)
-
-    @njit(cache=True)
-    def _popcount64(x):
-        x = x - ((x >> _U1) & _M1)
-        x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-        x = (x + (x >> np.uint64(4))) & _M4
-        return (x * _H01) >> np.uint64(56)
-
-    @njit(cache=True)
-    def row_popcounts_numba(rows):
-        m, W = rows.shape
-        out = np.zeros(m, dtype=np.int64)
-        for i in range(m):
-            acc = np.uint64(0)
-            for j in range(W):
-                acc += _popcount64(rows[i, j])
-            out[i] = np.int64(acc)
-        return out
-
-    @njit(cache=True)
-    def pairs_equal_rows_numba(rows, pu, pv):
-        m = len(pu)
-        W = rows.shape[1]
-        out = np.zeros(m, dtype=np.bool_)
-        for i in range(m):
-            eq = True
-            for j in range(W):
-                if rows[pu[i], j] != rows[pv[i], j]:
-                    eq = False
-                    break
-            out[i] = eq
-        return out
-
-    @njit(cache=True)
-    def greedy_cover_numba(closed, n):
-        W = closed.shape[1]
-        uncovered = np.empty(W, dtype=np.uint64)
-        for j in range(W):
-            uncovered[j] = np.uint64(0xFFFFFFFFFFFFFFFF)
-        tail = n & 63
-        if tail:
-            uncovered[W - 1] = (_U1 << np.uint64(tail)) - _U1
-        picks = np.empty(n, dtype=np.int64)
-        npicks = 0
-        remaining = n
-        while remaining > 0:
-            best = -1
-            best_gain = np.int64(0)
-            for v in range(n):
-                g = np.int64(0)
-                for j in range(W):
-                    g += np.int64(_popcount64(closed[v, j] & uncovered[j]))
-                if g > best_gain:
-                    best_gain = g
-                    best = v
-            for j in range(W):
-                uncovered[j] &= ~closed[best, j]
-            remaining -= int(best_gain)
-            picks[npicks] = best
-            npicks += 1
-        return picks[:npicks]
-
-
-if USE_NUMBA:
-    row_popcounts = row_popcounts_numba
-    pairs_equal_rows = pairs_equal_rows_numba
-    greedy_cover = greedy_cover_numba
-else:
-    row_popcounts = row_popcounts_numpy
-    pairs_equal_rows = pairs_equal_rows_numpy
-    greedy_cover = greedy_cover_numpy

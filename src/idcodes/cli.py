@@ -14,7 +14,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, TextIO
 
 from . import bounds as bounds_mod
@@ -442,19 +442,13 @@ def run_experiment(cfg: ExperimentConfig, out: TextIO) -> None:
             seed = cfg.params.seed ^ trial
             if spec.kind == "gnp":
                 g = graphs.gnp(spec.n, spec.p, seed)
-                label = f"gnp(n={spec.n};p={_fmt(spec.p)};seed={seed})"
+                label = _family_label(replace(spec, seed=seed))
                 p_value: Optional[float] = spec.p
             else:
                 g = fixed
                 label = _family_label(spec)
                 p_value = None
-            params = SparsifyParams(
-                c=cfg.params.c,
-                seed=seed,
-                max_retries=cfg.params.max_retries,
-                clamp=cfg.params.clamp,
-                variant=cfg.params.variant,
-            )
+            params = replace(cfg.params, seed=seed)
             ratio: Optional[float] = None
             if spec.kind == "gnp":
                 try:
@@ -512,10 +506,7 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (FormatError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

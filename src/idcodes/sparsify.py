@@ -1,9 +1,9 @@
 """Randomized edge-deletion sparsification with Las-Vegas retries.
 
 The public building blocks (pick_code, bounded_f, sample_subgraph,
-check_events) operate on whole graphs exactly as defined. The drivers
-run the construction per connected component in synchronized rounds,
-redrawing only components that still fail: component draws are
+check_events) operate on whole graphs exactly as defined. The driver,
+sparsify, runs the construction per connected component in synchronized
+rounds, redrawing only components that still fail: component draws are
 independent, so the output law equals whole-graph retrying while needing
 far fewer rounds. Acceptance is gated on separation failures only;
 degree-deviation counts are tallied per round as diagnostics.
@@ -21,7 +21,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import _kernels
 from .codes import is_dominating, is_identifying_code
 from .graphs import Edge, Graph, degree_stats, dist2_pair_array
 from .solvers import greedy_dominating
@@ -132,7 +131,7 @@ def _pack_set(vs: Iterable[int], n: int) -> np.ndarray:
 
 def _code_degrees(g: Graph, code_row: np.ndarray) -> np.ndarray:
     """Number of neighbors each vertex has inside the packed code."""
-    counts = _kernels.row_popcounts(g.packed_closed & code_row)
+    counts = np.bitwise_count(g.packed_closed & code_row).sum(axis=1, dtype=np.int64)
     vs = np.arange(g.n)
     self_bits = (code_row[vs >> 6] >> (vs & 63).astype(np.uint64)) & np.uint64(1)
     return counts - self_bits.astype(np.int64)
@@ -211,7 +210,8 @@ def check_events(
     aflag = np.abs(dc - dg * p) >= dg * p / 2.0
     ps = dist2_pair_array(g)
     aeq = aflag[ps[:, 0]] | aflag[ps[:, 1]]
-    beq = _kernels.pairs_equal_rows(h.packed_closed & code_row, ps[:, 0], ps[:, 1])
+    rows = h.packed_closed & code_row
+    beq = (rows[ps[:, 0]] == rows[ps[:, 1]]).all(axis=1)
     out: list[Violation] = []
     for k in np.flatnonzero(aeq | beq).tolist():
         u, v = ps[k].tolist()
@@ -252,28 +252,21 @@ def _by_component(rows: np.ndarray, comp_ids: np.ndarray, k: int) -> list[np.nda
 
 
 def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
-    """Dispatch on params.variant."""
-    if params.variant == "uniform":
-        return sparsify_uniform(g, params)
-    return sparsify_theorem1(g, params)
+    """Sparsify g and return an identifying code of the sparsified graph.
 
+    params.variant picks the construction:
 
-def sparsify_theorem1(g: Graph, params: SparsifyParams) -> SparsifyResult:
-    """Random code, degree-capped edge deletion, retry until every pair at
-    distance <= 2 is separated by the code, then complete with a greedy
-    dominating set. The returned code is verified on the sparsified graph
-    before returning."""
-    return _sparsify_engine(g, params, "theorem1")
+    - "theorem1": random code, degree-capped edge deletion, retry until
+      every pair at distance <= 2 is separated by the code, then complete
+      with a greedy dominating set.
+    - "uniform": p = min(1, c*ln(n)/dmin) and a flat 1/4 deletion
+      probability for code-incident edges; retries until the code plus a
+      greedy dominating set identifies the sparsified component.
 
-
-def sparsify_uniform(g: Graph, params: SparsifyParams) -> SparsifyResult:
-    """Variant with p = min(1, c*ln(n)/dmin) and a flat 1/4 deletion
-    probability for code-incident edges; retries until the code plus a
-    greedy dominating set identifies the sparsified component."""
-    return _sparsify_engine(g, params, "uniform")
-
-
-def _sparsify_engine(g: Graph, params: SparsifyParams, variant: str) -> SparsifyResult:
+    The returned code is verified on the sparsified graph before
+    returning.
+    """
+    variant = params.variant
     dmin, dmax = _degree_checks(g)
     if variant == "theorem1" and dmax < 2:
         raise ValueError("construction needs max degree >= 2")

@@ -25,11 +25,11 @@ from idcodes import (
     sparsify,
     star,
 )
-from idcodes.sparsify import sparsify_theorem1, sparsify_uniform
 
 from oracles import (
     adjacency,
     oracle_collision_probability,
+    oracle_dist2_pairs,
     oracle_undominated,
     oracle_unseparated,
 )
@@ -90,6 +90,20 @@ def test_bounded_f_definition():
         dcu = len(adj[u] & set(code))
         assert f[u] == pytest.approx(min(cap, dcu))
     assert bounded_f(g, [], 2.0).tolist() == [0.0] * g.n
+
+
+def test_bounded_f_code_degrees_multiword():
+    # n >= 130 packs each neighborhood into three words
+    rng = np.random.default_rng(0)
+    for seed in range(3):
+        g = gnp(150, 0.1, seed)
+        code = sorted(int(v) for v in np.flatnonzero(rng.random(g.n) < 0.4))
+        adj = adjacency(g.n, g.edges())
+        dc = [len(adj[u] & set(code)) for u in range(g.n)]
+        # a cap above every degree leaves the code degrees themselves
+        assert bounded_f(g, code, 1000.0).tolist() == dc
+        cap = 2.0 * math.log(max(map(len, adj.values())))
+        assert bounded_f(g, code, 2.0).tolist() == pytest.approx([min(cap, d) for d in dc])
 
 
 def test_bounded_f_ratio_monotone():
@@ -191,6 +205,35 @@ def test_check_events_a_violation_on_starved_center():
     assert a_pairs == [(0, 1), (0, 2), (0, 3), (0, 4)]
 
 
+def test_check_events_b_violations_multiword():
+    # n >= 130 packs each neighborhood into three words
+    found = 0
+    for seed in range(3):
+        g = gnp(140, 0.08, seed)
+        code = sorted(pick_code(g, SparsifyParams(c=0.5, seed=seed)))
+        h, _ = sample_subgraph(g, code, bounded_f(g, code, 0.5), seed=seed)
+        got = [(x.u, x.v) for x in check_events(g, h, code, 0.5) if x.kind == "B"]
+        pairs = oracle_dist2_pairs(g.n, g.edges())
+        assert got == oracle_unseparated(h.n, h.edges(), code, pairs)
+        found += len(got)
+    assert found > 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, code: bounded_f(g, code, 2.0),
+        lambda g, code: sample_subgraph(g, code, np.zeros(g.n), seed=0),
+        lambda g, code: check_events(g, g, code, 2.0),
+    ],
+    ids=["bounded_f", "sample_subgraph", "check_events"],
+)
+@pytest.mark.parametrize("bad", [-1, 130])
+def test_code_vertex_out_of_range_rejected(call, bad):
+    with pytest.raises(ValueError, match="out of range"):
+        call(cycle(130), [0, bad])
+
+
 def test_check_events_rejects_non_subgraph():
     with pytest.raises(ValueError):
         check_events(path_graph_4(), cycle(4), [0], 1.0)
@@ -202,7 +245,7 @@ def path_graph_4():
 
 def test_sparsify_h15_seed7_contract():
     g = disjoint_cliques(15, 32)
-    res = sparsify_theorem1(g, SparsifyParams(c=2.0, seed=7, max_retries=1000))
+    res = sparsify(g, SparsifyParams(c=2.0, seed=7, max_retries=1000, variant="theorem1"))
     assert len(res.deleted_edges) > 0
     assert res.retries_used <= 1000
     assert res.final_code == res.code | res.dominating
@@ -264,7 +307,7 @@ def test_sparsify_uniform_contract_and_deletion_mean():
     g = disjoint_cliques(15, 32)
     fs, quarters = [], []
     for s in range(200):
-        res = sparsify_uniform(g, SparsifyParams(c=2.0, seed=s))
+        res = sparsify(g, SparsifyParams(c=2.0, seed=s, variant="uniform"))
         h = g.delete_edges(res.deleted_edges)
         assert res.final_code == res.code | res.dominating
         fs.append(len(res.deleted_edges))
@@ -274,13 +317,13 @@ def test_sparsify_uniform_contract_and_deletion_mean():
     mean_f = sum(fs) / len(fs)
     mean_q = sum(quarters) / len(quarters)
     assert abs(mean_f - mean_q) <= 0.15 * mean_q
-    res = sparsify_uniform(g, SparsifyParams(c=2.0, seed=0))
-    assert res == sparsify_uniform(g, SparsifyParams(c=2.0, seed=0))
+    res = sparsify(g, SparsifyParams(c=2.0, seed=0, variant="uniform"))
+    assert res == sparsify(g, SparsifyParams(c=2.0, seed=0, variant="uniform"))
 
 
 def test_sparsify_uniform_clamped_code_is_everything():
     g = disjoint_cliques(3, 2)
-    res = sparsify_uniform(g, SparsifyParams(c=66.0, seed=2))
+    res = sparsify(g, SparsifyParams(c=66.0, seed=2, variant="uniform"))
     assert res.code == set(range(8))
 
 
