@@ -1,9 +1,12 @@
-"""The two numpy kernels of the greedy solvers.
+"""The numpy kernels of the greedy solvers.
 
 Graphs store closed neighborhoods as rows of uint64 words (bit w of word
 w >> 6 in row v is set iff w is in N[v]). `greedy_cover` is the greedy
-max-coverage pick loop of the dominating set; `separator_counts` gives
-the per-pick separator counts of the greedy identifying code.
+max-coverage pick loop of the dominating set, and
+`greedy_cover_segments` the same loop over many components at once, for
+the sparsify rounds and the dominating set of a graph of several
+components; `separator_counts` gives the per-pick separator
+counts of the greedy identifying code.
 
 They live in a module of their own, apart from the solvers that call
 them, because the benchmark tracer looks both up here by name
@@ -52,10 +55,12 @@ def greedy_cover(closed: np.ndarray, n: int) -> np.ndarray:
 
     Repeatedly picks the vertex covering the most still-uncovered
     vertices (ties go to the lowest index) until all n are covered.
-    Returns the picks in selection order.
+    Returns the picks in selection order. This is greedy_cover_segments
+    with one segment, in a loop of its own: with a single segment it needs
+    no per-segment reductions, which would double its cost per pick.
     """
     W = closed.shape[1]
-    uncovered = _full_bitset(n, W)
+    uncovered = _full_bitsets(np.array([n]), W)[0]
     picks = []
     remaining = n
     while remaining > 0:
@@ -68,10 +73,39 @@ def greedy_cover(closed: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(picks, dtype=np.int64)
 
 
-def _full_bitset(n: int, W: int) -> np.ndarray:
-    """All-ones bitset over n vertices packed into W words."""
-    words = np.full(W, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-    tail = n & 63
-    if tail:
-        words[W - 1] = (_ONE << np.uint64(tail)) - _ONE
-    return words
+def greedy_cover_segments(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Greedy max-coverage in many independent segments at once.
+
+    The rows come in consecutive segments of sizes[k] > 0 rows, and the
+    bits of a segment's rows lie below sizes[k]. Every segment repeatedly
+    picks its row covering the most of its still-uncovered columns (ties
+    go to the lowest row) until all its sizes[k] columns are covered; the
+    segments step together. Returns the picked row positions, step by
+    step and segment by segment within a step.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    uncovered = _full_bitsets(sizes, rows.shape[1])
+    remaining = sizes.copy()
+    # one key per row, gain * N + (N - 1 - row): a segment's largest key
+    # is its best gain at its lowest row
+    N = len(rows)
+    tie = np.arange(N - 1, -1, -1)
+    picks = []
+    while remaining.any():
+        gains = np.bitwise_count(rows & uncovered[seg]).sum(axis=1, dtype=np.int64)
+        gain, low = np.divmod(np.maximum.reduceat(gains * N + tie, starts), N)
+        live = gain > 0
+        best = N - 1 - low[live]
+        uncovered[live] &= ~rows[best]
+        remaining -= gain
+        picks.append(best)
+    return np.concatenate(picks) if picks else np.empty(0, dtype=np.int64)
+
+
+def _full_bitsets(sizes: np.ndarray, W: int) -> np.ndarray:
+    """Per size s, the all-ones bitset over s columns packed into W words."""
+    fill = np.minimum(np.maximum(sizes[:, None] - 64 * np.arange(W), 0), 64).astype(np.uint64)
+    low = (_ONE << (fill & np.uint64(63))) - _ONE
+    return np.where(fill == 64, np.uint64(0xFFFFFFFFFFFFFFFF), low)

@@ -8,6 +8,10 @@ Every other form is derived from that array on first use and cached:
   and the connected components;
 - `packed_closed`: closed neighborhoods as bit-packed uint64 rows, for the
   array kernels;
+- `local_closed`: the same neighborhoods with each vertex's column set to
+  its rank inside its component, ceil(s_max / 64) words per row for the
+  largest component size s_max; on a connected graph it is `packed_closed`
+  itself;
 - `closed_masks`: the same rows as Python ints, for the exact solvers and
   the verifiers;
 - frozenset neighborhoods (`neighbors`, `closed_neighborhood`, `has_edge`)
@@ -209,22 +213,56 @@ class Graph:
 
         Bit w of word w >> 6 in row v is set iff w in N[v].
         """
+        return self._pack(np.arange(self._n), max(1, (self._n + 63) >> 6))
+
+    @cached_property
+    def local_closed(self) -> np.ndarray:
+        """Closed neighborhoods packed by rank inside the component, shape
+        (n, ceil(s_max / 64)) for the largest component size s_max.
+
+        Bit ranks[w] of row v is set iff w in N[v]. On a connected graph the
+        ranks are the vertices themselves and this is `packed_closed`.
+        """
+        starts = self.component_order[1]
+        if len(starts) <= 2:
+            return self.packed_closed
+        return self._pack(self.ranks, (int(np.diff(starts).max()) + 63) >> 6)
+
+    def _pack(self, cols: np.ndarray, W: int) -> np.ndarray:
+        """Read-only (n, W) rows: bit cols[w] of row v is set iff w in N[v].
+
+        cols must keep the order of every neighbor list.
+        """
         n = self._n
-        W = max(1, (n + 63) >> 6)
         arr = np.zeros((n, W), dtype=np.uint64)
         vs = np.arange(n)
-        arr[vs, vs >> 6] = np.uint64(1) << (vs & 63).astype(np.uint64)
+        arr[vs, cols >> 6] = np.uint64(1) << (cols & 63).astype(np.uint64)
         indptr, nbrs = self._csr
         if len(nbrs):
             # CSR order is (row, neighbor) ascending, so the flat word index
             # never decreases: OR each run of equal words in one reduceat
             rows = np.repeat(vs, np.diff(indptr))
-            words = rows * W + (nbrs >> 6)
-            bits = np.uint64(1) << (nbrs & 63).astype(np.uint64)
+            at = cols[nbrs]
+            words = rows * W + (at >> 6)
+            bits = np.uint64(1) << (at & 63).astype(np.uint64)
             starts = np.flatnonzero(np.concatenate(([True], words[1:] != words[:-1])))
             arr.reshape(-1)[words[starts]] |= np.bitwise_or.reduceat(bits, starts)
         arr.setflags(write=False)
         return arr
+
+    def neighbor_counts(self, flags: np.ndarray, vs: np.ndarray | None = None) -> np.ndarray:
+        """Per vertex of vs (default: every vertex), how many of its
+        neighbors are flagged: a segment sum over its CSR neighbor list."""
+        indptr, nbrs = self._csr
+        if vs is None:
+            hits, offs = flags[nbrs], indptr
+        else:
+            lo = indptr[vs]
+            lens = indptr[vs + 1] - lo
+            hits = flags[nbrs[concat_ranges(lo, lens)]]
+            offs = np.concatenate(([0], np.cumsum(lens)))
+        sums = np.concatenate(([0], np.cumsum(hits, dtype=np.int64)))
+        return sums[offs[1:]] - sums[offs[:-1]]
 
     @cached_property
     def component_ids(self) -> np.ndarray:
@@ -251,14 +289,33 @@ class Graph:
         return ids
 
     @cached_property
+    def component_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """(members, starts): the vertices ordered by component, ascending
+        inside each, and the offset of each component in members, with
+        len(members) appended. Both read-only."""
+        ids = self.component_ids
+        members = np.argsort(ids, kind="stable")
+        k = int(ids.max()) + 1 if self._n else 0
+        starts = np.searchsorted(ids[members], np.arange(k + 1))
+        members.setflags(write=False)
+        starts.setflags(write=False)
+        return members, starts
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Per vertex, its position inside its sorted component (read-only)."""
+        members, starts = self.component_order
+        rank = np.empty(self._n, dtype=np.int64)
+        rank[members] = np.arange(self._n) - np.repeat(starts[:-1], np.diff(starts))
+        rank.setflags(write=False)
+        return rank
+
+    @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components as sorted vertex tuples, ordered by least vertex."""
-        if not self._n:
-            return ()
-        ids = self.component_ids
-        order = np.argsort(ids, kind="stable")
-        cuts = np.flatnonzero(np.diff(ids[order])) + 1
-        return tuple(tuple(part.tolist()) for part in np.split(order, cuts))
+        members, starts = self.component_order
+        parts = np.split(members, starts[1:-1]) if self._n else []
+        return tuple(tuple(part.tolist()) for part in parts)
 
     def delete_edges(self, to_delete: Iterable[Edge]) -> "Graph":
         """New graph without the given edges (edges must exist)."""
@@ -314,17 +371,33 @@ def find_twins(g: Graph) -> list[Edge]:
 _BLOCK_WORDS = 1 << 18
 
 
+def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The index ranges [starts[k], starts[k] + lens[k]), concatenated."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lens, lens)
+
+
 def _dist2_blocks(g: Graph) -> Iterator[np.ndarray]:
     """The pairs of dist2_pair_array, one (k, 2) array per block of rows u.
 
-    Row u of a block is the OR of the packed closed neighborhoods of N[u];
-    its bits v > u are the partners of u. A block gathers at most
-    _BLOCK_WORDS words of neighbor rows and unpacks at most 8 * _BLOCK_WORDS
-    bits, so the memory beyond the graph stays bounded.
+    Row u of a block is the OR of the component-local rows of N[u]; its
+    bits above the rank of u are the partners v > u, since ranks follow
+    the vertex order inside a component. Only s_max columns are unpacked
+    per row, s_max the largest component size; graphs of at most 64
+    vertices keep the global rows, one word either way. A block gathers
+    at most _BLOCK_WORDS words of neighbor rows and unpacks at most
+    8 * _BLOCK_WORDS bits, so the memory beyond the graph stays bounded.
     """
     n = g.n
-    rows = g.packed_closed
+    if n > 64:
+        rows, ranks = g.local_closed, g.ranks
+        members, starts = g.component_order
+        s_max = int(np.diff(starts).max())
+    else:  # one word per row in either layout: skip finding the components
+        rows, ranks, starts, s_max = g.packed_closed, np.arange(n), (), n
+    spread = len(starts) > 2  # local columns differ from the vertices
     W = rows.shape[1]
+    cols = np.arange(s_max)
     indptr, nbrs = g._csr
     deg = g.degrees
     gather_cap = max(1, _BLOCK_WORDS // W)
@@ -339,10 +412,13 @@ def _dist2_blocks(g: Graph) -> Iterator[np.ndarray]:
             hood = rows[nbrs[indptr[a] : indptr[b]]]
             reach[busy] |= np.bitwise_or.reduceat(hood, (indptr[a:b] - indptr[a])[busy])
         bits = np.unpackbits(
-            reach.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little"
-        )
-        pu, pv = np.nonzero(np.triu(bits, k=a + 1))  # keep v > u, row-major
-        yield np.stack((pu + a, pv), axis=1)
+            reach.astype("<u8", copy=False).view(np.uint8), axis=1, count=s_max, bitorder="little"
+        ).view(bool)
+        pu, pv = np.nonzero(bits & (cols > ranks[a:b, None]))  # keep v > u, row-major
+        pu += a
+        if spread:
+            pv = members[starts[g.component_ids[pu]] + pv]
+        yield np.stack((pu, pv), axis=1)
         a = b
 
 

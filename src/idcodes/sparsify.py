@@ -8,9 +8,23 @@ independent, so the output law equals whole-graph retrying while needing
 far fewer rounds. Acceptance is gated on separation failures only;
 degree-deviation counts are tallied per round as diagnostics.
 
+A round is a fixed sequence of array passes over all still-active
+components at once, never a loop over their vertices or edges. Vertices,
+edges and distance-2 pairs are kept grouped by component, so a round
+gathers only the active ranges. The code degrees are CSR segment sums
+(Graph.neighbor_counts), the deletion probabilities are gathered per
+code-incident edge, and the surviving closed neighborhoods are the
+component-local packed rows (Graph.local_closed: a vertex's column is
+its rank inside its component) with the deleted edges' bits cleared.
+Each active vertex gets the exact id of its gated row (np.unique, no
+hashing), a pair fails when its two ids agree, and bincount tallies the
+failures per component. The uniform variant's dominating sets come from
+one greedy cover stepping through all active components together.
+
 Randomness is derived per (seed, component, round) through the numpy
-seed-sequence splitter, so results are reproducible and independent of
-which components are still active.
+seed-sequence splitter, one generator per active component in component
+order, vertex draws before edge draws, so results are reproducible and
+independent of which components are still active.
 """
 
 from __future__ import annotations
@@ -21,9 +35,12 @@ from typing import Iterable
 
 import numpy as np
 
+from ._kernels import greedy_cover_segments
 from .codes import is_dominating, is_identifying_code
-from .graphs import Edge, Graph, degree_stats, dist2_pair_array
+from .graphs import Edge, Graph, concat_ranges, degree_stats, dist2_pair_array
 from .solvers import greedy_dominating
+
+_ONE = np.uint64(1)
 
 
 class DegenerateGraphError(ValueError):
@@ -99,6 +116,8 @@ class SparsifyResult:
     retries_used: int
     stats: SparsifyStats
     trials: tuple[TrialRecord, ...]
+    # per component (ordered by least vertex), the round that accepted it
+    accept_rounds: tuple[int, ...]
 
 
 def _degree_checks(g: Graph) -> tuple[int, int]:
@@ -120,21 +139,25 @@ def _inclusion_prob(raw: float, clamp: bool) -> float:
     return raw
 
 
-def _pack_set(vs: Iterable[int], n: int) -> np.ndarray:
-    row = np.zeros(max(1, (n + 63) >> 6), dtype=np.uint64)
-    for v in vs:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} out of range for n={n}")
-        row[v >> 6] |= np.uint64(1 << (v & 63))
-    return row
+def _members(vs: Iterable[int], n: int) -> np.ndarray:
+    """Membership flags of the vertex set vs over 0..n-1."""
+    vals = list(vs)
+    arr = np.asarray(vals) if vals else np.empty(0, dtype=np.int64)
+    bad = (arr < 0) | (arr >= n)
+    if bad.any():
+        raise ValueError(f"vertex {vals[int(np.argmax(bad))]} out of range for n={n}")
+    flags = np.zeros(n, dtype=bool)
+    flags[arr.astype(np.int64)] = True
+    return flags
 
 
-def _code_degrees(g: Graph, code_row: np.ndarray) -> np.ndarray:
-    """Number of neighbors each vertex has inside the packed code."""
-    counts = np.bitwise_count(g.packed_closed & code_row).sum(axis=1, dtype=np.int64)
-    vs = np.arange(g.n)
-    self_bits = (code_row[vs >> 6] >> (vs & 63).astype(np.uint64)) & np.uint64(1)
-    return counts - self_bits.astype(np.int64)
+def _signature_ids(rows: np.ndarray) -> np.ndarray:
+    """Per row, an id that exactly the equal rows share (sorted, not hashed)."""
+    if rows.shape[1] == 1:
+        keys = rows[:, 0]  # integer keys sort several times faster than bytes
+    else:
+        keys = np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * rows.shape[1])))[:, 0]
+    return np.unique(keys, return_inverse=True)[1]
 
 
 def pick_code(g: Graph, params: SparsifyParams) -> frozenset[int]:
@@ -155,7 +178,7 @@ def bounded_f(g: Graph, code: Iterable[int], c: float) -> np.ndarray:
     """
     _, dmax = degree_stats(g)
     cap = c * math.log(dmax) if dmax >= 1 else 0.0
-    dc = _code_degrees(g, _pack_set(code, g.n))
+    dc = g.neighbor_counts(_members(code, g.n))
     return np.minimum(cap, dc.astype(np.float64))
 
 
@@ -168,8 +191,8 @@ def sample_subgraph(
     other edges always survive. One uniform per code-incident edge in
     ascending edge order."""
     n = g.n
-    code_row = _pack_set(code, n)
-    dc = _code_degrees(g, code_row)
+    in_code = _members(code, n)
+    dc = g.neighbor_counts(in_code)
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (n,):
         raise ValueError(f"f must have one value per vertex, got shape {f.shape}")
@@ -179,9 +202,7 @@ def sample_subgraph(
         return g, frozenset()
     terms = np.divide(f, dc, out=np.zeros(n), where=dc > 0)
     es = g.edge_array()
-    in_code = (code_row[es >> 6] >> (es & 63).astype(np.uint64)) & np.uint64(1)
-    incident = (in_code[:, 0] | in_code[:, 1]).astype(bool)
-    inc = es[incident]
+    inc = es[in_code[es[:, 0]] | in_code[es[:, 1]]]
     p_edge = (terms[inc[:, 0]] + terms[inc[:, 1]]) / 4.0
     assert np.all(p_edge <= 0.5), "deletion probability exceeded 1/2"
     draws = np.random.default_rng(seed).random(len(inc))
@@ -204,14 +225,17 @@ def check_events(
     if not h.is_spanning_subgraph_of(g):
         raise ValueError("h must be a spanning subgraph of g")
     p = _inclusion_prob(c * math.log(dmax) / dmin, True)
-    code_row = _pack_set(code, g.n)
-    dc = _code_degrees(g, code_row).astype(np.float64)
+    in_code = _members(code, g.n)
+    dc = g.neighbor_counts(in_code).astype(np.float64)
     dg = g.degrees.astype(np.float64)
     aflag = np.abs(dc - dg * p) >= dg * p / 2.0
     ps = dist2_pair_array(g)
     aeq = aflag[ps[:, 0]] | aflag[ps[:, 1]]
-    rows = h.packed_closed & code_row
-    beq = (rows[ps[:, 0]] == rows[ps[:, 1]]).all(axis=1)
+    rows = h.packed_closed
+    packed = np.packbits(in_code, bitorder="little")
+    code_row = np.pad(packed, (0, 8 * rows.shape[1] - len(packed))).view("<u8")
+    sig = _signature_ids(rows & code_row)
+    beq = sig[ps[:, 0]] == sig[ps[:, 1]]
     out: list[Violation] = []
     for k in np.flatnonzero(aeq | beq).tolist():
         u, v = ps[k].tolist()
@@ -222,33 +246,29 @@ def check_events(
     return out
 
 
-def _greedy_cover_masks(comp: tuple[int, ...], hmask: dict[int, int]) -> set[int]:
-    """Max-coverage greedy dominating set of one component, given closed
-    neighborhoods as int masks; ties to the lowest index. Matches the
-    whole-graph greedy because gains never cross components."""
-    undom = 0
-    for v in comp:
-        undom |= 1 << v
-    picks: set[int] = set()
-    while undom:
-        best, best_gain = -1, 0
-        for v in comp:
-            gain = (hmask[v] & undom).bit_count()
-            if gain > best_gain:
-                best, best_gain = v, gain
-        picks.add(best)
-        undom &= ~hmask[best]
-    return picks
+def _toggle_bits(rows: np.ndarray, at: np.ndarray, cols: np.ndarray) -> None:
+    """Flip bit cols[j] of packed row at[j], for every j, in place; the
+    (row, bit) targets must be distinct."""
+    W = rows.shape[1]
+    bits = _ONE << (cols & 63).astype(np.uint64)
+    np.bitwise_xor.at(rows.reshape(-1), at * W + (cols >> 6), bits)
 
 
-def _by_component(rows: np.ndarray, comp_ids: np.ndarray, k: int) -> list[np.ndarray]:
-    """Split vertex-pair rows by the component of their first vertex,
-    keeping the row order inside each component."""
+def _grouped(
+    rows: np.ndarray, comp: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, second, starts): vertex-pair rows ordered by the component
+    of their first vertex, keeping the row order inside each component,
+    as two column views, plus each component's offset with len(rows)
+    appended."""
     if k == 1:
-        return [rows]
-    lab = comp_ids[rows[:, 0]]
-    order = np.argsort(lab, kind="stable")
-    return np.split(rows[order], np.searchsorted(lab[order], np.arange(1, k)))
+        starts = np.array([0, len(rows)])
+    else:
+        lab = comp[rows[:, 0]]
+        order = np.argsort(lab, kind="stable")
+        rows = rows[order]
+        starts = np.searchsorted(lab[order], np.arange(k + 1))
+    return rows[:, 0], rows[:, 1], starts
 
 
 def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
@@ -277,87 +297,95 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
         raw_p = params.c * math.log(n) / dmin
     p = _inclusion_prob(raw_p, params.clamp)
     cap = params.c * math.log(dmax)
-    masks = g.closed_masks
-    deg = g.degrees.tolist()
 
-    comps = g.components
-    comp_vs = [np.asarray(comp) for comp in comps]
-    comp_ids = g.component_ids
-    comp_edges = _by_component(g.edge_array(), comp_ids, len(comps))
-    comp_pairs = _by_component(dist2_pair_array(g), comp_ids, len(comps))
-    # per-vertex scratch; a component's round writes only its own vertices
+    members, starts = g.component_order
+    sizes = np.diff(starts)
+    k = len(sizes)
+    ranks, local = g.ranks, g.local_closed
+    W = local.shape[1]
+    eu, ev, e_starts = _grouped(g.edge_array(), g.component_ids, k)
+    pu, pv, p_starts = _grouped(dist2_pair_array(g), g.component_ids, k)
+    deg = g.degrees.astype(np.float64)
+    # the current draw of every component, as vertex and edge flags; a
+    # round rewrites only the entries of its active components
     in_code = np.zeros(n, dtype=bool)
+    in_dom = np.zeros(n, dtype=bool)
+    deleted = np.zeros(len(eu), dtype=bool)
+    # per-vertex scratch, read only at the active vertices
     term = np.zeros(n)
-    sig_id = np.zeros(n, dtype=np.int64)
+    sig = np.zeros(n, dtype=np.int64)
+    pos = np.zeros(n, dtype=np.int64)
 
-    accepted = [False] * len(comps)
-    cur_c: list[set[int]] = [set() for _ in comps]
-    cur_f: list[list[Edge]] = [[] for _ in comps]
-    cur_d: list[set[int]] = [set() for _ in comps]
+    accept = np.full(k, -1)
+    active = np.arange(k)
     trials: list[TrialRecord] = []
-
-    rounds = 0
     for r in range(params.max_retries + 1):
-        if all(accepted):
+        if not len(active):
             break
-        rounds = r + 1
-        a_total = b_total = 0
-        for i, comp in enumerate(comps):
-            if accepted[i]:
-                continue
-            rng = np.random.default_rng((params.seed, i, r))
-            vdraws = rng.random(len(comp))
-            c_i = {v for v, d in zip(comp, vdraws) if d < p}
-            cmask = 0
-            for v in c_i:
-                cmask |= 1 << v
-            in_code[comp_vs[i]] = vdraws < p
-            es = comp_edges[i]
-            incident = es[in_code[es[:, 0]] | in_code[es[:, 1]]]
-            if variant == "theorem1":
-                dc = {w: (masks[w] & cmask).bit_count() - (w in c_i) for w in comp}
-                term[comp_vs[i]] = [min(cap, dc[w]) / dc[w] if dc[w] else 0.0 for w in comp]
-                pe = (term[incident[:, 0]] + term[incident[:, 1]]) / 4.0
-            else:
-                pe = 0.25
-            edraws = rng.random(len(incident))
-            f_i: list[Edge] = list(map(tuple, incident[edraws < pe].tolist()))
-            hmask = {v: masks[v] for v in comp}
-            for eu, ev in f_i:
-                hmask[eu] ^= 1 << ev
-                hmask[ev] ^= 1 << eu
-            if variant == "theorem1":
-                d_i: set[int] = set()
-                gate_mask = cmask
-                a_cnt = sum(
-                    1 for w in comp if abs(dc[w] - deg[w] * p) >= deg[w] * p / 2.0
-                )
-            else:
-                d_i = _greedy_cover_masks(comp, hmask)
-                gate_mask = cmask
-                for v in d_i:
-                    gate_mask |= 1 << v
-                a_cnt = 0
-            # equal signatures get equal ids; then count the pairs that share one
-            ids: dict[int, int] = {}
-            sig_id[comp_vs[i]] = [ids.setdefault(hmask[w] & gate_mask, len(ids)) for w in comp]
-            ps = comp_pairs[i]
-            b_cnt = int(np.count_nonzero(sig_id[ps[:, 0]] == sig_id[ps[:, 1]]))
-            a_total += a_cnt
-            b_total += b_cnt
-            cur_c[i], cur_f[i], cur_d[i] = c_i, f_i, d_i
-            if b_cnt == 0:
-                accepted[i] = True
+        size_a = sizes[active]
+        e_len = e_starts[active + 1] - e_starts[active]
+        p_len = p_starts[active + 1] - p_starts[active]
+        if len(active) == k:
+            vs, e_at, p_at = members, slice(None), slice(None)
+        else:
+            vs = members[concat_ranges(starts[active], size_a)]
+            e_at = concat_ranges(e_starts[active], e_len)
+            p_at = concat_ranges(p_starts[active], p_len)
+        rngs = [np.random.default_rng((params.seed, i, r)) for i in active.tolist()]
+        drawn = np.concatenate([rng.random(s) for rng, s in zip(rngs, size_a.tolist())]) < p
+        in_code[vs] = drawn
+
+        au, av = eu[e_at], ev[e_at]
+        inc = np.flatnonzero(in_code[au] | in_code[av])
+        inc_len = np.diff(np.searchsorted(inc, np.concatenate(([0], np.cumsum(e_len)))))
+        if variant == "theorem1":
+            dc = g.neighbor_counts(in_code, vs)
+            term[vs] = np.minimum(cap, dc) / np.maximum(dc, 1)
+            mean = deg[vs] * p
+            a_cnt = int(np.count_nonzero(np.abs(dc - mean) >= mean / 2.0))
+            pe = (term[au[inc]] + term[av[inc]]) / 4.0
+        else:
+            a_cnt, pe = 0, 0.25
+        edraws = np.concatenate([rng.random(c) for rng, c in zip(rngs, inc_len.tolist())])
+        drop = inc[edraws < pe]
+        flags = np.zeros(len(au), dtype=bool)
+        flags[drop] = True
+        deleted[e_at] = flags
+
+        # the active rows of h: clear both bits of every deleted edge
+        h = local[vs]
+        pos[vs] = np.arange(len(vs))
+        du, dv = au[drop], av[drop]
+        _toggle_bits(h, np.concatenate((pos[du], pos[dv])), ranks[np.concatenate((dv, du))])
+
+        gate = drawn
+        if variant == "uniform":
+            dom = np.zeros(len(vs), dtype=bool)
+            dom[greedy_cover_segments(h, size_a)] = True
+            in_dom[vs] = dom
+            gate = drawn | dom
+        # each component's gate set as one local row; equal gated rows of h
+        # get equal ids, and a pair fails when its two ids agree
+        seg = np.repeat(np.arange(len(active)), size_a)
+        gates = np.zeros((len(active), W), dtype=np.uint64)
+        _toggle_bits(gates, seg[gate], ranks[vs[gate]])
+        sig[vs] = _signature_ids(h & gates[seg])
+        same = np.flatnonzero(sig[pu[p_at]] == sig[pv[p_at]])
+        owner = np.searchsorted(np.cumsum(p_len), same, side="right")
+        fails = np.bincount(owner, minlength=len(active))
+
+        accept[active[fails == 0]] = r
+        active = active[fails > 0]
         trials.append(
             TrialRecord(
                 r,
-                sum(len(s) for s in cur_c),
-                sum(len(s) for s in cur_f),
-                a_total,
-                b_total,
+                int(np.count_nonzero(in_code)),
+                int(np.count_nonzero(deleted)),
+                a_cnt,
+                len(same),
             )
         )
-    if not all(accepted):
+    if len(active):
         last = trials[-1]
         raise RetriesExhaustedError(
             f"no success within {params.max_retries} retries; last round: "
@@ -366,32 +394,34 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
             last,
         )
 
-    code = set().union(*cur_c)
-    deleted = sorted(e for f_i in cur_f for e in f_i)
-    h = g.delete_edges(deleted)
+    dels = np.stack((eu[deleted], ev[deleted]), axis=1)
+    dels = dels[np.lexsort((dels[:, 1], dels[:, 0]))]
+    h = g.delete_edges(dels)
+    code = set(np.flatnonzero(in_code).tolist())
     if variant == "theorem1":
         dom = set(greedy_dominating(g))
         if not is_dominating(h, sorted(code | dom)).ok:
             dom = set(greedy_dominating(h))
     else:
-        dom = set().union(*cur_d)
+        dom = set(np.flatnonzero(in_dom).tolist())
     final = code | dom
     verdict = is_identifying_code(h, sorted(final), "full")
     assert verdict.ok, f"accepted rounds must yield a valid code: {verdict}"
     stats = SparsifyStats(
-        deleted_edges=len(deleted),
+        deleted_edges=len(dels),
         code_size=len(final),
         n_ln_dmax=n * math.log(dmax),
         n_ln_dmax_over_dmin=n * math.log(dmax) / dmin,
     )
     return SparsifyResult(
-        deleted_edges=frozenset(deleted),
+        deleted_edges=frozenset(map(tuple, dels.tolist())),
         code=frozenset(code),
         dominating=frozenset(dom),
         final_code=frozenset(final),
-        retries_used=rounds - 1,
+        retries_used=len(trials) - 1,
         stats=stats,
         trials=tuple(trials),
+        accept_rounds=tuple(accept.tolist()),
     )
 
 
@@ -420,7 +450,7 @@ def pair_collision_frequency(
     if u in code_set or v in code_set:
         return 0.0
     f = bounded_f(g, code_set, c)
-    dc = _code_degrees(g, _pack_set(code_set, g.n))
+    dc = g.neighbor_counts(_members(code_set, g.n))
     terms = np.divide(f, dc.astype(np.float64), out=np.zeros(g.n), where=dc > 0)
     su = sorted(g.neighbors(u) & code_set)
     sv = sorted(g.neighbors(v) & code_set)

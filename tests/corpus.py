@@ -2,7 +2,8 @@
 
 Contents: every tree on 2..7 vertices (networkx's nonisomorphic
 enumeration, one labeling each), classic families up to 7 vertices, and a
-seeded G(n,p) sweep. Every graph has at least one edge, so the classical
+seeded G(n,p) sweep; `mixed_graph` builds larger graphs whose components
+interleave. Every graph has at least one edge, so the classical
 identifying-code bounds apply whenever the graph is twin-free; empty
 random draws are redrawn with a deterministic seed offset.
 """
@@ -10,6 +11,7 @@ random draws are redrawn with a deterministic seed offset.
 from functools import lru_cache
 
 import networkx as nx
+import numpy as np
 
 from idcodes import (
     Graph,
@@ -74,3 +76,19 @@ def gnp_sweep():
 def small_corpus():
     """All (name, graph) pairs; at least 500 of them, n <= 7 throughout."""
     return tuple(trees_up_to_7() + classic_families() + gnp_sweep())
+
+
+def mixed_graph(sizes, densities, seed):
+    """One random connected subgraph per component (each pair kept with the
+    component's density, plus a Hamiltonian path), with the vertex labels
+    randomly permuted so that the components interleave."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    parts, base = [], 0
+    for s, d in zip(sizes, densities):
+        iu, iv = np.triu_indices(s, 1)
+        keep = (rng.random(len(iu)) < d) | (iv == iu + 1)
+        parts.append(np.stack((perm[base + iu[keep]], perm[base + iv[keep]]), axis=1))
+        base += s
+    return Graph(n, np.concatenate(parts))

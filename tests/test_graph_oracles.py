@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from idcodes import FormatError, Graph, dist2_pair_array, dist2_pairs, gnp, parse_edge_list
 from idcodes import graphs as graphs_mod
 
-from corpus import small_corpus
+from corpus import mixed_graph, small_corpus
 from oracles import (
     OracleFormatError,
     oracle_closed_masks,
@@ -230,3 +230,43 @@ def test_parser_character_classes_match_str():
     assert list(graphs_mod.BREAK_CODES) == [
         c for c in graphs_mod.SPACE_CODES if len(f"a{chr(c)}b".splitlines()) == 2
     ]
+
+
+def _interleaved_graphs():
+    # components over 64 vertices, labels permuted so that they interleave
+    yield "straddle", mixed_graph((3, 17, 64, 65, 130), (1.0, 0.3, 0.2, 0.1, 0.05), 3)
+    yield "sparse_big", mixed_graph((70, 129, 5), (0.02, 0.02, 0.5), 4)
+    # one component is a single edge
+    yield "single_edge", mixed_graph((2, 66, 9, 131), (1.0, 0.1, 0.4, 0.04), 5)
+
+
+@pytest.mark.parametrize("block_words", [None, 1, 64, 256])
+def test_dist2_pairs_on_interleaved_components_match_oracle(monkeypatch, block_words):
+    # small blocks split the rows inside components and across them
+    if block_words is not None:
+        monkeypatch.setattr(graphs_mod, "_BLOCK_WORDS", block_words)
+    for name, g in _interleaved_graphs():
+        assert len(g.components) > 1 and g.local_closed.shape[1] < g.packed_closed.shape[1]
+        expected = oracle_dist2_pairs(g.n, g.edges())
+        assert dist2_pair_array(g).tolist() == [list(p) for p in expected], name
+        assert list(dist2_pairs(g)) == expected, name
+
+
+def test_local_closed_rows_follow_component_ranks():
+    for name, g in _interleaved_graphs():
+        comps = g.components
+        members, starts = g.component_order
+        assert members.tolist() == [v for comp in comps for v in comp], name
+        assert [starts[i + 1] - starts[i] for i in range(len(comps))] == list(map(len, comps))
+        rank = {v: i for comp in comps for i, v in enumerate(comp)}
+        assert g.ranks.tolist() == [rank[v] for v in range(g.n)], name
+        masks = oracle_closed_masks(g.n, g.edges())
+        width = g.local_closed.shape[1]
+        assert width == (max(map(len, comps)) + 63) // 64, name
+        for v in range(g.n):
+            local = sum(1 << rank[w] for w in range(g.n) if masks[v] >> w & 1)
+            row = int.from_bytes(g.local_closed[v].astype("<u8").tobytes(), "little")
+            assert row == local, (name, v)
+    connected = gnp(70, 0.3, 1)
+    assert len(connected.components) == 1
+    assert connected.local_closed is connected.packed_closed

@@ -1,8 +1,9 @@
 import numpy as np
 
 from idcodes import gnp
-from idcodes._kernels import greedy_cover, separator_counts
+from idcodes._kernels import greedy_cover, greedy_cover_segments, separator_counts
 
+from corpus import mixed_graph
 from oracles import oracle_greedy_cover
 
 
@@ -39,3 +40,26 @@ def test_greedy_cover_matches_python_oracle():
         g = gnp(40, 0.15, seed)
         picks = greedy_cover(g.packed_closed, g.n)
         assert picks.tolist() == oracle_greedy_cover(g.n, g.edges())
+
+
+def test_greedy_cover_segments_step_every_component_like_the_oracle():
+    # one segment per component over the component-local rows; segment k
+    # makes the oracle's picks on its own component, step by step
+    for seed in range(3):
+        g = mixed_graph((1, 2, 9, 64, 65, 70), (1.0, 1.0, 0.5, 0.1, 0.2, 0.05), seed)
+        members, starts = g.component_order
+        sizes = np.diff(starts)
+        got = greedy_cover_segments(g.local_closed[members], sizes).tolist()
+        rank = g.ranks
+        per_comp = []
+        for k, comp in enumerate(g.components):
+            inside = set(comp)
+            edges = [(rank[u], rank[v]) for u, v in g.edges() if u in inside]
+            per_comp.append([starts[k] + v for v in oracle_greedy_cover(len(comp), edges)])
+        expected = [
+            picks[t]
+            for t in range(max(map(len, per_comp)))
+            for picks in per_comp
+            if t < len(picks)
+        ]
+        assert got == expected, seed

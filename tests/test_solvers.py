@@ -10,6 +10,7 @@ from idcodes import (
     NotTwinFreeError,
     complete,
     cycle,
+    disjoint_cliques,
     exact_min_dominating,
     exact_min_idcode,
     find_twins,
@@ -24,7 +25,7 @@ from idcodes import (
 )
 from idcodes import solvers
 
-from corpus import small_corpus
+from corpus import mixed_graph, small_corpus
 from oracles import (
     oracle_fewest_extra_picks,
     oracle_greedy_cover,
@@ -203,7 +204,16 @@ def test_packing_bound_never_exceeds_fewest_extra_picks(graph, data):
 
 
 def test_greedy_dominating_matches_maxcover_oracle():
-    for name, g in list(small_corpus())[::5]:
+    # over 64 vertices and several components the picks come from the
+    # segmented cover over the component-local rows
+    split = [
+        mixed_graph((3, 17, 64, 65, 130), (1.0, 0.3, 0.2, 0.1, 0.05), 3),
+        mixed_graph((2, 70, 9), (1.0, 0.1, 0.5), 1),
+        disjoint_cliques(7, 12),
+        Graph(70, [(0, 69), (2, 3), (3, 5)]),  # isolated vertices: one-vertex components
+        gnp(90, 0.2, 2),
+    ]
+    for name, g in list(small_corpus())[::5] + [(repr(g), g) for g in split]:
         got = greedy_dominating(g)
         assert is_dominating(g, got).ok, name
         assert got == set(oracle_greedy_cover(g.n, g.edges())), name

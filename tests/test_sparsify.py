@@ -26,6 +26,7 @@ from idcodes import (
     star,
 )
 
+from corpus import mixed_graph
 from oracles import (
     adjacency,
     oracle_collision_probability,
@@ -402,3 +403,68 @@ def test_sparsify_matches_golden():
             ],
         }
         assert json.dumps(got) == json.dumps(case), (case["graph"], case["variant"], case["seed"])
+
+
+def test_sparsify_mixed_components_match_golden():
+    # pinned from the per-component Python round loop; component sizes
+    # straddle the 64-bit word boundaries
+    doc = json.loads((GOLDEN / "sparsify_mixed.json").read_text())
+    graphs = {key: mixed_graph(**spec) for key, spec in doc["graphs"].items()}
+    for key, spec in doc["graphs"].items():
+        assert sorted(map(len, graphs[key].components)) == sorted(spec["sizes"])
+    assert len(doc["results"]) == 12
+    for case in doc["results"]:
+        params = SparsifyParams(c=case["c"], seed=case["seed"], variant=case["variant"])
+        res = sparsify(graphs[case["graph"]], params)
+        got = {
+            **case,
+            "final_code": sorted(res.final_code),
+            "code": sorted(res.code),
+            "dominating": sorted(res.dominating),
+            "deleted_edges": [list(e) for e in sorted(res.deleted_edges)],
+            "retries_used": res.retries_used,
+            "trials": [
+                [t.trial, t.code_size, t.deleted, t.a_violations, t.b_violations]
+                for t in res.trials
+            ],
+        }
+        assert json.dumps(got) == json.dumps(case), (case["graph"], case["variant"], case["seed"])
+    assert len(doc["exhausted"]) == 2
+    for case in doc["exhausted"]:
+        params = SparsifyParams(
+            c=case["c"], seed=case["seed"], max_retries=case["max_retries"], variant=case["variant"]
+        )
+        with pytest.raises(RetriesExhaustedError) as err:
+            sparsify(graphs[case["graph"]], params)
+        t = err.value.last_trial
+        assert str(err.value) == case["message"]
+        got = [t.trial, t.code_size, t.deleted, t.a_violations, t.b_violations]
+        assert got == case["last_trial"]
+
+
+@pytest.mark.parametrize("variant", ["theorem1", "uniform"])
+def test_accept_rounds_replay_the_trials(variant):
+    # component i keeps the draw of round min(r, accept_rounds[i]) at round
+    # r, so redrawing those codes must give every trial's code size
+    g = mixed_graph((3, 17, 64, 65, 130), (1.0,) * 5, 11)
+    comps = g.components
+    dmin, dmax = min(g.degrees), max(g.degrees)
+    for seed in range(3):
+        params = SparsifyParams(c=2.0, seed=seed, variant=variant)
+        res = sparsify(g, params)
+        acc = res.accept_rounds
+        assert len(acc) == len(comps)
+        assert max(acc) == res.retries_used == len(res.trials) - 1
+        scale = math.log(dmax) if variant == "theorem1" else math.log(g.n)
+        p = min(1.0, 2.0 * scale / dmin)
+        for t in res.trials:
+            r = t.trial
+            active = [i for i in range(len(comps)) if acc[i] >= r]
+            assert active, r
+            assert (t.b_violations == 0) == (r == res.retries_used)
+            size = 0
+            for i, comp in enumerate(comps):
+                draw_round = min(r, acc[i])
+                draws = np.random.default_rng((seed, i, draw_round)).random(len(comp))
+                size += int(np.count_nonzero(draws < p))
+            assert t.code_size == size, (seed, r)
