@@ -5,8 +5,10 @@ w >> 6 in row v is set iff w is in N[v]). `greedy_cover` is the greedy
 max-coverage pick loop of the dominating set, and
 `greedy_cover_segments` the same loop over many components at once, for
 the sparsify rounds and the dominating set of a graph of several
-components; `separator_counts` gives the per-pick separator
-counts of the greedy identifying code.
+components. `separator_counts` scores every vertex for one pick of the
+greedy identifying code from its cells: the parts (w, S) of the current
+signature classes S inside each closed neighborhood N[w], with their
+sizes.
 
 They live in a module of their own, apart from the solvers that call
 them, because the benchmark tracer looks both up here by name
@@ -22,32 +24,22 @@ _ONE = np.uint64(1)
 
 
 def separator_counts(
-    label: np.ndarray, xs: np.ndarray, ws: np.ndarray, n: int
+    counts: np.ndarray, owner: np.ndarray, klass: np.ndarray, sizes: np.ndarray, n: int
 ) -> np.ndarray:
     """For each vertex w < n, the still-unseparated pairs that w separates.
 
-    `label` partitions the vertices: a pair is unseparated while both ends
-    share a label. `xs`, `ws` list the closed-neighborhood incidence, one
-    entry (x, w) per w in N[x]; entries may be left out only for vertices
-    x alone in their class. w separates the pairs of a class S that have
-    exactly one end in N[w], so its count is the sum over S of
-    |S & N[w]| * |S - N[w]|. The (w, class) counts are taken sparsely, by
-    sorting the keys w * K + label[x] (K labels), never as a dense n-by-K
-    table.
+    The vertices are partitioned into classes, class k of sizes[k]
+    vertices: a pair is unseparated while both ends share a class. Cell c
+    is the part of class klass[c] inside N[owner[c]] and holds counts[c]
+    vertices, at most one cell per (vertex, class). w separates the pairs
+    of a class S that have exactly one end in N[w], so its count is the
+    sum over its cells of counts * (sizes - counts). Empty cells and cells
+    of one-vertex classes add 0 and may be left out or kept. One weighted
+    bincount over the cell owners gives every count (exact while the
+    counts stay below 2**53); nothing is sorted.
     """
-    out = np.zeros(n, dtype=np.int64)
-    sizes = np.bincount(label, minlength=1)
-    lab = label[xs]
-    keep = sizes[lab] >= 2
-    k = len(sizes)
-    keys, inside = np.unique(ws[keep] * k + lab[keep], return_counts=True)
-    if len(keys) == 0:
-        return out
-    w = keys // k
-    pairs = inside * (sizes[keys % k] - inside)
-    starts = np.flatnonzero(np.concatenate(([True], w[1:] != w[:-1])))
-    out[w[starts]] = np.add.reduceat(pairs, starts)
-    return out
+    pairs = counts * (sizes[klass] - counts)
+    return np.bincount(owner, weights=pairs, minlength=n).astype(np.int64)
 
 
 def greedy_cover(closed: np.ndarray, n: int) -> np.ndarray:

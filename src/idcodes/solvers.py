@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .bounds import ceil_log2, idcode_lower_bound
 from .codes import code_mask, is_identifying_code, mask_to_set
-from .graphs import Graph, dist2_pair_array, find_twins
+from .graphs import Graph, concat_ranges, dist2_pair_array, find_twins
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -363,16 +363,27 @@ def greedy_dominating(g: Graph) -> frozenset[int]:
 def greedy_idcode(g: Graph) -> frozenset[int]:
     """Greedy identifying code: each step picks the vertex with the largest
     (newly dominated vertices + newly separated pairs), ties to the lowest
-    index. Output is verified before returning.
+    index. Output is verified before returning; a failed check raises
+    RuntimeError.
 
     The still-unseparated pairs are never listed. The solver keeps the
-    partition of V by current signature N[x] & C instead (label 0 holds the
-    empty signature: the undominated vertices), so the gain of w is
-    |N[w] & class 0| + sum over classes S of |S & N[w]| * |S - N[w]|. Each
-    pick scores every vertex in one pass over the closed-neighborhood
-    incidence, then refines label <- compact(2 * label + [x in N[w]]).
-    Vertices alone in a nonzero class stay alone, so their incidence is
-    dropped for good. Memory per pick is O(n + m).
+    partition of V by current signature N[x] & C instead. Class 0 holds
+    the empty signature (the undominated vertices) plus one ghost vertex
+    that no N[w] holds, so dominating x is separating x from the ghost.
+    Each class S is cut into cells, one per vertex w with N[w] meeting S,
+    over the closed-neighborhood incidence (x, w), x in N[w], grouped in
+    rows by x. A cell stores its owner w, its class and its size
+    |S & N[w]|, so the gain of w is the sum over its cells of
+    |S & N[w]| * |S - N[w]| (`_kernels.separator_counts`).
+
+    A pick p refines in place: the part S & N[p] of every class S that
+    N[p] meets moves to a fresh class id, and so does the matching part
+    of every cell, which only the entries of the rows x in N[p] hold.
+    A pick thus moves O(sum of |N[x]| over x in N[p]) entries; the cell
+    and class counts are updated without any sort. Once the cell ids
+    outnumber the live entries, the empty cells and the cells of
+    one-vertex classes are dropped, with their entries, and the rest
+    renumbered. Memory is O(n + m).
     """
     if g.n < 1:
         raise ValueError("greedy_idcode needs n >= 1")
@@ -380,32 +391,75 @@ def greedy_idcode(g: Graph) -> frozenset[int]:
     if twins:
         raise NotTwinFreeError(twins[0])
     n = g.n
-    es = g.edge_array()
-    loops = np.arange(n, dtype=np.int64)
-    # incidence (x, w) for w in N[x], sorted by w so N[w] is one slice
-    ws = np.concatenate((loops, es[:, 0], es[:, 1]))
-    xs = np.concatenate((loops, es[:, 1], es[:, 0]))
-    order = np.argsort(ws, kind="stable")
-    ws, xs = ws[order], xs[order]
-    label = np.zeros(n, dtype=np.int64)
+    indptr, nbrs = g._csr
+    size = np.diff(indptr) + 1
+    start = indptr[:-1] + np.arange(n)
+    # row x of the closed incidence: x itself, then its neighbors
+    hood = np.empty(n + len(nbrs), dtype=np.int64)
+    hood[start] = np.arange(n)
+    rest = np.ones(len(hood), dtype=bool)
+    rest[start] = False
+    hood[rest] = nbrs
+    e = len(hood)
+    # per entry (x, w): x and its cell; at first every vertex is in class
+    # 0, so the cell of (x, w) is w
+    xs = np.repeat(np.arange(n), size)
+    cell = hood.copy()
+    row_start, row_len = start, size
+    # cells and classes get fresh ids at the end; between compactions
+    # there are at most 2e cell ids, and at most e + 1 class ids in all
+    count = np.zeros(2 * e, dtype=np.int64)
+    owner = np.zeros(2 * e, dtype=np.int64)
+    klass = np.zeros(2 * e, dtype=np.int64)
+    count[:n], owner[:n] = size, np.arange(n)
+    sizes = np.zeros(e + 1, dtype=np.int64)
+    sizes[0] = n + 1
+    new_class = np.empty(e + 1, dtype=np.int64)
+    new_cell = np.empty(2 * e, dtype=np.int64)
+    cells, classes = n, 1
     code: list[int] = []
-    while True:
-        active = (label == 0) | (np.bincount(label)[label] >= 2)
-        if not active.any():
-            break
-        keep = active[xs]
-        xs, ws = xs[keep], ws[keep]
-        gain = _kernels.separator_counts(label, xs, ws, n)
-        gain += np.bincount(ws[label[xs] == 0], minlength=n)
-        w = int(np.argmax(gain))  # argmax takes the first maximum
-        assert gain[w] > 0, "twin-free graph must always offer progress"
-        code.append(w)
-        lo, hi = np.searchsorted(ws, (w, w + 1))
-        label *= 2
-        label[xs[lo:hi]] += 1
-        values, label = np.unique(label, return_inverse=True)
-        if values[0] != 0:  # label 0 stays the empty signature
-            label += 1
+    while sizes[:classes].max() > 1:
+        gain = _kernels.separator_counts(
+            count[:cells], owner[:cells], klass[:cells], sizes[:classes], n
+        )
+        p = int(np.argmax(gain))  # argmax takes the first maximum
+        if gain[p] <= 0:
+            raise RuntimeError("greedy_idcode found no progress on a twin-free graph")
+        code.append(p)
+        hp = hood[start[p] : start[p] + size[p]]
+        at = concat_ranges(row_start[hp], row_len[hp])
+        old = cell[at]
+        moved = np.bincount(old, minlength=cells)
+        hit = np.flatnonzero(moved)
+        # the cells of p are the parts S & N[p]: each moves to a fresh class
+        mine = hit[owner[hit] == p]
+        split, part = klass[mine], count[mine]
+        new_class[split] = np.arange(classes, classes + len(split))
+        sizes[split] -= part
+        sizes[classes : classes + len(split)] = part
+        classes += len(split)
+        # and the part of every cell inside N[p] to a fresh cell
+        fresh = slice(cells, cells + len(hit))
+        new_cell[hit] = np.arange(fresh.start, fresh.stop)
+        cell[at] = new_cell[old]
+        part = moved[hit]
+        count[hit] -= part
+        count[fresh] = part
+        owner[fresh] = owner[hit]
+        klass[fresh] = new_class[klass[hit]]
+        cells = fresh.stop
+        if cells > len(cell):
+            keep = (count[:cells] > 0) & (sizes[klass[:cells]] > 1)
+            live = keep[cell]
+            cell = (np.cumsum(keep) - 1)[cell[live]]
+            xs = xs[live]
+            row_len = np.bincount(xs, minlength=n)
+            row_start = np.cumsum(row_len) - row_len
+            for arr in (count, owner, klass):
+                kept = arr[:cells][keep]
+                arr[: len(kept)] = kept
+            cells = int(np.count_nonzero(keep))
     verdict = is_identifying_code(g, code, "full")
-    assert verdict.ok, f"greedy produced an invalid code: {verdict}"
+    if not verdict.ok:
+        raise RuntimeError(f"greedy produced an invalid code: {verdict}")
     return frozenset(code)

@@ -406,7 +406,8 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
         dom = set(np.flatnonzero(in_dom).tolist())
     final = code | dom
     verdict = is_identifying_code(h, sorted(final), "full")
-    assert verdict.ok, f"accepted rounds must yield a valid code: {verdict}"
+    if not verdict.ok:
+        raise RuntimeError(f"accepted rounds must yield a valid code: {verdict}")
     stats = SparsifyStats(
         deleted_edges=len(dels),
         code_size=len(final),

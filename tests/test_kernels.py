@@ -14,6 +14,14 @@ def closed_incidence(g):
     return xs, ws
 
 
+def cells(xs, ws, label):
+    """(counts, owner, klass) of the cells over the incidence entries
+    (x, w): one cell per (w, label[x]), counting its entries."""
+    k = int(label.max()) + 1
+    keys, counts = np.unique(ws * k + label[xs], return_counts=True)
+    return counts, keys // k, keys % k
+
+
 def test_separator_counts_against_naive():
     rng = np.random.default_rng(2)
     for seed in range(8):
@@ -21,18 +29,21 @@ def test_separator_counts_against_naive():
         n = g.n
         label = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
         label = np.unique(label, return_inverse=True)[1]  # compact labels
+        sizes = np.bincount(label)
         xs, ws = closed_incidence(g)
-        got = separator_counts(label, xs, ws, n)
+        got = separator_counts(*cells(xs, ws, label), sizes, n)
         unsep = [(u, v) for u in range(n) for v in range(u + 1, n) if label[u] == label[v]]
         for w in range(n):
             nw = g.closed_neighborhood(w)
             naive = sum(1 for u, v in unsep if (u in nw) != (v in nw))
             assert got[w] == naive, (seed, w)
         # entries of vertices alone in their class change nothing
-        alone = np.bincount(label)[label] == 1
+        alone = sizes[label] == 1
         keep = ~alone[xs]
-        assert np.array_equal(separator_counts(label, xs[keep], ws[keep], n), got)
-    assert not separator_counts(np.arange(5), *closed_incidence(gnp(5, 0.5, 0)), 5).any()
+        assert np.array_equal(separator_counts(*cells(xs[keep], ws[keep], label), sizes, n), got)
+    label = np.arange(5)
+    xs, ws = closed_incidence(gnp(5, 0.5, 0))
+    assert not separator_counts(*cells(xs, ws, label), np.ones(5, dtype=np.int64), 5).any()
 
 
 def test_greedy_cover_matches_python_oracle():

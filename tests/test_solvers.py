@@ -1,13 +1,16 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idcodes import (
     Graph,
     NotTwinFreeError,
+    UndominatedVertex,
+    Verdict,
     complete,
     cycle,
     disjoint_cliques,
@@ -23,7 +26,7 @@ from idcodes import (
     path,
     star,
 )
-from idcodes import solvers
+from idcodes import _kernels, solvers
 
 from corpus import mixed_graph, small_corpus
 from oracles import (
@@ -257,6 +260,35 @@ def test_greedy_idcode_matches_pair_oracle():
         assert greedy_idcode(g) == set(oracle_greedy_idcode(g.n, g.edges())), name
         checked += 1
     assert checked > 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(twin_free_edge_lists(14))
+def test_greedy_idcode_matches_pair_oracle_on_random_graphs(graph):
+    n, edges = graph
+    assert greedy_idcode(Graph(n, edges)) == set(oracle_greedy_idcode(n, edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.floats(0.5, 0.8), st.integers(0, 2**32 - 1))
+def test_greedy_idcode_matches_pair_oracle_on_dense_graphs(n, p, seed):
+    # dense graphs are where tied gains pile up
+    g = gnp(n, p, seed)
+    assume(not find_twins(g))
+    assert greedy_idcode(g) == set(oracle_greedy_idcode(n, g.edges()))
+
+
+def test_greedy_idcode_raises_on_failed_checks(monkeypatch):
+    # the checks must hold under python -O too, so they are not asserts
+    g = cycle(9)
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "is_identifying_code", lambda *a: Verdict(False, UndominatedVertex(0)))
+        with pytest.raises(RuntimeError, match="invalid code"):
+            greedy_idcode(g)
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "separator_counts", lambda *a: np.zeros(g.n, dtype=np.int64))
+        with pytest.raises(RuntimeError, match="no progress"):
+            greedy_idcode(g)
 
 
 def test_greedy_idcode_large_sparse_graphs():

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 from pathlib import Path
@@ -11,6 +12,8 @@ from idcodes import (
     InfeasibleProbabilityError,
     RetriesExhaustedError,
     SparsifyParams,
+    UndominatedVertex,
+    Verdict,
     Violation,
     bounded_f,
     check_events,
@@ -468,3 +471,14 @@ def test_accept_rounds_replay_the_trials(variant):
                 draws = np.random.default_rng((seed, i, draw_round)).random(len(comp))
                 size += int(np.count_nonzero(draws < p))
             assert t.code_size == size, (seed, r)
+
+
+def test_sparsify_raises_when_its_final_check_fails(monkeypatch):
+    # the check must hold under python -O too, so it is not an assert;
+    # `idcodes.sparsify` itself names the function, hence the import
+    module = importlib.import_module("idcodes.sparsify")
+    monkeypatch.setattr(
+        module, "is_identifying_code", lambda *a: Verdict(False, UndominatedVertex(0))
+    )
+    with pytest.raises(RuntimeError, match="valid code"):
+        sparsify(disjoint_cliques(4, 8), SparsifyParams(c=2.0, seed=1))

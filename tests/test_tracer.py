@@ -1,10 +1,11 @@
 """The benchmark's span tracer (`perfbench/spans.py`) against this source
 tree. The tracer wraps library names from outside (`Graph.__init__`, the
 `packed_closed` and `closed_masks` cached properties,
-`idcodes._kernels.greedy_cover`, `idcodes.sparsify.sparsify`, ...), so a
-change that drops or moves one breaks every traced benchmark run. Here a
-traced run must record the expected spans, print what an untraced run
-prints, and leave every wrapped name restored."""
+`idcodes._kernels.greedy_cover`, `idcodes._kernels.separator_counts`,
+`idcodes.sparsify.sparsify`, ...), so a change that drops or moves one
+breaks every traced benchmark run. Here a traced run must record the
+expected spans, print what an untraced run prints, and leave every
+wrapped name restored."""
 
 import importlib.util
 import sys
@@ -71,6 +72,12 @@ def test_tracer_records_spans_and_changes_no_output(tmp_path, capsys):
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
     assert {"sparsify", "graphs.pack", "graphs.build", "kernels.greedy_cover"} <= names
+    # the greedy identifying code calls the kernel once per pick, looked up
+    # on the module, so the tracer sees every call
+    assert {"solvers.greedy_idcode", "kernels.separator_counts"} <= names
+    picks = [span[4]["picks"] for span in tracer.spans if span[0] == "solvers.greedy_idcode"]
+    calls = sum(span[0] == "kernels.separator_counts" for span in tracer.spans)
+    assert calls == sum(picks) > 0
     sparsify_counts = [span[4] for span in tracer.spans if span[0] == "sparsify"]
     assert len(sparsify_counts) == 4 and all(c["rounds"] >= 1 for c in sparsify_counts)
     assert traced == untraced
