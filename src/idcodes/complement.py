@@ -73,7 +73,7 @@ def equivalence_classes(g: Graph, c0: Iterable[int]) -> EquivClassPartition:
     )
     es = g.edge_array()
     if np.any(label[es[:, 0]] == label[es[:, 1]]):
-        raise AssertionError(
+        raise RuntimeError(
             "adjacent vertices with equal open traces under a "
             "verified code; upstream verification is broken"
         )
@@ -82,7 +82,7 @@ def equivalence_classes(g: Graph, c0: Iterable[int]) -> EquivClassPartition:
     sizes = np.bincount(label, minlength=len(ids))
     outside = np.bincount(label[~in_code], minlength=len(ids))
     if np.any(outside > 1):
-        raise AssertionError(
+        raise RuntimeError(
             "a multi-vertex class has two members outside the code; "
             "upstream verification is broken"
         )
@@ -120,7 +120,8 @@ def _split(gbar: Graph, members: list[int]) -> set[int]:
         )
     w = (diff & -diff).bit_length() - 1
     # a clique's members all share adjacency with u1 and u2, so w is outside
-    assert w not in members, "separator landed inside the class"
+    if w in members:
+        raise RuntimeError("separator landed inside the class")
     adj = gbar.closed_masks[w]
     side1 = [x for x in members if adj >> x & 1]
     side0 = [x for x in members if not adj >> x & 1]
@@ -151,13 +152,14 @@ def complement_code(g: Graph, c0: Optional[Iterable[int]] = None) -> frozenset[i
         extra |= separate_class(gbar, cls)
     # every class holds at most one non-base vertex, so the split budget
     # sums to at most |base| (not |base|-1: classes can all be tight)
-    assert len(extra) <= len(base), "class separators exceeded the size bound"
+    if len(extra) > len(base):
+        raise RuntimeError("class separators exceeded the size bound")
     combined = base | extra
     undominated = [
         v for v in range(gbar.n) if not gbar.closed_neighborhood(v) & combined
     ]
     if len(undominated) > 1:
-        raise AssertionError(
+        raise RuntimeError(
             f"multiple vertices undominated in the complement: {undominated}; "
             "this contradicts the construction's guarantee"
         )
@@ -173,6 +175,8 @@ def complement_code(g: Graph, c0: Optional[Iterable[int]] = None) -> frozenset[i
                 trimmed.discard(v)
         result = frozenset(trimmed)
     verdict = is_identifying_code(gbar, result, "full")
-    assert verdict.ok, f"constructed code fails on the complement: {verdict}"
-    assert len(result) <= 2 * len(base), "factor-2 size bound violated"
+    if not verdict.ok:
+        raise RuntimeError(f"constructed code fails on the complement: {verdict}")
+    if len(result) > 2 * len(base):
+        raise RuntimeError("factor-2 size bound violated")
     return result

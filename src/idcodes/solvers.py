@@ -1,20 +1,23 @@
 """Exact minimum identifying-code and dominating-set search plus greedy
 heuristics.
 
-Both exact solvers are hitting-set searches. An identifying code must hit
-N[v] for every v and N[u] ^ N[v] for every pair u, v at distance <= 2; a
-dominating set must hit every N[v]. Branch and bound runs over
-include/exclude decisions on vertices in descending-degree order. At each
-node the sets that the chosen vertices do not hit yet are restricted to
-the undecided vertices. An empty one makes the node infeasible. A greedy
-packing of pairwise disjoint ones, smallest first, bounds the extra picks
-from below, since one pick hits at most one set of a packing. The search
-prunes on the larger of that bound and a per-solver bound: ceil(log2) of
-the largest signature class for identifying codes, the undominated count
-over the best single coverage for dominating sets. The incumbent is the
-greedy solution after a reverse-delete pass. Budgets count node
-expansions; an exhausted budget returns the incumbent flagged non-optimal
-instead of failing.
+Both exact solvers are one hitting-set search, _min_hitting_set. An
+identifying code must hit N[v] for every v and N[u] ^ N[v] for every pair
+u, v at distance <= 2; a dominating set must hit every N[v]. Branch and
+bound runs over include/exclude decisions on vertices in descending-degree
+order, from the greedy solution after a reverse-delete pass. At each node
+the sets that the chosen vertices do not hit yet are restricted to the
+undecided vertices. The shared prunes fire, in this order, when the node
+cannot beat the incumbent (size), when one of those sets is empty
+(infeasible), when the solver's own rule fires, or when a greedy packing
+of pairwise disjoint ones, smallest first, needs as many picks as the
+incumbent has left (packing), since one pick hits at most one set of a
+packing. The identifying-code rule tests for two vertices that no
+undecided vertex can split (class) and bounds the picks by ceil(log2) of
+the largest signature class (log2); the dominating rule bounds them by
+the undominated count over the best single coverage (cover). Budgets
+count node expansions; an exhausted budget returns the incumbent flagged
+non-optimal instead of failing.
 """
 
 from __future__ import annotations
@@ -63,10 +66,6 @@ class SearchResult:
         return len(self.code)
 
 
-class _Done(Exception):
-    pass
-
-
 def _branch_order(g: Graph) -> list[int]:
     """Vertices by descending degree, ties to the lower index."""
     return np.argsort(-g.degrees, kind="stable").tolist()
@@ -78,31 +77,6 @@ def _suffixes(order: list[int]) -> list[int]:
     for i in range(len(order) - 1, -1, -1):
         suffix[i] = suffix[i + 1] | (1 << order[i])
     return suffix
-
-
-def _search(order: list[int], budget: int, expand) -> tuple[int, bool]:
-    """Depth-first walk over include/exclude decisions on order[i].
-
-    expand(i, chosen) visits one node and says whether to branch on
-    order[i]; it raises _Done to stop the walk. The include branch is
-    visited first. An explicit stack replaces recursion, so the depth is
-    not bounded by the interpreter's recursion limit. Returns the nodes
-    visited and False when the budget ran out.
-    """
-    nodes = 0
-    stack = [(0, 0)]
-    try:
-        while stack:
-            i, chosen = stack.pop()
-            nodes += 1
-            if nodes > budget:
-                return nodes, False
-            if expand(i, chosen):
-                stack.append((i + 1, chosen))
-                stack.append((i + 1, chosen | (1 << order[i])))
-    except _Done:
-        pass
-    return nodes, True
 
 
 def _hitting_sets(g: Graph) -> list[int]:
@@ -200,17 +174,65 @@ def _reverse_delete_dominating(g: Graph, dom: frozenset[int], order: list[int]) 
     return cmask
 
 
+def _min_hitting_set(
+    sets: list[int], order: list[int], best: int, lb: int, rules: tuple[str, ...], budget: int, rule
+) -> SearchResult:
+    """Smallest vertex set that hits every set in sets and that rule calls
+    solved, by a depth-first walk over include/exclude decisions on the
+    vertices in order, the include branch first. best is the incumbent's
+    bitmask; the walk stops once its size meets the lower bound lb.
+
+    At each node rule(chosen, undecided, live, room) sees the unhit sets
+    restricted to the undecided vertices (live) and the picks left before
+    the incumbent's size (room). It returns "solved", the name of the rule
+    that prunes the node, or None; the size and infeasible prunes run
+    before it and the packing prune after. An explicit stack replaces
+    recursion, so the depth is not bounded by the interpreter's recursion
+    limit. Past budget nodes the incumbent is returned flagged non-optimal.
+    """
+    prunes = dict.fromkeys(rules, 0)
+    suffix = _suffixes(order)
+    best_size = best.bit_count()
+    nodes, optimal = 0, True
+    stack = [(0, 0)] if best_size > lb else []
+    while stack:
+        i, chosen = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            optimal = False
+            break
+        size = chosen.bit_count()
+        room = best_size - size
+        if room <= 0:
+            fired = "size"
+        elif (live := _unhit_sets(sets, chosen, suffix[i])) is None:
+            fired = "infeasible"
+        else:
+            fired = rule(chosen, suffix[i], live, room)
+            if fired is None and _packing_size(live) >= room:
+                fired = "packing"
+        if fired == "solved":
+            best, best_size = chosen, size
+            if best_size <= lb:
+                break
+        elif fired:
+            prunes[fired] += 1
+        else:
+            stack.append((i + 1, chosen))
+            stack.append((i + 1, chosen | (1 << order[i])))
+    return SearchResult(mask_to_set(best), optimal, nodes, MappingProxyType(prunes))
+
+
 def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Minimum-cardinality identifying code by branch and bound.
 
-    A node is pruned, in this order, when it cannot beat the incumbent
-    (size), when a hitting set it leaves unhit misses the undecided
-    vertices (infeasible), when two vertices keep equal traces on
-    the chosen and undecided vertices (class), or when the incumbent is no
+    The walk of _min_hitting_set over the sets of _hitting_sets, with a
+    rule that prunes a node when two vertices keep equal traces on the
+    chosen and undecided vertices (class), or when the incumbent is no
     larger than the chosen vertices plus ceil(log2) of the largest
-    signature class (log2) or plus a disjoint packing of the unhit sets
-    (packing). The walk stops early once the incumbent meets the larger of
-    the counting bound idcode_lower_bound(n) and the root packing bound.
+    signature class (log2). The walk stops early once the incumbent meets
+    the larger of the counting bound idcode_lower_bound(n) and the root
+    packing bound.
     """
     if g.n < 1:
         raise ValueError("exact_min_idcode needs n >= 1")
@@ -220,20 +242,9 @@ def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     n = g.n
     masks = g.closed_masks
     order = _branch_order(g)
-    suffix = _suffixes(order)
     sets = _hitting_sets(g)
-    prunes = dict.fromkeys(IDCODE_RULES, 0)
 
-    best_mask = _reverse_delete_idcode(g, greedy_idcode(g), order[::-1])
-    best_size = best_mask.bit_count()
-    lb = max(idcode_lower_bound(n), _packing_size(sets))
-
-    def expand(i: int, chosen: int) -> bool:
-        nonlocal best_size, best_mask
-        size = chosen.bit_count()
-        if size >= best_size:
-            prunes["size"] += 1
-            return False
+    def rule(chosen: int, undecided: int, live: list[int], room: int) -> Optional[str]:
         undom = False
         class_size: dict[int, int] = {}
         for m in masks:
@@ -243,82 +254,47 @@ def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
             class_size[sig] = class_size.get(sig, 0) + 1
         max_cls = max(class_size.values())
         if max_cls == 1 and not undom:
-            best_size, best_mask = size, chosen
-            if best_size <= lb:
-                raise _Done
-            return False
-        live = _unhit_sets(sets, chosen, suffix[i])
-        if live is None:
-            prunes["infeasible"] += 1
-            return False
+            return "solved"
         # two vertices of one class that no undecided vertex splits keep
         # equal traces on the pool; vertices of different classes already
         # differ on chosen
-        pool = chosen | suffix[i]
+        pool = chosen | undecided
         if len({m & pool for m in masks}) < n:
-            prunes["class"] += 1
-            return False
+            return "class"
         extra = ceil_log2(max_cls)
         if undom and extra == 0:
             extra = 1
-        if size + extra >= best_size:
-            prunes["log2"] += 1
-            return False
-        if size + _packing_size(live) >= best_size:
-            prunes["packing"] += 1
-            return False
-        return True
+        return "log2" if extra >= room else None
 
-    nodes, optimal = _search(order, budget, expand) if best_size > lb else (0, True)
-    return SearchResult(mask_to_set(best_mask), optimal, nodes, MappingProxyType(prunes))
+    best = _reverse_delete_idcode(g, greedy_idcode(g), order[::-1])
+    lb = max(idcode_lower_bound(n), _packing_size(sets))
+    return _min_hitting_set(sets, order, best, lb, IDCODE_RULES, budget, rule)
 
 
 def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Minimum dominating set by branch and bound (always exists).
 
-    The hitting sets are the closed neighborhoods. A node is pruned, in
-    this order, when it cannot beat the incumbent (size), when an
-    undominated vertex has no undecided vertex in its closed neighborhood
-    (infeasible), or when the incumbent is no larger than the chosen
-    vertices plus the undominated count over the largest number any one
-    undecided vertex covers (cover) or plus a disjoint packing of the
-    undominated vertices' neighborhoods among the undecided (packing).
+    The walk of _min_hitting_set over the closed neighborhoods, with a
+    rule that prunes a node when the incumbent is no larger than the
+    chosen vertices plus the undominated count over the largest number
+    any one undecided vertex covers (cover). The walk stops early once the
+    incumbent meets the larger of ceil(n / (max degree + 1)) and the root
+    packing bound.
     """
     if g.n < 1:
         raise ValueError("exact_min_dominating needs n >= 1")
-    n = g.n
     masks = g.closed_masks
     order = _branch_order(g)
-    suffix = _suffixes(order)
-    prunes = dict.fromkeys(DOMINATING_RULES, 0)
 
-    best_mask = _reverse_delete_dominating(g, greedy_dominating(g), order[::-1])
-    best_size = best_mask.bit_count()
-    max_deg = int(g.degrees.max())
-    lb = max(-(-n // (max_deg + 1)), _packing_size(masks))
-
-    def expand(i: int, chosen: int) -> bool:
-        nonlocal best_size, best_mask
-        size = chosen.bit_count()
-        if size >= best_size:
-            prunes["size"] += 1
-            return False
-        avail = suffix[i]
-        live = _unhit_sets(masks, chosen, avail)
-        if live is None:
-            prunes["infeasible"] += 1
-            return False
+    def rule(chosen: int, undecided: int, live: list[int], room: int) -> Optional[str]:
         if not live:
-            best_size, best_mask = size, chosen
-            if best_size <= lb:
-                raise _Done
-            return False
+            return "solved"
         undom = 0
         for v, m in enumerate(masks):
             if not m & chosen:
                 undom |= 1 << v
         best_cover = 0
-        a = avail
+        a = undecided
         while a:
             low = a & -a
             w = low.bit_length() - 1
@@ -326,16 +302,11 @@ def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult
             if cov > best_cover:
                 best_cover = cov
             a ^= low
-        if size - (-undom.bit_count() // best_cover) >= best_size:
-            prunes["cover"] += 1
-            return False
-        if size + _packing_size(live) >= best_size:
-            prunes["packing"] += 1
-            return False
-        return True
+        return "cover" if -(-undom.bit_count() // best_cover) >= room else None
 
-    nodes, optimal = _search(order, budget, expand) if best_size > lb else (0, True)
-    return SearchResult(mask_to_set(best_mask), optimal, nodes, MappingProxyType(prunes))
+    best = _reverse_delete_dominating(g, greedy_dominating(g), order[::-1])
+    lb = max(-(-g.n // (int(g.degrees.max()) + 1)), _packing_size(masks))
+    return _min_hitting_set(masks, order, best, lb, DOMINATING_RULES, budget, rule)
 
 
 def greedy_dominating(g: Graph) -> frozenset[int]:

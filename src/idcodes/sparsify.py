@@ -67,7 +67,7 @@ class SparsifyParams:
     variant: str = "theorem1"
 
     def __post_init__(self) -> None:
-        if self.c <= 0:
+        if not self.c > 0:  # NaN too
             raise ValueError("c must be positive")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
@@ -196,7 +196,7 @@ def sample_subgraph(
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (n,):
         raise ValueError(f"f must have one value per vertex, got shape {f.shape}")
-    if np.any(f < 0) or np.any(f > dc):
+    if not np.all((0 <= f) & (f <= dc)):  # NaN too
         raise ValueError("f is not bounded by the code degrees")
     if not g.m:
         return g, frozenset()
@@ -204,7 +204,8 @@ def sample_subgraph(
     es = g.edge_array()
     inc = es[in_code[es[:, 0]] | in_code[es[:, 1]]]
     p_edge = (terms[inc[:, 0]] + terms[inc[:, 1]]) / 4.0
-    assert np.all(p_edge <= 0.5), "deletion probability exceeded 1/2"
+    if not np.all(p_edge <= 0.5):
+        raise RuntimeError("deletion probability exceeded 1/2")
     draws = np.random.default_rng(seed).random(len(inc))
     dropped = inc[draws < p_edge]
     return g.delete_edges(dropped), frozenset(map(tuple, dropped.tolist()))
@@ -445,6 +446,9 @@ def pair_collision_frequency(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    for x in (u, v):
+        if not 0 <= x < g.n:
+            raise ValueError(f"vertex {x} out of range for n={g.n}")
     code_set = frozenset(code)
     if g.has_edge(u, v) or not (g.neighbors(u) & g.neighbors(v)):
         raise ValueError("pair must be at distance exactly 2")

@@ -116,7 +116,8 @@ def watching_from_subgraph_code(
     )
     system = WatchingSystem(watchers)
     check = verify_watching(g, system)
-    assert check.ok, f"subgraph-code system failed verification: {check}"
+    if not check.ok:
+        raise RuntimeError(f"subgraph-code system failed verification: {check}")
     return system
 
 
@@ -143,7 +144,8 @@ def watching_binary(g: Graph, d: Iterable[int]) -> WatchingSystem:
                 watchers.append(Watcher(host=v, zone=zone))
     system = WatchingSystem(tuple(watchers))
     check = verify_watching(g, system)
-    assert check.ok, f"binary labelling failed verification: {check}"
+    if not check.ok:
+        raise RuntimeError(f"binary labelling failed verification: {check}")
     return system
 
 

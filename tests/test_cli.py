@@ -183,6 +183,15 @@ def test_sparsify_retries_exhausted_exit_one():
     assert "retries_exhausted" in r.stdout
 
 
+def test_sparsify_nan_const_c_exits_two():
+    r = run([
+        "sparsify", "--family", "complete", "--n", "8",
+        "--const-c", "nan", "--seed", "0",
+    ])
+    assert r.returncode == 2 and "c must be positive" in r.stderr
+    assert r.stdout == ""
+
+
 def test_complement_code_subcommand(tmp_path):
     gfile = tmp_path / "p4.txt"
     run(["gen", "--family", "path", "--n", "4", "--out", str(gfile)])

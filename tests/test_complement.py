@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from idcodes import (
     InvalidCodeError,
     NoSeparatorError,
     NotTwinFreeError,
+    UndominatedVertex,
+    Verdict,
     complement,
     complement_code,
     complete,
@@ -228,3 +231,25 @@ def test_complement_code_property(graph):
         for v in range(n):
             traces.setdefault(frozenset(adj[v] & base), set()).add(v)
         assert set(equivalence_classes(g, base).classes) == set(map(frozenset, traces.values()))
+
+
+def test_complement_checks_raise_runtime_error(monkeypatch):
+    # the checks must hold under python -O too, so they are not asserts
+    mod = importlib.import_module("idcodes.complement")
+    real = mod.is_identifying_code
+    g = path(4)
+
+    def fails_off_g(h, c, mode="full"):
+        return real(h, c, mode) if h is g else Verdict(False, UndominatedVertex(0))
+
+    with monkeypatch.context() as m:
+        m.setattr(mod, "is_identifying_code", fails_off_g)
+        with pytest.raises(RuntimeError, match="fails on the complement"):
+            complement_code(g)
+    # a verifier that passes a non-code trips the partition's own checks
+    with monkeypatch.context() as m:
+        m.setattr(mod, "is_identifying_code", lambda *a: Verdict(True))
+        with pytest.raises(RuntimeError, match="adjacent vertices"):
+            equivalence_classes(path(3), [])
+        with pytest.raises(RuntimeError, match="two members outside"):
+            equivalence_classes(Graph(2), [])

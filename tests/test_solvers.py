@@ -116,23 +116,35 @@ def test_budget_exhaustion_deep_search_returns_incumbent(monkeypatch):
     # the walk passes depth 1000 before this budget runs out; a recursive
     # walk dies there with RecursionError
     depth = 0
-    search = solvers._search
-
-    def deepest(order, budget, expand):
-        def spy(i, chosen):
-            nonlocal depth
-            depth = max(depth, i)
-            return expand(i, chosen)
-
-        return search(order, budget, spy)
-
-    monkeypatch.setattr(solvers, "_search", deepest)
+    unhit = solvers._unhit_sets
     g = gnp(1050, 0.3, 0)
+
+    def spy(sets, chosen, undecided):
+        nonlocal depth
+        depth = max(depth, g.n - undecided.bit_count())
+        return unhit(sets, chosen, undecided)
+
+    monkeypatch.setattr(solvers, "_unhit_sets", spy)
     res = exact_min_idcode(g, budget=2200)
     assert not res.optimal and res.nodes == 2201
     assert depth > 1000
     assert is_identifying_code(g, res.code).ok
     assert res.size <= len(greedy_idcode(g))
+
+
+def test_exact_search_matches_golden():
+    # the whole search, not only its sizes: nodes, optimal flag, code and
+    # prune counts of both solvers; the slow case is left out for time
+    doc = json.loads((GOLDEN / "exact_search.json").read_text())
+    families = {"cycle": cycle, "path": path, "gnp": gnp}
+    for case in doc["cases"]:
+        if case.get("slow"):
+            continue
+        g = families[case["family"]](*case["args"])
+        for solver, kind in ((exact_min_idcode, "idcode"), (exact_min_dominating, "dominating")):
+            res = solver(g)
+            got = {"nodes": res.nodes, "optimal": res.optimal, "code": sorted(res.code), "prunes": dict(res.prunes)}
+            assert got == case[kind], (case["family"], case["args"], kind)
 
 
 def test_exact_idcode_proves_long_cycles_and_paths():

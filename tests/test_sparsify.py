@@ -52,6 +52,12 @@ def test_params_validation():
             SparsifyParams(**bad)
 
 
+def test_params_reject_nan_c():
+    # NaN fails every comparison, so "c <= 0" let it through
+    with pytest.raises(ValueError, match="c must be positive"):
+        SparsifyParams(c=float("nan"))
+
+
 def test_degenerate_graphs_rejected():
     lonely = Graph(3, [(0, 1)])
     with pytest.raises(DegenerateGraphError):
@@ -153,6 +159,15 @@ def test_sample_subgraph_rejects_unbounded_f():
         sample_subgraph(g, code, f + 1.0, seed=0)
     with pytest.raises(ValueError):
         sample_subgraph(g, code, f[:2], seed=0)
+
+
+def test_sample_subgraph_rejects_nan_f():
+    g = cycle(4)
+    code = [0, 2]
+    f = bounded_f(g, code, 2.0)
+    f[1] = np.nan
+    with pytest.raises(ValueError, match="not bounded"):
+        sample_subgraph(g, code, f, seed=0)
 
 
 def test_sample_subgraph_deletion_rates():
@@ -339,6 +354,13 @@ def test_pair_collision_frequency_validation():
         pair_collision_frequency(g, [2], 2.0, 0, 3)  # distance 3
     with pytest.raises(ValueError):
         pair_collision_frequency(g, [2], 2.0, 0, 2, trials=0)
+
+
+def test_pair_collision_frequency_rejects_out_of_range_vertices():
+    g = cycle(6)
+    for u, v in ((-1, 1), (1, -1), (0, 9), (9, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            pair_collision_frequency(g, [2], 2.0, u, v)
 
 
 def test_pair_collision_frequency_code_endpoint_is_zero():

@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from idcodes import (
     SparsifyParams,
     UndominatedVertex,
     UnseparatedPair,
+    Verdict,
     Watcher,
     WatchingSystem,
     ZoneOutOfNeighborhoodError,
@@ -192,3 +194,14 @@ def test_watching_sandwich_on_small_twin_free_graphs():
         assert gamma <= min(sizes) <= max(sizes)
         assert min(sizes) <= gid or min(sizes) <= watch_bounds(g).upper
         assert watch_bounds(g).lower <= min(sizes)
+
+
+def test_watching_checks_raise_runtime_error(monkeypatch):
+    # the checks must hold under python -O too, so they are not asserts
+    mod = importlib.import_module("idcodes.watching")
+    g = cycle(7)
+    monkeypatch.setattr(mod, "verify_watching", lambda *a: Verdict(False, UndominatedVertex(0)))
+    with pytest.raises(RuntimeError, match="subgraph-code system failed"):
+        watching_from_subgraph_code(g, g, exact_min_idcode(g).code)
+    with pytest.raises(RuntimeError, match="binary labelling failed"):
+        watching_binary(g, exact_min_dominating(g).code)
