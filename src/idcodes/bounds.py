@@ -36,8 +36,8 @@ def idcode_lower_bound(n: int) -> int:
 def chernoff_constant(eps: float) -> float:
     """min((1+eps)ln(1+eps) - eps, eps^2/2), the binomial tail exponent
     constant for relative deviation eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (eps > 0 and math.isfinite(eps)):  # NaN too
+        raise ValueError("eps must be positive and finite")
     return min((1.0 + eps) * math.log1p(eps) - eps, eps * eps / 2.0)
 
 
@@ -53,8 +53,8 @@ def alpha0(mp: float) -> float:
     0+ and equals ln(mp+1) + 1/2 at a=1, so the root is unique and
     bisection brackets it. 60 halvings put the error far below 1e-9.
     """
-    if mp < 0:
-        raise ValueError("mp must be >= 0")
+    if not (mp >= 0 and math.isfinite(mp)):  # NaN too
+        raise ValueError("mp must be >= 0 and finite")
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = (lo + hi) / 2.0

@@ -22,7 +22,14 @@ from . import graphs, watching
 from .codes import is_identifying_code
 from .complement import ComplementNotTwinFreeError, complement_code
 from .graphs import FamilySpec, FormatError, Graph
-from .solvers import NotTwinFreeError, exact_min_dominating, exact_min_idcode, greedy_dominating, greedy_idcode
+from .solvers import (
+    DEFAULT_BUDGET,
+    NotTwinFreeError,
+    exact_min_dominating,
+    exact_min_idcode,
+    greedy_dominating,
+    greedy_idcode,
+)
 from .sparsify import (
     DegenerateGraphError,
     InfeasibleProbabilityError,
@@ -132,10 +139,11 @@ def _graph_args(p: argparse.ArgumentParser) -> None:
 
 
 def _sparsify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--const-c", type=float, default=66.0, dest="const_c")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-retries", type=int, default=1000)
-    p.add_argument("--variant", choices=("theorem1", "uniform"), default="theorem1")
+    defaults = SparsifyParams()
+    p.add_argument("--const-c", type=float, default=defaults.c, dest="const_c")
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--max-retries", type=int, default=defaults.max_retries)
+    p.add_argument("--variant", choices=("theorem1", "uniform"), default=defaults.variant)
     p.add_argument("--no-clamp", action="store_true")
 
 
@@ -156,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact minimum identifying code")
     _graph_args(p)
     p.add_argument("--dominating", action="store_true", help="solve domination instead")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--out", metavar="FILE", help="write the set, one vertex per line")
 
     p = sub.add_parser("greedy", help="greedy identifying code")
@@ -223,15 +231,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_solve(args) -> int:
     g, _ = _load_graph(args)
-    try:
-        res = (
-            exact_min_dominating(g, args.budget)
-            if args.dominating
-            else exact_min_idcode(g, args.budget)
-        )
-    except NotTwinFreeError as exc:
-        print(f"not ok: {exc}", file=sys.stderr)
-        return 1
+    solver = exact_min_dominating if args.dominating else exact_min_idcode
+    res = solver(g, args.budget)
     if args.out:
         _write_set(args.out, res.code)
     print(res.size)
@@ -244,11 +245,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_greedy(args) -> int:
     g, _ = _load_graph(args)
-    try:
-        code = greedy_dominating(g) if args.dominating else greedy_idcode(g)
-    except NotTwinFreeError as exc:
-        print(f"not ok: {exc}", file=sys.stderr)
-        return 1
+    code = greedy_dominating(g) if args.dominating else greedy_idcode(g)
     if args.out:
         _write_set(args.out, code)
     print(len(code))
@@ -332,11 +329,7 @@ def _cmd_sparsify(args) -> int:
 def _cmd_complement(args) -> int:
     g, _ = _load_graph(args)
     base = _read_set(args.code) if args.code else None
-    try:
-        code = complement_code(g, base)
-    except (NotTwinFreeError, ComplementNotTwinFreeError) as exc:
-        print(f"not ok: {exc}", file=sys.stderr)
-        return 1
+    code = complement_code(g, base)
     if args.out:
         _write_set(args.out, code)
     print(len(code))
@@ -345,22 +338,12 @@ def _cmd_complement(args) -> int:
 
 def _cmd_watch(args) -> int:
     g, _ = _load_graph(args)
+    exact = g.n <= watching.EXACT_GAMMA_LIMIT
     if args.method == "binary":
-        if g.n <= watching.EXACT_GAMMA_LIMIT:
-            dom = exact_min_dominating(g).code
-        else:
-            dom = greedy_dominating(g)
+        dom = exact_min_dominating(g).code if exact else greedy_dominating(g)
         system = watching.watching_binary(g, dom)
     else:
-        try:
-            code = (
-                exact_min_idcode(g).code
-                if g.n <= watching.EXACT_GAMMA_LIMIT
-                else greedy_idcode(g)
-            )
-        except NotTwinFreeError as exc:
-            print(f"not ok: {exc}", file=sys.stderr)
-            return 1
+        code = exact_min_idcode(g).code if exact else greedy_idcode(g)
         system = watching.watching_from_subgraph_code(g, g, code)
     verdict = watching.verify_watching(g, system)
     if not verdict.ok:
@@ -398,33 +381,48 @@ class ExperimentConfig:
             raise ValueError("at least one family is required")
 
 
+def _field(obj: dict, key: str, default, kind: type):
+    """obj[key], or default when absent; FormatError unless it is of the
+    JSON type kind (an int counts as a float, a bool as neither)."""
+    val = obj.get(key, default)
+    kinds = (int, float) if kind is float else kind
+    if not isinstance(val, kinds) or (isinstance(val, bool) and kind is not bool):
+        raise FormatError(f"config field {key!r} must be a JSON {kind.__name__}, got {val!r}")
+    return val
+
+
 def load_experiment_config(text: str) -> ExperimentConfig:
     raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise FormatError("config must be a JSON object")
     fams = []
-    for item in raw.get("families", []):
-        kind = _FAMILY_ALIASES.get(item.get("kind", ""))
+    for item in _field(raw, "families", [], list):
+        if not isinstance(item, dict):
+            raise FormatError(f"family entry must be a JSON object, got {item!r}")
+        kind = _FAMILY_ALIASES.get(_field(item, "kind", "", str))
         if kind is None:
             raise FormatError(f"unknown family kind {item.get('kind')!r}")
         fams.append(
             FamilySpec(
                 kind=kind,
-                n=item.get("n", 0),
-                p=item.get("p", 0.0),
-                seed=item.get("seed", 0),
-                r=item.get("r", 0),
-                s=item.get("s", item.get("leaves", 0)),
-                delta=item.get("delta", 0),
-                k=item.get("cliques", item.get("k", 0)),
+                n=_field(item, "n", 0, int),
+                p=_field(item, "p", 0.0, float),
+                seed=_field(item, "seed", 0, int),
+                r=_field(item, "r", 0, int),
+                s=_field(item, "s", _field(item, "leaves", 0, int), int),
+                delta=_field(item, "delta", 0, int),
+                k=_field(item, "cliques", _field(item, "k", 0, int), int),
             )
         )
+    defaults = SparsifyParams()
     params = SparsifyParams(
-        c=raw.get("c", 66.0),
-        seed=raw.get("master_seed", 0),
-        max_retries=raw.get("max_retries", 1000),
-        clamp=raw.get("clamp", True),
-        variant=raw.get("variant", "theorem1"),
+        c=_field(raw, "c", defaults.c, float),
+        seed=_field(raw, "master_seed", defaults.seed, int),
+        max_retries=_field(raw, "max_retries", defaults.max_retries, int),
+        clamp=_field(raw, "clamp", defaults.clamp, bool),
+        variant=_field(raw, "variant", defaults.variant, str),
     )
-    return ExperimentConfig(tuple(fams), params, raw.get("trials", 1))
+    return ExperimentConfig(tuple(fams), params, _field(raw, "trials", 1, int))
 
 
 def run_experiment(cfg: ExperimentConfig, out: TextIO) -> None:
@@ -506,6 +504,9 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except (NotTwinFreeError, ComplementNotTwinFreeError) as exc:
+        print(f"not ok: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,23 +1,27 @@
 """Exact minimum identifying-code and dominating-set search plus greedy
 heuristics.
 
-Both exact solvers are one hitting-set search, _min_hitting_set. An
-identifying code must hit N[v] for every v and N[u] ^ N[v] for every pair
-u, v at distance <= 2; a dominating set must hit every N[v]. Branch and
-bound runs over include/exclude decisions on vertices in descending-degree
-order, from the greedy solution after a reverse-delete pass. At each node
-the sets that the chosen vertices do not hit yet are restricted to the
-undecided vertices. The shared prunes fire, in this order, when the node
-cannot beat the incumbent (size), when one of those sets is empty
-(infeasible), when the solver's own rule fires, or when a greedy packing
-of pairwise disjoint ones, smallest first, needs as many picks as the
-incumbent has left (packing), since one pick hits at most one set of a
-packing. The identifying-code rule tests for two vertices that no
-undecided vertex can split (class) and bounds the picks by ceil(log2) of
-the largest signature class (log2); the dominating rule bounds them by
-the undominated count over the best single coverage (cover). Budgets
-count node expansions; an exhausted budget returns the incumbent flagged
-non-optimal instead of failing.
+Both exact solvers are one hitting-set search, _min_hitting_set, and
+each passes it four things: its hitting sets, its greedy start set, its
+own lower bound and its rule. An identifying code must hit N[v] for
+every v and N[u] ^ N[v] for every pair u, v at distance <= 2; a
+dominating set must hit every N[v]. Branch and bound runs over
+include/exclude decisions on vertices in descending-degree order. The
+incumbent is the greedy start set after one reverse-delete pass, lowest
+degree first, that drops a vertex when the rest still hits every set and
+the rule calls it solved, the same test the walk applies at a leaf. At
+each node the sets that the chosen vertices do not hit yet are
+restricted to the undecided vertices. The shared prunes fire, in this
+order, when the node cannot beat the incumbent (size), when one of those
+sets is empty (infeasible), when the solver's own rule fires, or when a
+greedy packing of pairwise disjoint ones, smallest first, needs as many
+picks as the incumbent has left (packing), since one pick hits at most
+one set of a packing. The identifying-code rule tests for two vertices
+that no undecided vertex can split (class) and bounds the picks by
+ceil(log2) of the largest signature class (log2); the dominating rule
+bounds them by the undominated count over the best single coverage
+(cover). Budgets count node expansions; an exhausted budget returns the
+incumbent flagged non-optimal instead of failing.
 """
 
 from __future__ import annotations
@@ -64,19 +68,6 @@ class SearchResult:
     @property
     def size(self) -> int:
         return len(self.code)
-
-
-def _branch_order(g: Graph) -> list[int]:
-    """Vertices by descending degree, ties to the lower index."""
-    return np.argsort(-g.degrees, kind="stable").tolist()
-
-
-def _suffixes(order: list[int]) -> list[int]:
-    """suffix[i]: bitmask of order[i:], the undecided vertices at depth i."""
-    suffix = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << order[i])
-    return suffix
 
 
 def _hitting_sets(g: Graph) -> list[int]:
@@ -127,71 +118,43 @@ def _packing_size(live: list[int]) -> int:
     return k
 
 
-def _reverse_delete_idcode(g: Graph, code: frozenset[int], order: list[int]) -> int:
-    """Bitmask of code after dropping each vertex, in order, whose removal
-    leaves an identifying code. A drop changes only the signatures on
-    N[v], which must stay non-empty and unique."""
-    masks = g.closed_masks
-    cmask = code_mask(g, code)
-    sig = [m & cmask for m in masks]
-    owner = {s: x for x, s in enumerate(sig)}
-    for v in order:
-        if not cmask >> v & 1:
-            continue
-        bit = 1 << v
-        hood = list(mask_to_set(masks[v]))
-        new = [sig[x] ^ bit for x in hood]
-        if not all(new):
-            continue
-        for x in hood:
-            del owner[sig[x]]
-        if len(set(new)) == len(new) and not any(s in owner for s in new):
-            sig_of = zip(hood, new)
-            cmask ^= bit
-        else:
-            sig_of = ((x, sig[x]) for x in hood)
-        for x, s in sig_of:
-            sig[x] = s
-            owner[s] = x
-    return cmask
-
-
-def _reverse_delete_dominating(g: Graph, dom: frozenset[int], order: list[int]) -> int:
-    """Bitmask of dom after dropping each vertex, in order, whose closed
-    neighborhood stays dominated by the rest."""
-    masks = g.closed_masks
-    cmask = code_mask(g, dom)
-    # per vertex the number of dominating vertices in its closed neighborhood
-    hits = [(m & cmask).bit_count() for m in masks]
-    for v in order:
-        if not cmask >> v & 1:
-            continue
-        hood = mask_to_set(masks[v])
-        if all(hits[x] > 1 for x in hood):
-            cmask ^= 1 << v
-            for x in hood:
-                hits[x] -= 1
-    return cmask
-
-
 def _min_hitting_set(
-    sets: list[int], order: list[int], best: int, lb: int, rules: tuple[str, ...], budget: int, rule
+    g: Graph, sets: list[int], start: frozenset[int], bound: int, rule, rules: tuple[str, ...], budget: int
 ) -> SearchResult:
-    """Smallest vertex set that hits every set in sets and that rule calls
-    solved, by a depth-first walk over include/exclude decisions on the
-    vertices in order, the include branch first. best is the incumbent's
-    bitmask; the walk stops once its size meets the lower bound lb.
+    """Smallest vertex set of g that hits every set in sets and that rule
+    calls solved, by a depth-first walk over include/exclude decisions on
+    the vertices by descending degree, ties to the lower index, the include
+    branch first. A solver passes four things of its own: its hitting sets
+    (sets), its greedy start set (start), its lower bound (bound) and its
+    rule; rules names the prunes that SearchResult.prunes counts.
 
     At each node rule(chosen, undecided, live, room) sees the unhit sets
     restricted to the undecided vertices (live) and the picks left before
     the incumbent's size (room). It returns "solved", the name of the rule
     that prunes the node, or None; the size and infeasible prunes run
-    before it and the packing prune after. An explicit stack replaces
-    recursion, so the depth is not bounded by the interpreter's recursion
-    limit. Past budget nodes the incumbent is returned flagged non-optimal.
+    before it and the packing prune after.
+
+    The incumbent is start after one reverse-delete pass in the opposite
+    order, lowest degree first: it drops v when rest = best without v is a
+    leaf the walk would accept, that is rest hits every set and
+    rule(rest, 0, [], 1) == "solved". The walk stops once the incumbent
+    meets the larger of bound and the root packing bound. An explicit stack
+    replaces recursion, so the depth is not bounded by the interpreter's
+    recursion limit. Past budget nodes the incumbent is returned flagged
+    non-optimal.
     """
+    order = np.argsort(-g.degrees, kind="stable").tolist()
+    # suffix[i]: bitmask of order[i:], the undecided vertices at depth i
+    suffix = [0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | (1 << order[i])
+    best = code_mask(g, start)
+    for v in reversed(order):
+        rest = best & ~(1 << v)
+        if rest != best and all(s & rest for s in sets) and rule(rest, 0, [], 1) == "solved":
+            best = rest
+    lb = max(bound, _packing_size(sets))
     prunes = dict.fromkeys(rules, 0)
-    suffix = _suffixes(order)
     best_size = best.bit_count()
     nodes, optimal = 0, True
     stack = [(0, 0)] if best_size > lb else []
@@ -241,7 +204,6 @@ def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
         raise NotTwinFreeError(twins[0])
     n = g.n
     masks = g.closed_masks
-    order = _branch_order(g)
     sets = _hitting_sets(g)
 
     def rule(chosen: int, undecided: int, live: list[int], room: int) -> Optional[str]:
@@ -266,9 +228,7 @@ def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
             extra = 1
         return "log2" if extra >= room else None
 
-    best = _reverse_delete_idcode(g, greedy_idcode(g), order[::-1])
-    lb = max(idcode_lower_bound(n), _packing_size(sets))
-    return _min_hitting_set(sets, order, best, lb, IDCODE_RULES, budget, rule)
+    return _min_hitting_set(g, sets, greedy_idcode(g), idcode_lower_bound(n), rule, IDCODE_RULES, budget)
 
 
 def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -284,7 +244,6 @@ def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult
     if g.n < 1:
         raise ValueError("exact_min_dominating needs n >= 1")
     masks = g.closed_masks
-    order = _branch_order(g)
 
     def rule(chosen: int, undecided: int, live: list[int], room: int) -> Optional[str]:
         if not live:
@@ -304,9 +263,8 @@ def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult
             a ^= low
         return "cover" if -(-undom.bit_count() // best_cover) >= room else None
 
-    best = _reverse_delete_dominating(g, greedy_dominating(g), order[::-1])
-    lb = max(-(-g.n // (int(g.degrees.max()) + 1)), _packing_size(masks))
-    return _min_hitting_set(masks, order, best, lb, DOMINATING_RULES, budget, rule)
+    bound = -(-g.n // (int(g.degrees.max()) + 1))
+    return _min_hitting_set(g, masks, greedy_dominating(g), bound, rule, DOMINATING_RULES, budget)
 
 
 def greedy_dominating(g: Graph) -> frozenset[int]:

@@ -176,6 +176,8 @@ def bounded_f(g: Graph, code: Iterable[int], c: float) -> np.ndarray:
     non-increasing in the degree, which caps every deletion probability
     at 1/2.
     """
+    if not (c >= 0 and math.isfinite(c)):  # NaN too
+        raise ValueError("c must be >= 0 and finite")
     _, dmax = degree_stats(g)
     cap = c * math.log(dmax) if dmax >= 1 else 0.0
     dc = g.neighbor_counts(_members(code, g.n))

@@ -40,8 +40,9 @@ def test_chernoff_constant_windows():
     ch = chernoff_constant(0.5)
     assert 0.1 < ch < 0.1083
     assert abs(ch - 0.125) > 1e-3, "the epsilon^2/2 branch must win at 1/2"
-    with pytest.raises(ValueError):
-        chernoff_constant(0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            chernoff_constant(bad)
 
 
 def test_chernoff_constant_is_min_of_branches():
@@ -55,8 +56,9 @@ def test_alpha0_values():
     assert alpha0(0.0) == pytest.approx(0.5, abs=1e-9)
     assert alpha0(1.0) == pytest.approx(0.171, abs=1e-3)
     assert alpha0(2.0) == pytest.approx(0.13227, abs=1e-3)
-    with pytest.raises(ValueError):
-        alpha0(-0.5)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            alpha0(bad)
 
 
 def test_alpha0_root_property_and_monotonicity():

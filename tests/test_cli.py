@@ -57,6 +57,20 @@ def test_gen_dot_format():
     r = run(["gen", "--family", "cycle", "--n", "4", "--format", "dot"])
     assert r.returncode == 0 and r.stdout.startswith("graph")
     assert "0 -- 1;" in r.stdout
+    # the README's example
+    r = run(["gen", "--family", "gnp", "--n", "40", "--p", "0.5", "--graph-seed", "12", "--format", "dot"])
+    assert r.returncode == 0 and r.stdout.startswith("graph")
+
+
+def test_readme_command_lines_parse():
+    # every `idcodes ...` line of the README is accepted by the parser
+    from idcodes import cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [ln.split("#")[0].split()[1:] for ln in readme.splitlines() if ln.startswith("idcodes ")]
+    assert len(lines) >= 10
+    for argv in lines:
+        cli.build_parser().parse_args(argv)
 
 
 def test_verify_twins_exit_code(tmp_path):
@@ -84,6 +98,9 @@ def test_greedy_subcommand(tmp_path):
     assert int(r.stdout.strip()) == len(greedy_idcode(cycle(6)))
     r = run(["greedy", "--family", "cycle", "--n", "6", "--dominating"])
     assert r.returncode == 0 and int(r.stdout.strip()) == 2
+    # the README's example
+    r = run(["greedy", "--family", "gnp", "--n", "60", "--p", "0.3", "--graph-seed", "2"])
+    assert r.returncode == 0 and int(r.stdout.strip()) == len(greedy_idcode(gnp(60, 0.3, 2)))
 
 
 def test_run_cli_reuses_parser_without_leaking_state(tmp_path, capsys):
@@ -222,6 +239,9 @@ def test_bounds_subcommand():
     assert run(["bounds", "idcode_lower_bound", "--n", "7"]).stdout.strip() == "3"
     assert run(["bounds", "bipartite_subgraph_bound", "--r", "2"]).stdout.strip() == "12"
     assert run(["bounds", "gnp_idcode_prediction", "--n", "1000"]).returncode == 2
+    for mp in ("nan", "inf"):
+        r = run(["bounds", "alpha0", "--mp", mp])
+        assert r.returncode == 2 and r.stdout == "", mp
 
 
 EXP_CFG = {
@@ -283,6 +303,18 @@ def test_experiment_bad_config_exits_two(tmp_path):
     assert run(["experiment", "--config", str(broken)]).returncode == 2
     broken.write_text(json.dumps({"families": [], "trials": 1}))
     assert run(["experiment", "--config", str(broken)]).returncode == 2
+    cycle5 = {"kind": "cycle", "n": 5}
+    for cfg in (
+        [1],
+        {"families": [3]},
+        {"families": [cycle5], "trials": "2"},
+        {"families": [{"kind": "cycle", "n": "5"}]},
+        {"families": [{"kind": "cycle", "n": 5.5}]},
+    ):
+        broken.write_text(json.dumps(cfg))
+        r = run(["experiment", "--config", str(broken)])
+        assert (r.returncode, r.stdout) == (2, ""), cfg
+        assert "Traceback" not in r.stderr, cfg
 
 
 def _assert_prints_lower_bound(r):

@@ -132,6 +132,21 @@ def test_budget_exhaustion_deep_search_returns_incumbent(monkeypatch):
     assert res.size <= len(greedy_idcode(g))
 
 
+def test_start_incumbent_is_valid_and_minimal():
+    # with budget 0 the search returns its start incumbent: a valid code
+    # (dominating set) from which no single vertex can be dropped
+    extra = [(repr(g), g) for g in (cycle(23), path(28), gnp(28, 0.3, 1), gnp(40, 0.2, 1))]
+    for name, g in list(small_corpus())[::3] + extra:
+        cases = [(exact_min_dominating, is_dominating)]
+        if not find_twins(g):
+            cases.append((exact_min_idcode, is_identifying_code))
+        for solver, verify in cases:
+            code = solver(g, budget=0).code
+            assert verify(g, code).ok, (name, solver.__name__)
+            for v in code:
+                assert not verify(g, code - {v}).ok, (name, solver.__name__, v)
+
+
 def test_exact_search_matches_golden():
     # the whole search, not only its sizes: nodes, optimal flag, code and
     # prune counts of both solvers; the slow case is left out for time

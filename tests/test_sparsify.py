@@ -100,6 +100,9 @@ def test_bounded_f_definition():
         dcu = len(adj[u] & set(code))
         assert f[u] == pytest.approx(min(cap, dcu))
     assert bounded_f(g, [], 2.0).tolist() == [0.0] * g.n
+    for bad in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError):
+            bounded_f(g, code, bad)
 
 
 def test_bounded_f_code_degrees_multiword():
@@ -354,6 +357,9 @@ def test_pair_collision_frequency_validation():
         pair_collision_frequency(g, [2], 2.0, 0, 3)  # distance 3
     with pytest.raises(ValueError):
         pair_collision_frequency(g, [2], 2.0, 0, 2, trials=0)
+    for bad in (math.nan, -1.0):
+        with pytest.raises(ValueError):
+            pair_collision_frequency(g, [2, 5], bad, 1, 3)
 
 
 def test_pair_collision_frequency_rejects_out_of_range_vertices():
