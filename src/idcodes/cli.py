@@ -299,24 +299,26 @@ def _cmd_sparsify(args) -> int:
         clamp=not args.no_clamp,
         variant=args.variant,
     )
-    print(_CSV_COLUMNS)
-    print("trial,code_size,deleted,a_violations,b_violations", file=sys.stderr)
+    res, note, trials = None, None, ()
     try:
         res = sparsify(g, params)
+        status, trials = "ok", res.trials
     except (DegenerateGraphError, InfeasibleProbabilityError) as exc:
-        print(f"not ok: {exc}", file=sys.stderr)
-        print(_result_row(label, g, params, 0, None, "infeasible", args.p, None))
-        return 1
+        status, note = "infeasible", f"not ok: {exc}"
     except RetriesExhaustedError as exc:
-        t = exc.last_trial
+        status, trials = "retries_exhausted", (exc.last_trial,)
+    # the headers go out only once sparsify has accepted the graph; any
+    # other ValueError leaves through run_cli with nothing on stdout
+    print(_CSV_COLUMNS)
+    print("trial,code_size,deleted,a_violations,b_violations", file=sys.stderr)
+    if note:
+        print(note, file=sys.stderr)
+    for t in trials:
         print(f"{t.trial},{t.code_size},{t.deleted},{t.a_violations},{t.b_violations}",
               file=sys.stderr)
-        print(_result_row(label, g, params, 0, None, "retries_exhausted", args.p, None))
+    print(_result_row(label, g, params, 0, res, status, args.p, None))
+    if res is None:
         return 1
-    for t in res.trials:
-        print(f"{t.trial},{t.code_size},{t.deleted},{t.a_violations},{t.b_violations}",
-              file=sys.stderr)
-    print(_result_row(label, g, params, 0, res, "ok", args.p, None))
     if args.out_code:
         _write_set(args.out_code, res.final_code)
     if args.out_deleted:

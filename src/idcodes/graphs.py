@@ -90,23 +90,29 @@ class Graph:
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         out = (lo < 0) | (hi >= n)
         loop = u == v
-        # duplicates: a stable sort puts the later copies of a key after the
-        # first; bad rows get distinct negative keys so they match nothing
-        keys = np.where(out | loop, -1 - np.arange(len(rows)), lo * n + hi)
-        order = np.argsort(keys, kind="stable")
-        dup = np.zeros(len(rows), dtype=bool)
-        dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-        bad = out | loop | dup
-        if bad.any():
-            i = int(np.argmax(bad))
-            a, b = src[i]
-            if out[i]:
-                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
-            if loop[i]:
-                raise ValueError(f"self-loop at vertex {a}")
-            raise ValueError(f"duplicate edge {_norm_edge(a, b)}")
+        keys = lo * n + hi
+        # in-range rows without loops whose keys strictly increase are
+        # already sorted and unique, as parse_edge_list output usually is
+        if (out | loop).any() or np.any(keys[1:] <= keys[:-1]):
+            # duplicates: a stable sort puts the later copies of a key after
+            # the first; bad rows get distinct negative keys so they match
+            # nothing
+            keys = np.where(out | loop, -1 - np.arange(len(rows)), keys)
+            order = np.argsort(keys, kind="stable")
+            dup = np.zeros(len(rows), dtype=bool)
+            dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+            bad = out | loop | dup
+            if bad.any():
+                i = int(np.argmax(bad))
+                a, b = src[i]
+                if out[i]:
+                    raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+                if loop[i]:
+                    raise ValueError(f"self-loop at vertex {a}")
+                raise ValueError(f"duplicate edge {_norm_edge(a, b)}")
+            lo, hi = lo[order], hi[order]
         self._n = n
-        self._edges = np.stack((lo, hi), axis=1)[order]
+        self._edges = np.stack((lo, hi), axis=1)
         self._edges.setflags(write=False)
 
     @classmethod

@@ -21,14 +21,22 @@ hashing), a pair fails when its two ids agree, and bincount tallies the
 failures per component. The uniform variant's dominating sets come from
 one greedy cover stepping through all active components together.
 
-Randomness is derived per (seed, component, round) through the numpy
-seed-sequence splitter, one generator per active component in component
-order, vertex draws before edge draws, so results are reproducible and
-independent of which components are still active.
+Randomness is derived per (seed, component, round): component i draws in
+round r from the stream of numpy.random.default_rng((seed, i, r)), its
+vertex draws before its edge draws, so results are reproducible and
+independent of which components are still active. No generator is built
+per stream. The seed-sequence hash and the PCG64 seeding step run as
+array passes over a block of (component, round) keys at once (the
+components active at the block's first round, for enough rounds to make
+about 64 keys), and one reused PCG64 is set to each stream's state in
+turn. Each stream is drawn in one call: its vertex doubles and one double
+per edge of its component, of which the code-incident edges take the
+first ones.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -41,6 +49,128 @@ from .graphs import Edge, Graph, concat_ranges, degree_stats, dist2_pair_array
 from .solvers import greedy_dominating
 
 _ONE = np.uint64(1)
+
+# numpy's SeedSequence (pool of four uint32 words) and PCG64 constants
+_U32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U128 = (1 << 128) - 1
+# keys per derived block
+_BLOCK = 64
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, k: int) -> np.ndarray:
+    """init * mult**j mod 2**32 for j = 0..k: the seed-sequence hash
+    constants, which do not depend on the entropy."""
+    out = [init]
+    for _ in range(k):
+        out.append(out[-1] * mult & _U32)
+    consts = np.array(out, dtype=np.uint32)[:, None]
+    consts.setflags(write=False)
+    return consts
+
+
+def _stream_words(seed: int, comps: np.ndarray, rounds: np.ndarray) -> np.ndarray:
+    """The PCG64 seed words of default_rng((seed, i, r)) for every round r
+    in rounds and component i in comps, shape (len(rounds), len(comps), 4):
+    the initial state's high and low halves, then the sequence's, as uint64.
+
+    This is SeedSequence.generate_state(4, uint64) over the entropy words
+    of (seed, i, r), run for all keys at once: the seed's little-endian
+    32-bit words, then i, then r.
+    """
+    if max(int(comps[-1]), int(rounds[-1])) > _U32:
+        raise OverflowError("component and round indices must be below 2**32")
+    head = []
+    while True:
+        head.append(seed & _U32)
+        seed >>= 32
+        if not seed:
+            break
+    ent = np.empty((len(head) + 2, len(rounds), len(comps)), dtype=np.uint32)
+    ent[: len(head)] = np.array(head, dtype=np.uint32)[:, None, None]
+    ent[-2], ent[-1] = comps, rounds[:, None]
+    ent = ent.reshape(len(ent), -1)
+    # one constant per hashmix call below, then one more
+    hash_a = _hash_consts(0x43B0D7E5, 0x931E8875, 16 + 4 * max(0, len(ent) - 4))
+    k = 0
+
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        nonlocal k
+        v = (v ^ hash_a[k : k + len(v)]) * hash_a[k + 1 : k + len(v) + 1]
+        k += len(v)
+        return v ^ (v >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        r = x * _MIX_L - y * _MIX_R
+        return r ^ (r >> 16)
+
+    pool = np.zeros((4, ent.shape[1]), dtype=np.uint32)
+    pool[: len(ent)] = ent[:4]
+    pool = hashmix(pool)
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[[src] * 3]))
+    for src in range(4, len(ent)):
+        pool = mix(pool, hashmix(ent[[src] * 4]))
+    hash_b = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+    out = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ hash_b[:8]) * hash_b[1:]
+    out ^= out >> 16
+    return np.ascontiguousarray(out.T).view("<u8").reshape(len(rounds), len(comps), 4)
+
+
+def _pcg64_state(words: list[int]) -> dict:
+    """The PCG64 state dict seeded from one key's _stream_words."""
+    s_hi, s_lo, i_hi, i_lo = words
+    inc = ((i_hi << 65) | (i_lo << 1) | 1) & _U128
+    state = ((((s_hi << 64) | s_lo) + inc) * _PCG_MULT + inc) & _U128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+class _Streams:
+    """The round streams of one sparsify run, drawn through one reused
+    PCG64: start(...) gives each active component's first doubles of the
+    round, rest(...) the doubles that follow them in the same stream."""
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self.bits = np.random.PCG64(0)
+        self.gen = np.random.Generator(self.bits)
+        self.stop = 0
+
+    def start(
+        self, active: np.ndarray, r: int, heads: np.ndarray, spare: np.ndarray
+    ) -> np.ndarray:
+        """Round r's first heads[j] doubles of each stream j, concatenated
+        in the order of active; rest may then take up to spare[j] more.
+        Rounds come in increasing order, and active only loses components
+        from one round to the next, as in sparsify."""
+        if r >= self.stop:
+            rounds = np.arange(r, r + max(1, _BLOCK // len(active)))
+            self.words = _stream_words(self.seed, active, rounds)
+            self.comps, self.first, self.stop = active, r, r + len(rounds)
+        keys = self.words[r - self.first, np.searchsorted(self.comps, active)].tolist()
+        # one call per stream draws its heads and every spare double
+        take = heads + spare
+        ends = np.cumsum(take)
+        offs = ends - take
+        self.buf = np.empty(int(ends[-1]))
+        self.tails = offs + heads
+        for key, a, b in zip(keys, offs.tolist(), ends.tolist()):
+            self.bits.state = _pcg64_state(key)
+            self.gen.random(out=self.buf[a:b])
+        return self.buf[concat_ranges(offs, heads)]
+
+    def rest(self, counts: np.ndarray) -> np.ndarray:
+        """The next counts[j] doubles of each stream j of the round,
+        concatenated."""
+        return self.buf[concat_ranges(self.tails, counts)]
 
 
 class DegenerateGraphError(ValueError):
@@ -321,6 +451,7 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
 
     accept = np.full(k, -1)
     active = np.arange(k)
+    streams = _Streams(params.seed)
     trials: list[TrialRecord] = []
     for r in range(params.max_retries + 1):
         if not len(active):
@@ -334,8 +465,7 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
             vs = members[concat_ranges(starts[active], size_a)]
             e_at = concat_ranges(e_starts[active], e_len)
             p_at = concat_ranges(p_starts[active], p_len)
-        rngs = [np.random.default_rng((params.seed, i, r)) for i in active.tolist()]
-        drawn = np.concatenate([rng.random(s) for rng, s in zip(rngs, size_a.tolist())]) < p
+        drawn = streams.start(active, r, size_a, e_len) < p
         in_code[vs] = drawn
 
         au, av = eu[e_at], ev[e_at]
@@ -349,8 +479,7 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
             pe = (term[au[inc]] + term[av[inc]]) / 4.0
         else:
             a_cnt, pe = 0, 0.25
-        edraws = np.concatenate([rng.random(c) for rng, c in zip(rngs, inc_len.tolist())])
-        drop = inc[edraws < pe]
+        drop = inc[streams.rest(inc_len) < pe]
         flags = np.zeros(len(au), dtype=bool)
         flags[drop] = True
         deleted[e_at] = flags

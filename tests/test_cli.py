@@ -209,6 +209,17 @@ def test_sparsify_nan_const_c_exits_two():
     assert r.stdout == ""
 
 
+def test_sparsify_rejected_graph_prints_no_header(tmp_path, capsys):
+    # a perfect matching has max degree 1, which theorem1 rejects before
+    # drawing anything: exit 2 with nothing on stdout
+    graph = tmp_path / "m2.txt"
+    graph.write_text("4 2\n0 1\n2 3\n")
+    assert run_cli(["sparsify", "--in", str(graph)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: construction needs max degree >= 2\n"
+
+
 def test_complement_code_subcommand(tmp_path):
     gfile = tmp_path / "p4.txt"
     run(["gen", "--family", "path", "--n", "4", "--out", str(gfile)])

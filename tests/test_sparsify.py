@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idcodes import (
     DegenerateGraphError,
@@ -28,6 +31,8 @@ from idcodes import (
     sparsify,
     star,
 )
+
+from idcodes.sparsify import _pcg64_state, _stream_words, _Streams
 
 from corpus import mixed_graph
 from oracles import (
@@ -471,6 +476,110 @@ def test_sparsify_mixed_components_match_golden():
         assert str(err.value) == case["message"]
         got = [t.trial, t.code_size, t.deleted, t.a_violations, t.b_violations]
         assert got == case["last_trial"]
+
+
+def _stream_digest(res):
+    doc = {
+        "code": sorted(res.code),
+        "final_code": sorted(res.final_code),
+        "deleted_edges": [list(e) for e in sorted(res.deleted_edges)],
+    }
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def test_sparsify_streams_match_golden():
+    # pinned from one default_rng((seed, component, round)) per active
+    # component per round; seeds past 2**32 seed with several words
+    doc = json.loads((GOLDEN / "sparsify_streams.json").read_text())
+    specs = doc["graphs"]
+    graphs = {
+        "mixed": mixed_graph(**{k: v for k, v in specs["mixed"].items() if k != "family"}),
+        "cliques": disjoint_cliques(*specs["cliques"]["args"]),
+    }
+    assert len(doc["results"]) == 4 * len(doc["seeds"]) == 272
+    for case in doc["results"]:
+        params = SparsifyParams(c=doc["c"], seed=case["seed"], variant=case["variant"])
+        res = sparsify(graphs[case["graph"]], params)
+        got = {
+            **case,
+            "accept_rounds": list(res.accept_rounds),
+            "trials": [
+                [t.trial, t.code_size, t.deleted, t.a_violations, t.b_violations]
+                for t in res.trials
+            ],
+            "sha256": _stream_digest(res),
+        }
+        assert got == case, (case["graph"], case["variant"], case["seed"])
+    assert len(doc["exhausted"]) == 2
+    for case in doc["exhausted"]:
+        params = SparsifyParams(
+            c=doc["c"], seed=case["seed"], max_retries=case["max_retries"], variant=case["variant"]
+        )
+        with pytest.raises(RetriesExhaustedError) as err:
+            sparsify(graphs[case["graph"]], params)
+        t = err.value.last_trial
+        assert str(err.value) == case["message"]
+        assert [t.trial, t.code_size, t.deleted, t.a_violations, t.b_violations] == case["last_trial"]
+
+
+# seeds of one entropy word, two, and many
+STREAM_SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64]),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**200),
+)
+WORD = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(STREAM_SEEDS, WORD, WORD)
+def test_stream_state_equals_default_rng(seed, i, r):
+    words = _stream_words(seed, np.array([i]), np.array([r]))
+    want = np.random.default_rng((seed, i, r)).bit_generator.state
+    assert _pcg64_state(words[0, 0].tolist()) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    STREAM_SEEDS,
+    st.lists(WORD, min_size=1, max_size=6, unique=True),
+    st.integers(0, 10**6),
+    st.data(),
+)
+def test_streams_draw_what_default_rng_draws(seed, comps, r, data):
+    # two rounds of one block, the second over a subset of the components
+    active = np.array(sorted(comps))
+    streams = _Streams(seed)
+    for rnd in (r, r + 1):
+        k = len(active)
+        heads = np.array(data.draw(st.lists(st.integers(0, 40), min_size=k, max_size=k)))
+        spare = np.array(data.draw(st.lists(st.integers(0, 600), min_size=k, max_size=k)))
+        counts = np.array([data.draw(st.integers(0, s)) for s in spare.tolist()])
+        first, rest = streams.start(active, rnd, heads, spare), streams.rest(counts)
+        gens = [np.random.default_rng((seed, i, rnd)) for i in active.tolist()]
+        want_first = np.concatenate([g.random(h) for g, h in zip(gens, heads)])
+        want_rest = np.concatenate([g.random(c) for g, c in zip(gens, counts)])
+        assert first.tolist() == want_first.tolist()
+        assert rest.tolist() == want_rest.tolist()
+        active = active[::2]
+
+
+def test_sparsify_builds_no_generator_per_stream(monkeypatch):
+    # 32 components redrawn over several rounds, and not one default_rng
+    real = np.random.default_rng
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    g = disjoint_cliques(15, 32)
+    for seed in (1, 2**32 + 1):
+        for variant in ("theorem1", "uniform"):
+            res = sparsify(g, SparsifyParams(c=2.0, seed=seed, variant=variant))
+            assert len(res.trials) > 1
+    assert calls == []
 
 
 @pytest.mark.parametrize("variant", ["theorem1", "uniform"])
