@@ -121,8 +121,7 @@ def _read_set(path: str) -> list[int]:
 
 def _write_set(path: str, vs: Iterable[int]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for v in sorted(vs):
-            fh.write(f"{v}\n")
+        fh.write("".join(f"{v}\n" for v in sorted(vs)))
 
 
 def _graph_args(p: argparse.ArgumentParser) -> None:
@@ -323,8 +322,7 @@ def _cmd_sparsify(args) -> int:
         _write_set(args.out_code, res.final_code)
     if args.out_deleted:
         with open(args.out_deleted, "w", encoding="utf-8") as fh:
-            for u, v in sorted(res.deleted_edges):
-                fh.write(f"{u} {v}\n")
+            fh.write("".join(f"{u} {v}\n" for u, v in res.deleted_edges))
     return 0
 
 
@@ -341,8 +339,13 @@ def _cmd_complement(args) -> int:
 def _cmd_watch(args) -> int:
     g, _ = _load_graph(args)
     exact = g.n <= watching.EXACT_GAMMA_LIMIT
+    solved = None  # the exact dominating search, when this command runs it
     if args.method == "binary":
-        dom = exact_min_dominating(g).code if exact else greedy_dominating(g)
+        if exact:
+            solved = exact_min_dominating(g)
+            dom = solved.code
+        else:
+            dom = greedy_dominating(g)
         system = watching.watching_binary(g, dom)
     else:
         code = exact_min_idcode(g).code if exact else greedy_idcode(g)
@@ -351,7 +354,7 @@ def _cmd_watch(args) -> int:
     if not verdict.ok:
         print(f"not ok: {verdict.witness}", file=sys.stderr)
         return 1
-    wb = watching.watch_bounds(g)
+    wb = watching.watch_bounds(g, dominating=solved)
     print(system.size())
     print(f"bounds: lower {wb.lower} upper {wb.upper} "
           f"(gamma {wb.gamma}, {'exact' if wb.gamma_exact else 'greedy'})",

@@ -256,19 +256,12 @@ class Graph:
         arr.setflags(write=False)
         return arr
 
-    def neighbor_counts(self, flags: np.ndarray, vs: np.ndarray | None = None) -> np.ndarray:
-        """Per vertex of vs (default: every vertex), how many of its
-        neighbors are flagged: a segment sum over its CSR neighbor list."""
+    def neighbor_counts(self, flags: np.ndarray) -> np.ndarray:
+        """Per vertex, how many of its neighbors are flagged: a segment sum
+        over its CSR neighbor list."""
         indptr, nbrs = self._csr
-        if vs is None:
-            hits, offs = flags[nbrs], indptr
-        else:
-            lo = indptr[vs]
-            lens = indptr[vs + 1] - lo
-            hits = flags[nbrs[concat_ranges(lo, lens)]]
-            offs = np.concatenate(([0], np.cumsum(lens)))
-        sums = np.concatenate(([0], np.cumsum(hits, dtype=np.int64)))
-        return sums[offs[1:]] - sums[offs[:-1]]
+        sums = np.concatenate(([0], np.cumsum(flags[nbrs], dtype=np.int64)))
+        return sums[indptr[1:]] - sums[indptr[:-1]]
 
     @cached_property
     def component_ids(self) -> np.ndarray:

@@ -11,15 +11,22 @@ degree-deviation counts are tallied per round as diagnostics.
 A round is a fixed sequence of array passes over all still-active
 components at once, never a loop over their vertices or edges. Vertices,
 edges and distance-2 pairs are kept grouped by component, so a round
-gathers only the active ranges. The code degrees are CSR segment sums
-(Graph.neighbor_counts), the deletion probabilities are gathered per
-code-incident edge, and the surviving closed neighborhoods are the
+gathers only the active ranges. The round gathers the active vertices'
 component-local packed rows (Graph.local_closed: a vertex's column is
-its rank inside its component) with the deleted edges' bits cleared.
-Each active vertex gets the exact id of its gated row (np.unique, no
-hashing), a pair fails when its two ids agree, and bincount tallies the
-failures per component. The uniform variant's dominating sets come from
-one greedy cover stepping through all active components together.
+its rank inside its component) and packs each component's code into one
+local row. The code degrees are popcounts of the gathered rows masked by
+their component's code row, less the vertex's own bit, and the deletion
+probabilities are gathered per code-incident edge. Clearing the deleted
+edges' bits in the gathered rows gives the surviving closed
+neighborhoods. Each active vertex gets the exact id of its row masked by
+the code row (np.unique, no hashing), a pair fails when its two ids
+agree, and bincount tallies the failures per component. The uniform
+variant's dominating sets come from one greedy cover stepping through
+all active components together, and its members outside the code are
+added to the code row before the ids are taken.
+
+The deleted edges are sorted once, lexicographically, after the last
+round, and the result keeps them as that sorted tuple.
 
 Randomness is derived per (seed, component, round): component i draws in
 round r from the stream of numpy.random.default_rng((seed, i, r)), its
@@ -239,7 +246,8 @@ class Violation:
 
 @dataclass(frozen=True)
 class SparsifyResult:
-    deleted_edges: frozenset[Edge]
+    # lexicographically sorted, no duplicates
+    deleted_edges: tuple[Edge, ...]
     code: frozenset[int]
     dominating: frozenset[int]
     final_code: frozenset[int]
@@ -471,8 +479,14 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
         au, av = eu[e_at], ev[e_at]
         inc = np.flatnonzero(in_code[au] | in_code[av])
         inc_len = np.diff(np.searchsorted(inc, np.concatenate(([0], np.cumsum(e_len)))))
+        # the active rows of g, and each component's code as one local row
+        h = local[vs]
+        seg = np.repeat(np.arange(len(active)), size_a)
+        gates = np.zeros((len(active), W), dtype=np.uint64)
+        _toggle_bits(gates, seg[drawn], ranks[vs[drawn]])
         if variant == "theorem1":
-            dc = g.neighbor_counts(in_code, vs)
+            # the rows are closed, so a code vertex also counts its own bit
+            dc = np.bitwise_count(h & gates[seg]).sum(1, dtype=np.int64) - drawn
             term[vs] = np.minimum(cap, dc) / np.maximum(dc, 1)
             mean = deg[vs] * p
             a_cnt = int(np.count_nonzero(np.abs(dc - mean) >= mean / 2.0))
@@ -485,22 +499,18 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
         deleted[e_at] = flags
 
         # the active rows of h: clear both bits of every deleted edge
-        h = local[vs]
         pos[vs] = np.arange(len(vs))
         du, dv = au[drop], av[drop]
         _toggle_bits(h, np.concatenate((pos[du], pos[dv])), ranks[np.concatenate((dv, du))])
 
-        gate = drawn
         if variant == "uniform":
             dom = np.zeros(len(vs), dtype=bool)
             dom[greedy_cover_segments(h, size_a)] = True
             in_dom[vs] = dom
-            gate = drawn | dom
-        # each component's gate set as one local row; equal gated rows of h
-        # get equal ids, and a pair fails when its two ids agree
-        seg = np.repeat(np.arange(len(active)), size_a)
-        gates = np.zeros((len(active), W), dtype=np.uint64)
-        _toggle_bits(gates, seg[gate], ranks[vs[gate]])
+            extra = dom & ~drawn
+            _toggle_bits(gates, seg[extra], ranks[vs[extra]])
+        # equal gated rows of h get equal ids, and a pair fails when its
+        # two ids agree
         sig[vs] = _signature_ids(h & gates[seg])
         same = np.flatnonzero(sig[pu[p_at]] == sig[pv[p_at]])
         owner = np.searchsorted(np.cumsum(p_len), same, side="right")
@@ -547,7 +557,7 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
         n_ln_dmax_over_dmin=n * math.log(dmax) / dmin,
     )
     return SparsifyResult(
-        deleted_edges=frozenset(map(tuple, dels.tolist())),
+        deleted_edges=tuple(map(tuple, dels.tolist())),
         code=frozenset(code),
         dominating=frozenset(dom),
         final_code=frozenset(final),

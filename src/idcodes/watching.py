@@ -23,7 +23,7 @@ from .codes import (
     is_identifying_code,
 )
 from .graphs import Graph, degree_stats
-from .solvers import exact_min_dominating, greedy_dominating
+from .solvers import SearchResult, exact_min_dominating, greedy_dominating
 
 # largest graph on which watch_bounds defaults to the exact dominating set
 EXACT_GAMMA_LIMIT = 24
@@ -149,20 +149,24 @@ def watching_binary(g: Graph, d: Iterable[int]) -> WatchingSystem:
     return system
 
 
-def watch_bounds(g: Graph, exact: Optional[bool] = None) -> WatchBounds:
+def watch_bounds(
+    g: Graph, exact: Optional[bool] = None, dominating: Optional[SearchResult] = None
+) -> WatchBounds:
     """Lower bound ceil(log2(n+1)) and upper bound
     gamma * ceil(log2(max_degree+2)) on the minimum watcher count.
 
     gamma is the exact domination number when exact=True (default for
     n <= EXACT_GAMMA_LIMIT), else the greedy size; gamma_exact reports
-    which one the upper bound uses.
+    which one the upper bound uses. A caller that already holds
+    exact_min_dominating(g) passes it as dominating, so the exact bound
+    does not solve again.
     """
     if g.n < 1:
         raise ValueError("watch_bounds needs n >= 1")
     if exact is None:
         exact = g.n <= EXACT_GAMMA_LIMIT
     if exact:
-        res = exact_min_dominating(g)
+        res = dominating if dominating is not None else exact_min_dominating(g)
         gamma, gamma_exact = res.size, res.optimal
     else:
         gamma, gamma_exact = len(greedy_dominating(g)), False

@@ -19,6 +19,7 @@ from idcodes import (
     sparsify,
     write_edge_list,
 )
+from idcodes import cli, solvers, watching
 from idcodes.cli import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -181,6 +182,49 @@ def test_sparsify_output_files_reverify(tmp_path):
     res = sparsify(g, SparsifyParams(c=2.0, seed=3))
     assert set(code) == set(res.final_code)
     assert set(deleted) == set(res.deleted_edges)
+
+
+def test_sparsify_output_files_are_sorted_joins(tmp_path, monkeypatch):
+    # deleted_edges is the sorted edge tuple itself, and the files hold
+    # exactly one line per vertex or edge in that order
+    monkeypatch.chdir(tmp_path)
+    g = disjoint_cliques(15, 32)
+    (tmp_path / "g.txt").write_text(write_edge_list(g))
+    for variant in ("theorem1", "uniform"):
+        argv = [
+            "sparsify", "--in", "g.txt", "--const-c", "2", "--seed", "9", "--variant", variant,
+            "--out-code", "c.txt", "--out-deleted", "d.txt",
+        ]
+        assert run_cli(argv) == 0
+        res = sparsify(g, SparsifyParams(c=2.0, seed=9, variant=variant))
+        edges = res.deleted_edges
+        assert type(edges) is tuple and edges and edges == tuple(sorted(set(edges)))
+        want = "".join(f"{u} {v}\n" for u, v in sorted(edges))
+        assert (tmp_path / "d.txt").read_bytes() == want.encode()
+        want = "".join(f"{v}\n" for v in sorted(res.final_code))
+        assert (tmp_path / "c.txt").read_bytes() == want.encode()
+        again = sparsify(g, SparsifyParams(c=2.0, seed=9, variant=variant))
+        assert again == res and hash(again) == hash(res)
+
+
+def test_watch_solves_domination_once(tmp_path, monkeypatch, capsys):
+    # the binary system and its upper bound share one exact dominating search
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solvers.exact_min_dominating(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_min_dominating", spy)
+    monkeypatch.setattr(watching, "exact_min_dominating", spy)
+    c = tmp_path / "c.txt"
+    c.write_text(write_edge_list(path(20)))
+    assert run_cli(["watch", "--in", str(c)]) == 0
+    out, err = capsys.readouterr()
+    assert len(calls) == 1
+    assert (out, err) == ("14\n", "bounds: lower 5 upper 14 (gamma 7, exact)\n")
+    assert run_cli(["watch", "--in", str(c), "--method", "code"]) == 0
+    assert len(calls) == 2
 
 
 def test_sparsify_uniform_flag():

@@ -619,3 +619,22 @@ def test_sparsify_raises_when_its_final_check_fails(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="valid code"):
         sparsify(disjoint_cliques(4, 8), SparsifyParams(c=2.0, seed=1))
+
+
+def test_sparsify_counts_code_degrees_without_neighbor_counts(monkeypatch):
+    # a round takes its code degrees from the local rows it gathers anyway,
+    # never from a CSR segment sum
+    calls = []
+    real = Graph.neighbor_counts
+
+    def spy(self, *args):
+        calls.append(len(args))
+        return real(self, *args)
+
+    monkeypatch.setattr(Graph, "neighbor_counts", spy)
+    mixed = mixed_graph((3, 17, 64, 65, 130), (1.0, 0.5, 0.3, 0.6, 0.2), 11)
+    for g in (disjoint_cliques(15, 32), mixed):
+        for variant in ("theorem1", "uniform"):
+            res = sparsify(g, SparsifyParams(c=2.0, seed=1, variant=variant))
+            assert len(res.trials) > 1
+    assert calls == []
