@@ -11,7 +11,7 @@ Both are re-verified before being returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Union
 
 from .bounds import ceil_log2
 from .codes import (
@@ -25,7 +25,7 @@ from .codes import (
 from .graphs import Graph, degree_stats
 from .solvers import SearchResult, exact_min_dominating, greedy_dominating
 
-# largest graph on which watch_bounds defaults to the exact dominating set
+# largest graph on which `watch` and watch_bounds use the exact dominating set
 EXACT_GAMMA_LIMIT = 24
 
 
@@ -65,6 +65,7 @@ def verify_watching(g: Graph, system: WatchingSystem) -> Verdict:
     """ok iff every vertex lies in a non-empty and pairwise-distinct set of
     zones. Zones must sit inside their host's closed neighborhood; that is
     a structural error, not a failing verdict."""
+    membership = [0] * g.n  # bit i of membership[v]: watcher i sees v
     for idx, w in enumerate(system.watchers):
         if not 0 <= w.host < g.n:
             raise ZoneOutOfNeighborhoodError(idx, f"host {w.host} out of range")
@@ -75,25 +76,18 @@ def verify_watching(g: Graph, system: WatchingSystem) -> Verdict:
             raise ZoneOutOfNeighborhoodError(
                 idx, f"zone members {sorted(stray)} outside N[{w.host}]"
             )
-    membership: list[frozenset[int]] = []
-    for v in range(g.n):
-        membership.append(
-            frozenset(i for i, w in enumerate(system.watchers) if v in w.zone)
-        )
+        bit = 1 << idx
+        for v in w.zone:
+            membership[v] |= bit
     for v in range(g.n):
         if not membership[v]:
             return Verdict(False, UndominatedVertex(v))
-    seen: dict[frozenset[int], int] = {}
-    best: Optional[tuple[int, int]] = None
-    for v in range(g.n):
-        if membership[v] in seen:
-            pair = (seen[membership[v]], v)
-            if best is None or pair < best:
-                best = pair
-        else:
-            seen[membership[v]] = v
-    if best is not None:
-        return Verdict(False, UnseparatedPair(*best))
+    first: dict[int, int] = {}
+    pairs = [
+        (first[m], v) for v, m in enumerate(membership) if first.setdefault(m, v) != v
+    ]
+    if pairs:
+        return Verdict(False, UnseparatedPair(*min(pairs)))
     return Verdict(True)
 
 
@@ -150,26 +144,27 @@ def watching_binary(g: Graph, d: Iterable[int]) -> WatchingSystem:
 
 
 def watch_bounds(
-    g: Graph, exact: Optional[bool] = None, dominating: Optional[SearchResult] = None
+    g: Graph, dominating: Union[SearchResult, Collection[int], None] = None
 ) -> WatchBounds:
     """Lower bound ceil(log2(n+1)) and upper bound
     gamma * ceil(log2(max_degree+2)) on the minimum watcher count.
 
-    gamma is the exact domination number when exact=True (default for
-    n <= EXACT_GAMMA_LIMIT), else the greedy size; gamma_exact reports
-    which one the upper bound uses. A caller that already holds
-    exact_min_dominating(g) passes it as dominating, so the exact bound
-    does not solve again.
+    gamma is the size of a dominating set: either the SearchResult of
+    exact_min_dominating(g), exact iff the search finished, or a plain
+    vertex set such as greedy_dominating(g), never exact. Without one,
+    the set is exact_min_dominating(g) for n <= EXACT_GAMMA_LIMIT and
+    greedy_dominating(g) above. gamma_exact reports which kind the upper
+    bound uses.
     """
     if g.n < 1:
         raise ValueError("watch_bounds needs n >= 1")
-    if exact is None:
-        exact = g.n <= EXACT_GAMMA_LIMIT
-    if exact:
-        res = dominating if dominating is not None else exact_min_dominating(g)
-        gamma, gamma_exact = res.size, res.optimal
+    if dominating is None:
+        small = g.n <= EXACT_GAMMA_LIMIT
+        dominating = exact_min_dominating(g) if small else greedy_dominating(g)
+    if isinstance(dominating, SearchResult):
+        gamma, gamma_exact = dominating.size, dominating.optimal
     else:
-        gamma, gamma_exact = len(greedy_dominating(g)), False
+        gamma, gamma_exact = len(dominating), False
     _, dmax = degree_stats(g)
     return WatchBounds(
         lower=ceil_log2(g.n + 1),

@@ -12,6 +12,7 @@ from idcodes import (
     Graph,
     SparsifyParams,
     complement,
+    cycle,
     disjoint_cliques,
     gnp,
     is_identifying_code,
@@ -92,7 +93,7 @@ def test_solve_twin_graph_exit_code(tmp_path):
 
 
 def test_greedy_subcommand(tmp_path):
-    from idcodes import cycle, greedy_idcode
+    from idcodes import greedy_idcode
 
     r = run(["greedy", "--family", "cycle", "--n", "6"])
     assert r.returncode == 0
@@ -208,23 +209,41 @@ def test_sparsify_output_files_are_sorted_joins(tmp_path, monkeypatch):
 
 
 def test_watch_solves_domination_once(tmp_path, monkeypatch, capsys):
-    # the binary system and its upper bound share one exact dominating search
-    calls = []
+    # the binary system and its upper bound share one dominating set, exact
+    # up to EXACT_GAMMA_LIMIT vertices and greedy above, and the system is
+    # verified once, by its constructor
+    calls = {"exact": 0, "greedy": 0, "verify": 0}
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return solvers.exact_min_dominating(*args, **kwargs)
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(cli, "exact_min_dominating", spy)
-    monkeypatch.setattr(watching, "exact_min_dominating", spy)
-    c = tmp_path / "c.txt"
-    c.write_text(write_edge_list(path(20)))
-    assert run_cli(["watch", "--in", str(c)]) == 0
+    exact = spy("exact", solvers.exact_min_dominating)
+    greedy = spy("greedy", solvers.greedy_dominating)
+    monkeypatch.setattr(cli, "exact_min_dominating", exact)
+    monkeypatch.setattr(watching, "exact_min_dominating", exact)
+    monkeypatch.setattr(cli, "greedy_dominating", greedy)
+    monkeypatch.setattr(watching, "greedy_dominating", greedy)
+    monkeypatch.setattr(
+        watching, "verify_watching", spy("verify", watching.verify_watching)
+    )
+    p20 = tmp_path / "p20.txt"
+    p20.write_text(write_edge_list(path(20)))
+    assert run_cli(["watch", "--in", str(p20)]) == 0
     out, err = capsys.readouterr()
-    assert len(calls) == 1
+    assert calls == {"exact": 1, "greedy": 0, "verify": 1}
     assert (out, err) == ("14\n", "bounds: lower 5 upper 14 (gamma 7, exact)\n")
-    assert run_cli(["watch", "--in", str(c), "--method", "code"]) == 0
-    assert len(calls) == 2
+    assert run_cli(["watch", "--in", str(p20), "--method", "code"]) == 0
+    assert calls == {"exact": 2, "greedy": 0, "verify": 2}
+    capsys.readouterr()
+    c26 = tmp_path / "c26.txt"
+    c26.write_text(write_edge_list(cycle(26)))
+    assert run_cli(["watch", "--in", str(c26)]) == 0
+    out, err = capsys.readouterr()
+    assert calls == {"exact": 2, "greedy": 1, "verify": 3}
+    assert (out, err) == ("18\n", "bounds: lower 5 upper 18 (gamma 9, greedy)\n")
 
 
 def test_sparsify_uniform_flag():
@@ -348,6 +367,24 @@ def test_experiment_row_reverifies(tmp_path):
     assert len(res.deleted_edges) == int(row["edges_deleted"])
     assert len(res.final_code) == int(row["code_size"])
     assert res.retries_used == int(row["retries"])
+
+
+def test_experiment_keeps_rows_without_a_prediction(tmp_path, capsys):
+    # G(12, 0) has no edges and p = 0 has no asymptotic prediction: the row
+    # keeps the status sparsify gives it, with an empty greedy_ratio
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"families": [
+        {"kind": "cycle", "n": 12},
+        {"kind": "gnp", "n": 12, "p": 0.0},
+        {"kind": "cycle", "n": 9},
+    ]}))
+    assert run_cli(["experiment", "--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    assert [r["status"] for r in rows] == ["ok", "degenerate", "ok"]
+    assert rows[1]["greedy_ratio"] == "" and err == ""
 
 
 def test_experiment_bad_config_exits_two(tmp_path):

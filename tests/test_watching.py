@@ -21,6 +21,7 @@ from idcodes import (
     exact_min_idcode,
     find_twins,
     gnp,
+    greedy_dominating,
     path,
     sparsify,
     star,
@@ -172,7 +173,7 @@ def test_watch_bounds_examples():
     wb = watch_bounds(disjoint_stars(4, 3))
     assert (wb.lower, wb.upper) == (4, 9)
     assert wb.gamma == 3
-    greedy = watch_bounds(complete(7), exact=False)
+    greedy = watch_bounds(complete(7), greedy_dominating(complete(7)))
     assert not greedy.gamma_exact
     big = watch_bounds(gnp(EXACT_GAMMA_LIMIT + 10, 0.3, 0))
     assert not big.gamma_exact
