@@ -33,6 +33,7 @@ from .solvers import (
 from .sparsify import (
     DegenerateGraphError,
     InfeasibleProbabilityError,
+    MaxDegreeError,
     RetriesExhaustedError,
     SparsifyParams,
     SparsifyResult,
@@ -220,8 +221,7 @@ def _cmd_verify(args) -> int:
         return 0
     w = verdict.witness
     if hasattr(w, "u"):
-        twins = graphs.find_twins(g)
-        tag = " (twins)" if (w.u, w.v) in twins else ""
+        tag = " (twins)" if g.closed_neighborhood(w.u) == g.closed_neighborhood(w.v) else ""
         print(f"not ok: unseparated pair ({w.u}, {w.v}){tag}")
     else:
         print(f"not ok: undominated vertex {w.v}")
@@ -457,18 +457,16 @@ def run_experiment(cfg: ExperimentConfig, out: TextIO) -> None:
                     ratio = len(greedy_idcode(g)) / prediction
                 except NotTwinFreeError:
                     pass
+            res, status = None, "ok"
             try:
                 res = sparsify(g, params)
-                row = _result_row(label, g, params, trial, res, "ok", p_value, ratio)
-            except DegenerateGraphError:
-                row = _result_row(label, g, params, trial, None, "degenerate", p_value, ratio)
+            except (DegenerateGraphError, MaxDegreeError):
+                status = "degenerate"
             except InfeasibleProbabilityError:
-                row = _result_row(label, g, params, trial, None, "infeasible", p_value, ratio)
+                status = "infeasible"
             except RetriesExhaustedError:
-                row = _result_row(
-                    label, g, params, trial, None, "retries_exhausted", p_value, ratio
-                )
-            out.write(row + "\n")
+                status = "retries_exhausted"
+            out.write(_result_row(label, g, params, trial, res, status, p_value, ratio) + "\n")
             out.flush()
 
 

@@ -1,9 +1,11 @@
 """Verifiers for domination, separation, identifying codes, and
 locating-dominating sets.
 
-All checks run on closed-neighborhood bitmasks, exact for any graph size.
-Failing verdicts carry the lexicographically least witness so failures are
-deterministic and re-checkable.
+All checks are array passes over `Graph.packed_closed` with every row
+gated by the code's row, exact for any graph size: an all-zero gated row
+is undominated, and one stable sort of the gated rows groups the
+unseparated vertices. Failing verdicts carry the lexicographically least
+witness so failures are deterministic and re-checkable.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .graphs import Graph, dist2_pair_array
+from .graphs import Graph, dist2_pair_array, row_runs
 
 
 class InvalidCodeError(ValueError):
@@ -48,67 +50,69 @@ class Verdict:
 _OK = Verdict(True)
 
 
+def _code_row(g: Graph, c: Iterable[int]) -> np.ndarray:
+    """Validate c as a subset of V(g) and pack it as a row of g.packed_closed."""
+    vals = list(c)
+    arr = np.asarray(vals) if vals else np.empty(0, dtype=np.int64)
+    bad = (arr < 0) | (arr >= g.n)
+    if bad.any():
+        raise InvalidCodeError(f"code vertex {vals[int(np.argmax(bad))]} out of range for n={g.n}")
+    bits = np.zeros(64 * g.packed_closed.shape[1], dtype=bool)
+    bits[arr] = True
+    return np.packbits(bits, bitorder="little").view("<u8")
+
+
+def _bits(row: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of a packed row, as bools."""
+    octets = row.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, count=n, bitorder="little").view(bool)
+
+
 def code_mask(g: Graph, c: Iterable[int]) -> int:
     """Validate c as a subset of V(g) and pack it into an int bitmask."""
-    mask = 0
-    for v in c:
-        if not 0 <= v < g.n:
-            raise InvalidCodeError(f"code vertex {v} out of range for n={g.n}")
-        mask |= 1 << v
-    return mask
+    return int.from_bytes(_code_row(g, c).tobytes(), "little")
 
 
 def mask_to_set(mask: int) -> frozenset[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _undominated(rows: np.ndarray) -> Optional[Verdict]:
+    """The failing verdict for the first all-zero gated row, if any."""
+    dominated = rows.any(axis=1)
+    if dominated.all():
+        return None
+    return Verdict(False, UndominatedVertex(int(np.argmin(dominated))))
+
+
+def _separation(rows: np.ndarray, vs: Optional[np.ndarray] = None) -> Verdict:
+    """ok iff the gated rows are pairwise distinct, else the lex-least pair
+    i < j with equal rows, read through vs when given: the first two
+    members of the run of equal rows with the least first member."""
+    order, starts = row_runs(rows)
+    firsts = starts[:-1][np.diff(starts) > 1]
+    if not len(firsts):
+        return _OK
+    s = firsts[np.argmin(order[firsts])]
+    pair = order[s : s + 2] if vs is None else vs[order[s : s + 2]]
+    return Verdict(False, UnseparatedPair(*pair.tolist()))
 
 
 def signature(g: Graph, c: Iterable[int], v: int) -> frozenset[int]:
     """N[v] intersected with the code: the trace that identifies v."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return mask_to_set(g.closed_masks[v] & code_mask(g, c))
+    return frozenset(np.flatnonzero(_bits(g.packed_closed[v] & _code_row(g, c), g.n)).tolist())
 
 
 def is_dominating(g: Graph, c: Iterable[int]) -> Verdict:
     """Every vertex has a code member in its closed neighborhood."""
-    cmask = code_mask(g, c)
-    for v in range(g.n):
-        if not g.closed_masks[v] & cmask:
-            return Verdict(False, UndominatedVertex(v))
-    return _OK
-
-
-def _least_equal_pair(groups: dict[int, list[int]]) -> Optional[tuple[int, int]]:
-    """Lex-least pair among groups of vertices sharing a signature.
-
-    Each group's vertex list must be ascending; the least pair within a
-    group is then its first two members.
-    """
-    best = None
-    for members in groups.values():
-        if len(members) > 1:
-            pair = (members[0], members[1])
-            if best is None or pair < best:
-                best = pair
-    return best
+    return _undominated(g.packed_closed & _code_row(g, c)) or _OK
 
 
 def is_separating(g: Graph, c: Iterable[int]) -> Verdict:
     """All n signatures pairwise distinct."""
-    cmask = code_mask(g, c)
-    masks = g.closed_masks
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(masks[v] & cmask, []).append(v)
-    pair = _least_equal_pair(groups)
-    if pair is not None:
-        return Verdict(False, UnseparatedPair(*pair))
-    return _OK
+    return _separation(g.packed_closed & _code_row(g, c))
 
 
 def is_identifying_code(g: Graph, c: Iterable[int], mode: str = "full") -> Verdict:
@@ -121,16 +125,15 @@ def is_identifying_code(g: Graph, c: Iterable[int], mode: str = "full") -> Verdi
     """
     if mode not in ("full", "dist2"):
         raise ValueError(f"mode must be 'full' or 'dist2', got {mode!r}")
-    dom = is_dominating(g, c)
-    if not dom.ok:
-        return dom
-    if mode == "full":
-        return is_separating(g, c)
-    cmask = code_mask(g, c)
-    ids: dict[int, int] = {}
-    sig = np.array([ids.setdefault(m & cmask, len(ids)) for m in g.closed_masks])
+    rows = g.packed_closed & _code_row(g, c)
+    undominated = _undominated(rows)
+    if undominated or mode == "full":
+        return undominated or _separation(rows)
+    # per vertex the offset of its run of equal rows, compared over the pairs
+    order, starts = row_runs(rows)
+    run = np.repeat(starts[:-1], np.diff(starts))[np.argsort(order)]
     pairs = dist2_pair_array(g)
-    same = np.flatnonzero(sig[pairs[:, 0]] == sig[pairs[:, 1]])
+    same = np.flatnonzero(run[pairs[:, 0]] == run[pairs[:, 1]])
     if len(same):
         return Verdict(False, UnseparatedPair(*pairs[same[0]].tolist()))
     return _OK
@@ -138,16 +141,7 @@ def is_identifying_code(g: Graph, c: Iterable[int], mode: str = "full") -> Verdi
 
 def is_locating_dominating(g: Graph, c: Iterable[int]) -> Verdict:
     """Dominating, and signatures of vertices outside the code distinct."""
-    dom = is_dominating(g, c)
-    if not dom.ok:
-        return dom
-    cmask = code_mask(g, c)
-    masks = g.closed_masks
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        if not cmask >> v & 1:
-            groups.setdefault(masks[v] & cmask, []).append(v)
-    pair = _least_equal_pair(groups)
-    if pair is not None:
-        return Verdict(False, UnseparatedPair(*pair))
-    return _OK
+    row = _code_row(g, c)
+    rows = g.packed_closed & row
+    outside = np.flatnonzero(~_bits(row, g.n))
+    return _undominated(rows) or _separation(rows[outside], outside)

@@ -17,6 +17,7 @@ only known overshoot shapes carry enough slack for this to succeed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -99,13 +100,12 @@ def separate_class(gbar: Graph, cls: Iterable[int]) -> frozenset[int]:
     for v in members:
         if not 0 <= v < gbar.n:
             raise ValueError(f"vertex {v} out of range for n={gbar.n}")
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if not gbar.has_edge(members[i], members[j]):
-                raise ValueError(
-                    f"class is not a clique in the complement: "
-                    f"{members[i]} and {members[j]} are non-adjacent"
-                )
+    masks = gbar.closed_masks
+    for u, v in combinations(members, 2):
+        if not masks[u] >> v & 1:
+            raise ValueError(
+                f"class is not a clique in the complement: {u} and {v} are non-adjacent"
+            )
     return frozenset(_split(gbar, members))
 
 
@@ -155,9 +155,8 @@ def complement_code(g: Graph, c0: Optional[Iterable[int]] = None) -> frozenset[i
     if len(extra) > len(base):
         raise RuntimeError("class separators exceeded the size bound")
     combined = base | extra
-    undominated = [
-        v for v in range(gbar.n) if not gbar.closed_neighborhood(v) & combined
-    ]
+    cmask = code_mask(gbar, combined)
+    undominated = [v for v, m in enumerate(gbar.closed_masks) if not m & cmask]
     if len(undominated) > 1:
         raise RuntimeError(
             f"multiple vertices undominated in the complement: {undominated}; "

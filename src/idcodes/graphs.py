@@ -7,15 +7,16 @@ Every other form is derived from that array on first use and cached:
 - the CSR adjacency (`indptr` and ascending neighbor lists), the degrees
   and the connected components;
 - `packed_closed`: closed neighborhoods as bit-packed uint64 rows, for the
-  array kernels;
+  array kernels, the verifiers and `find_twins`;
 - `local_closed`: the same neighborhoods with each vertex's column set to
   its rank inside its component, ceil(s_max / 64) words per row for the
   largest component size s_max; on a connected graph it is `packed_closed`
   itself;
-- `closed_masks`: the same rows as Python ints, for the exact solvers and
-  the verifiers;
-- frozenset neighborhoods (`neighbors`, `closed_neighborhood`, `has_edge`)
-  and the `edges()` tuples, only when a caller asks for them.
+- `closed_masks`: the same rows as Python ints, for the exact solvers,
+  `complement` and `watching` (not for the verifiers);
+- the `edges()` tuples, only when a caller asks for them.
+
+`neighbors`, `closed_neighborhood` and `has_edge` read the CSR.
 
 The builders (the constructor, `parse_edge_list`, `delete_edges`,
 `complement`, the generators) and the distance-2 pair enumeration work on
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -140,16 +140,17 @@ class Graph:
         return self._edge_tuples
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        indptr, nbrs = self._csr
+        return frozenset(nbrs[indptr[v] : indptr[v + 1]].tolist())
 
     def closed_neighborhood(self, v: int) -> frozenset[int]:
-        return self._closed[v]
+        return self.neighbors(v) | {v}
 
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return v in self.neighbors(u)
 
     def is_spanning_subgraph_of(self, other: "Graph") -> bool:
         """Same vertex set as other, and every edge of self is an edge of other."""
@@ -191,16 +192,6 @@ class Graph:
         deg = np.diff(self._csr[0])
         deg.setflags(write=False)
         return deg
-
-    @cached_property
-    def _adj(self) -> tuple[frozenset[int], ...]:
-        indptr, nbrs = self._csr
-        ip, nb = indptr.tolist(), nbrs.tolist()
-        return tuple(frozenset(nb[ip[v] : ip[v + 1]]) for v in range(self._n))
-
-    @cached_property
-    def _closed(self) -> tuple[frozenset[int], ...]:
-        return tuple(self._adj[v] | {v} for v in range(self._n))
 
     @cached_property
     def closed_masks(self) -> tuple[int, ...]:
@@ -354,19 +345,30 @@ def complement(g: Graph) -> Graph:
     return Graph._from_sorted(n, _pairs(iu[keep], iv[keep]))
 
 
+def row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the row indices in one stable sort of the rows by
+    their bytes, so that equal rows form runs with ascending indices, and
+    the offset of each run in order, with len(order) appended."""
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * rows.shape[1])))[:, 0]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    heads = np.concatenate(([len(keys) > 0], keys[1:] != keys[:-1]))
+    return order, np.append(np.flatnonzero(heads), len(keys))
+
+
 def find_twins(g: Graph) -> list[Edge]:
     """All pairs u < v with N[u] = N[v], sorted lexicographically."""
-    groups: dict[int, list[int]] = {}
-    for v, mask in enumerate(g.closed_masks):
-        groups.setdefault(mask, []).append(v)
-    pairs = []
-    for members in groups.values():
-        if len(members) > 1:
-            pairs.extend(combinations(sorted(members), 2))
-    return sorted(pairs)
+    order, starts = row_runs(g.packed_closed)
+    if len(starts) > g.n:  # every run is a single vertex
+        return []
+    # u pairs with the later members of its run; taking u in order sorts the pairs
+    pos = np.argsort(order)
+    after = (np.repeat(starts[1:], np.diff(starts)) - np.arange(g.n) - 1)[pos]
+    v = order[concat_ranges(pos + 1, after)]
+    return list(zip(np.repeat(np.arange(g.n), after).tolist(), v.tolist()))
 
 
-# words gathered or unpacked per block of dist2_pairs (2 MiB)
+# words gathered or unpacked per block of _dist2_blocks (2 MiB)
 _BLOCK_WORDS = 1 << 18
 
 

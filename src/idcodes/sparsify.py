@@ -185,6 +185,10 @@ class DegenerateGraphError(ValueError):
     from a second isolated vertex."""
 
 
+class MaxDegreeError(ValueError):
+    """theorem1 needs max degree >= 2 (its c*ln(dmax) is 0 below that)."""
+
+
 class InfeasibleProbabilityError(ValueError):
     """Unclamped inclusion probability exceeds 1."""
 
@@ -430,7 +434,7 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
     variant = params.variant
     dmin, dmax = _degree_checks(g)
     if variant == "theorem1" and dmax < 2:
-        raise ValueError("construction needs max degree >= 2")
+        raise MaxDegreeError("construction needs max degree >= 2")
     n = g.n
     if variant == "theorem1":
         raw_p = params.c * math.log(dmax) / dmin

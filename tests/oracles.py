@@ -44,6 +44,20 @@ def oracle_unseparated(n, edges, code, pairs=None):
     return [(u, v) for u, v in pairs if sig[u] == sig[v]]
 
 
+def oracle_witness(n, edges, code, pairs=None):
+    """The least failure of code: ("undominated", v) for the least vertex
+    with an empty signature, else ("unseparated", u, v) for the first of
+    pairs (all pairs u < v by default, lexicographic) with equal
+    signatures, else None."""
+    undom = oracle_undominated(n, edges, code)
+    if undom:
+        return ("undominated", undom[0])
+    unsep = oracle_unseparated(n, edges, code, pairs)
+    if unsep:
+        return ("unseparated", *unsep[0])
+    return None
+
+
 def oracle_is_identifying(n, edges, code):
     return not oracle_undominated(n, edges, code) and not oracle_unseparated(
         n, edges, code

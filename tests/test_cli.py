@@ -387,6 +387,24 @@ def test_experiment_keeps_rows_without_a_prediction(tmp_path, capsys):
     assert rows[1]["greedy_ratio"] == "" and err == ""
 
 
+def test_experiment_keeps_rows_of_low_degree_families(tmp_path, capsys):
+    # theorem1 rejects a perfect matching (max degree 1); in a sweep that
+    # family gets a degenerate row and the families after it still run
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"families": [
+        {"kind": "cycle", "n": 9},
+        {"kind": "hdelta", "delta": 1, "cliques": 4},
+        {"kind": "cycle", "n": 12},
+    ]}))
+    assert run_cli(["experiment", "--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
+    assert [r["status"] for r in rows] == ["ok", "degenerate", "ok"]
+    assert rows[1]["Delta"] == "1" and err == ""
+
+
 def test_experiment_bad_config_exits_two(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
@@ -459,15 +477,15 @@ def test_sparsify_and_experiment_output_match_golden(tmp_path, monkeypatch, caps
 
 def test_sparsify_and_greedy_commands_build_no_per_edge_forms(tmp_path, monkeypatch):
     # the hot path reads the edge array and its derived arrays only: no
-    # edges() tuples and no frozenset adjacency
+    # edges() tuples and no Python-int neighborhood masks
     graph = tmp_path / "g.txt"
     graph.write_text(write_edge_list(gnp(60, 0.5, 4)))
 
     def forbidden(self):
-        raise AssertionError("per-edge Python form built on the sparsify/greedy path")
+        raise AssertionError("per-vertex Python form built on the sparsify/greedy path")
 
     monkeypatch.setattr(Graph, "_edge_tuples", property(forbidden))
-    monkeypatch.setattr(Graph, "_adj", property(forbidden))
+    monkeypatch.setattr(Graph, "closed_masks", property(forbidden))
     for variant in ("theorem1", "uniform"):
         argv = ["sparsify", "--in", str(graph), "--const-c", "2", "--variant", variant]
         assert run_cli(argv + ["--out-code", str(tmp_path / "c.txt")]) == 0

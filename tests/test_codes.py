@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -20,13 +21,15 @@ from idcodes import (
     star,
 )
 
-from corpus import small_corpus
+from corpus import mixed_graph, small_corpus
 from oracles import (
+    oracle_dist2_pairs,
     oracle_is_identifying,
     oracle_is_locating_dominating,
     oracle_signature,
     oracle_undominated,
     oracle_unseparated,
+    oracle_witness,
 )
 
 
@@ -153,3 +156,64 @@ def test_full_vertex_set_is_identifying_iff_twin_free():
         ok = is_identifying_code(g, range(g.n)).ok
         assert ok == (not find_twins(g)), name
         assert ok == oracle_is_identifying(g.n, g.edges(), range(g.n)), name
+
+
+def _witness(verdict):
+    """A verdict in the form oracle_witness gives."""
+    w = verdict.witness
+    if w is None:
+        return None
+    if isinstance(w, UndominatedVertex):
+        return ("undominated", w.v)
+    return ("unseparated", w.u, w.v)
+
+
+def _check_witnesses(name, g, code):
+    n, edges = g.n, g.edges()
+    outside = [v for v in range(n) if v not in set(code)]
+    expect = {
+        "full": oracle_witness(n, edges, code),
+        "dist2": oracle_witness(n, edges, code, oracle_dist2_pairs(n, edges)),
+        "ld": oracle_witness(n, edges, code, combinations(outside, 2)),
+    }
+    got = {
+        "full": _witness(is_identifying_code(g, code, "full")),
+        "dist2": _witness(is_identifying_code(g, code, "dist2")),
+        "ld": _witness(is_locating_dominating(g, code)),
+    }
+    assert got == expect, (name, code)
+    unsep = oracle_unseparated(n, edges, code)
+    expect_sep = ("unseparated", *unsep[0]) if unsep else None
+    assert _witness(is_separating(g, code)) == expect_sep, (name, code)
+
+
+def test_dist2_and_locating_witnesses_match_oracle():
+    rng = random.Random(17)
+    for name, g in list(small_corpus())[::4]:
+        for code in _random_codes(g.n, rng):
+            _check_witnesses(name, g, code)
+
+
+def _multiword_graphs():
+    # components of up to 130 vertices, labels interleaved: 2 to 5 words
+    # per row, and every component straddles several words
+    yield "mixed95", mixed_graph((40, 30, 25), (0.2, 0.5, 0.8), 1)
+    yield "mixed180", mixed_graph((3, 17, 64, 65, 31), (1.0, 0.3, 0.2, 0.1, 0.9), 2)
+    yield "mixed260", mixed_graph((130, 70, 9, 51), (0.05, 0.1, 0.6, 0.3), 3)
+
+
+def test_witnesses_match_oracle_on_multiword_rows():
+    rng = random.Random(19)
+    for name, g in _multiword_graphs():
+        assert g.packed_closed.shape[1] > 1, name
+        n = g.n
+        codes = [list(range(n))]
+        # near-complete codes fail late or pass; sparse ones fail early
+        for drop in (1, 3, 10, 40):
+            codes.append(sorted(set(range(n)) - set(rng.sample(range(n), drop))))
+        for frac in (0.1, 0.5):
+            codes.append([v for v in range(n) if rng.random() < frac])
+        for code in codes:
+            _check_witnesses(name, g, code)
+            v = rng.randrange(n)
+            assert signature(g, code, v) == oracle_signature(n, g.edges(), code, v), name

@@ -23,7 +23,7 @@ from idcodes import (
     write_edge_list,
 )
 
-from corpus import small_corpus
+from corpus import mixed_graph, small_corpus
 from oracles import oracle_complement_edges, oracle_dist2_pairs, oracle_twins
 
 
@@ -104,6 +104,17 @@ def test_find_twins_matches_oracle():
     assert find_twins(Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])) == [(0, 1)]
     for name, g in list(small_corpus())[::7]:
         assert find_twins(g) == oracle_twins(g.n, g.edges()), name
+
+
+def test_find_twins_matches_oracle_on_multiword_rows():
+    # twin classes of several sizes whose members straddle words
+    for name, g in (
+        ("cliques", disjoint_cliques(3, 30)),
+        ("mixed", mixed_graph((40, 9, 30, 2), (0.3, 1.0, 0.9, 1.0), 6)),
+    ):
+        assert g.packed_closed.shape[1] > 1, name
+        twins = find_twins(g)
+        assert twins and twins == oracle_twins(g.n, g.edges()), name
 
 
 def test_dist2_pairs_matches_oracle():
