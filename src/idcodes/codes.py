@@ -74,7 +74,13 @@ def code_mask(g: Graph, c: Iterable[int]) -> int:
 
 
 def mask_to_set(mask: int) -> frozenset[int]:
-    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+    """The set bits of mask, one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
 
 
 def _undominated(rows: np.ndarray) -> Optional[Verdict]:

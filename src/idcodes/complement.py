@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .codes import InvalidCodeError, code_mask, is_identifying_code
-from .graphs import Graph, complement, find_twins
+from .graphs import Graph, complement, least_twins
 from .solvers import NotTwinFreeError, exact_min_idcode
 
 
@@ -135,13 +135,13 @@ def complement_code(g: Graph, c0: Optional[Iterable[int]] = None) -> frozenset[i
     bound is anchored at the true optimum. Output is verified before
     returning.
     """
-    twins = find_twins(g)
+    twins = least_twins(g)
     if twins:
-        raise NotTwinFreeError(twins[0])
+        raise NotTwinFreeError(twins)
     gbar = complement(g)
-    bar_twins = find_twins(gbar)
+    bar_twins = least_twins(gbar)
     if bar_twins:
-        raise ComplementNotTwinFreeError(bar_twins[0])
+        raise ComplementNotTwinFreeError(bar_twins)
     if c0 is None:
         base = exact_min_idcode(g).code
     else:

@@ -7,7 +7,7 @@ Every other form is derived from that array on first use and cached:
 - the CSR adjacency (`indptr` and ascending neighbor lists), the degrees
   and the connected components;
 - `packed_closed`: closed neighborhoods as bit-packed uint64 rows, for the
-  array kernels, the verifiers and `find_twins`;
+  array kernels, the verifiers, `find_twins` and `least_twins`;
 - `local_closed`: the same neighborhoods with each vertex's column set to
   its rank inside its component, ceil(s_max / 64) words per row for the
   largest component size s_max; on a connected graph it is `packed_closed`
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -60,7 +60,7 @@ def _edge_rows(n: int, edges) -> tuple[np.ndarray, object]:
         arr = np.clip(arr, -1, n)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edges must be pairs of vertices")
-    return arr.astype(np.int64), src
+    return arr.astype(np.int64, order="C"), src
 
 
 def _pairs(u, v) -> np.ndarray:
@@ -85,19 +85,21 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         if n > MAX_VERTICES:
             raise ValueError(f"vertex count {n} too large (at most {MAX_VERTICES})")
-        rows, src = _edge_rows(n, edges)
+        rows, src = _edge_rows(n, edges)  # a fresh array
         u, v = rows[:, 0], rows[:, 1]
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        out = (lo < 0) | (hi >= n)
-        loop = u == v
-        keys = lo * n + hi
-        # in-range rows without loops whose keys strictly increase are
-        # already sorted and unique, as parse_edge_list output usually is
-        if (out | loop).any() or np.any(keys[1:] <= keys[:-1]):
+        keys = u * n + v
+        # rows with 0 <= u < v < n whose keys strictly increase are already
+        # sorted and unique, as parse_edge_list output usually is: keep them
+        if len(rows) and not (
+            u.min() >= 0 and v.max() < n and (u < v).all() and (keys[1:] > keys[:-1]).all()
+        ):
+            lo, hi = np.minimum(u, v), np.maximum(u, v)
+            out = (lo < 0) | (hi >= n)
+            loop = u == v
             # duplicates: a stable sort puts the later copies of a key after
             # the first; bad rows get distinct negative keys so they match
             # nothing
-            keys = np.where(out | loop, -1 - np.arange(len(rows)), keys)
+            keys = np.where(out | loop, -1 - np.arange(len(rows)), lo * n + hi)
             order = np.argsort(keys, kind="stable")
             dup = np.zeros(len(rows), dtype=bool)
             dup[order[1:]] = keys[order[1:]] == keys[order[:-1]]
@@ -110,10 +112,10 @@ class Graph:
                 if loop[i]:
                     raise ValueError(f"self-loop at vertex {a}")
                 raise ValueError(f"duplicate edge {_norm_edge(a, b)}")
-            lo, hi = lo[order], hi[order]
+            rows = np.stack((lo[order], hi[order]), axis=1)
         self._n = n
-        self._edges = np.stack((lo, hi), axis=1)
-        self._edges.setflags(write=False)
+        self._edges = rows
+        rows.setflags(write=False)
 
     @classmethod
     def _from_sorted(cls, n: int, rows: np.ndarray) -> "Graph":
@@ -356,6 +358,17 @@ def row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.append(np.flatnonzero(heads), len(keys))
 
 
+def least_twins(g: Graph) -> Optional[Edge]:
+    """The least pair u < v with N[u] = N[v], or None: the first two members
+    of the run of equal rows whose first member is least."""
+    order, starts = row_runs(g.packed_closed)
+    if len(starts) > g.n:  # every run is a single vertex
+        return None
+    heads = starts[:-1][np.diff(starts) > 1]
+    i = heads[np.argmin(order[heads])]
+    return int(order[i]), int(order[i + 1])
+
+
 def find_twins(g: Graph) -> list[Edge]:
     """All pairs u < v with N[u] = N[v], sorted lexicographically."""
     order, starts = row_runs(g.packed_closed)
@@ -579,69 +592,162 @@ _KIND[list(BREAK_CODES)] = _BREAK
 _SHORT_DIGITS = 18
 
 
-def _token_values(cp: np.ndarray, text: str, ts: np.ndarray, te: np.ndarray):
-    """(values, ok) for the tokens text[ts[i]:te[i]], read as int() reads
-    them; ok[i] is False where int() fails.
+# characters per line-aligned block of parse_edge_list (128 KiB of ASCII
+# text); a block grows past this only to hold a longer line
+_BLOCK_CHARS = 1 << 17
 
-    Runs of at most 18 ASCII digits are converted in array passes, one per
-    run length; any other token (sign, underscores, non-ASCII digits, long
-    runs, junk) goes through int() itself. Values are clamped to int64.
+
+def _code_points(text: str) -> np.ndarray:
+    """The text as uint8 bytes when it is ASCII, else as uint32 code points."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+def _classes(cp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(word, brk): per character, whether it is a word character and
+    whether it is a line boundary, as _KIND classes it. ASCII bytes are
+    classed by comparisons, which wrap below 0 in uint8."""
+    if cp.dtype == np.uint8:
+        word = (cp > 32) | (cp < 9) | (cp - 14 < 14)
+        return word, (cp - 10 < 4) | (cp - 28 < 3)
+    kind = _KIND[np.minimum(cp, _SPACE_END)]
+    return kind == _WORD, kind == _BREAK
+
+
+def _token_bounds(word: np.ndarray) -> np.ndarray:
+    """ts[0], te[0], ts[1], te[1], ...: the starts and ends of the maximal
+    runs of word characters, interleaved."""
+    pad = np.zeros(len(word) + 2, dtype=bool)
+    pad[1:-1] = word
+    return np.flatnonzero(pad[1:] != pad[:-1])
+
+
+def _token_values(cp, word, ts, te, text: str, start: int = 0, out=None):
+    """(values, ok) for the tokens cp[ts[i]:te[i]], that is
+    text[start + ts[i] : start + te[i]], read as int() reads them; ok[i] is
+    False where int() fails. word flags the word characters of cp; values
+    is out when given.
+
+    Tokens of at most 18 ASCII digits are converted in right-aligned
+    gathers, one per digit position over all tokens at once; any other
+    token (sign, underscores, non-ASCII digits, long runs, junk) goes
+    through int() itself. Values are clamped to [-1, 2**62].
     """
+    digit = cp - 48  # unsigned, so characters below "0" wrap to large values
+    isdig = digit <= 9
+    # shifted[j + 1] is the digit at j, 0 at any other character; the
+    # character before a token is no digit, so shifted[ts[i]] is 0
+    shifted = np.zeros(len(cp) + 1, dtype=np.uint8)
+    np.multiply(digit, isdig, out=shifted[1:], casting="unsafe")
     length = te - ts
-    plain = np.zeros(len(ts), dtype=bool)
-    values = np.zeros(len(ts), dtype=np.int64)
+    plain = length <= _SHORT_DIGITS
+    odd = np.flatnonzero(word & ~isdig)  # word characters other than ASCII digits
+    if len(odd):
+        plain &= np.searchsorted(odd, ts) == np.searchsorted(odd, te)
+    values = np.zeros(len(ts), dtype=np.int64) if out is None else out
+    values[:] = 0
+    pos = te.copy()  # the k-th digit from the right, or the 0 before the token
+    for k in range(min(int(length.max(initial=0)), _SHORT_DIGITS)):
+        np.maximum(pos, ts, out=pos)
+        values += shifted.take(pos) * np.int64(10**k)
+        pos -= 1
     ok = np.ones(len(ts), dtype=bool)
-    sizes = np.bincount(np.minimum(length, _SHORT_DIGITS + 1))[: _SHORT_DIGITS + 1]
-    for size in np.flatnonzero(sizes).tolist():
-        at = np.flatnonzero(length == size)
-        acc = np.zeros(len(at), dtype=np.int64)
-        runs = np.ones(len(at), dtype=bool)
-        start = ts[at]
-        for k in range(size):
-            # unsigned, so characters below "0" wrap to large values
-            digit = (cp[start + k] - 48).astype(np.int64)
-            runs &= digit <= 9
-            acc = acc * 10 + digit
-        values[at[runs]] = acc[runs]
-        plain[at[runs]] = True
     for i in np.flatnonzero(~plain).tolist():
         try:
-            values[i] = min(max(int(text[ts[i] : te[i]]), -1), 1 << 62)
+            values[i] = min(max(int(text[start + ts[i] : start + te[i]]), -1), 1 << 62)
         except ValueError:
             ok[i] = False
     return values, ok
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format; raises FormatError on any violation.
+def _line_blocks(cp: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(start, block, word, brk) per block = cp[start:start + len(block)],
+    with the _classes flags of its characters; every block but the last
+    ends just after a line boundary, so no line straddles two blocks."""
+    start, size = 0, _BLOCK_CHARS
+    while start < len(cp):
+        block = cp[start : start + size]
+        word, brk = _classes(block)
+        if start + size < len(cp):
+            back = int(np.argmax(brk[::-1]))  # characters after the last boundary
+            if not brk[-1 - back]:  # no boundary at all: widen the block
+                size *= 2
+                continue
+            end = len(block) - back
+            block, word, brk = block[:end], word[:end], brk[:end]
+        yield start, block, word, brk
+        start, size = start + len(block), _BLOCK_CHARS
 
-    Blank lines are skipped, lines and tokens split as str.splitlines() and
-    str.split() split them, and endpoints are read as int() reads them.
-    Line numbers in messages count the non-blank lines. The whole text is
-    scanned in array passes over its code points; only tokens that are not
-    short ASCII digit runs are handed to int() one by one.
+
+def _read_rows(cp: np.ndarray, text: str):
+    """(n, rows) of a well-formed edge list, or None as soon as a check
+    fails.
+
+    Well-formed: every non-blank line holds two tokens, so the token count
+    is even and a line boundary lies between tokens 2k + 1 and 2k + 2 but
+    never between 2k and 2k + 1; every token reads as an integer; the
+    header n m has 0 <= n <= MAX_VERTICES and m >= 0 and is followed by m
+    lines u v with 0 <= u < v < n.
     """
-    if text.isascii():
-        cp = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        cls = cp
-    else:
-        cp = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        cls = np.minimum(cp, _SPACE_END)
-    kind = _KIND[cls]
+    rows = None
+    filled = 0
+    for start, block, word, brk in _line_blocks(cp):
+        bounds = _token_bounds(word)
+        if len(bounds) % 4:
+            return None
+        if not len(bounds):
+            continue
+        ts, te = bounds[0::2], bounds[1::2]
+        # gap k: whether a line boundary lies between tokens k and k + 1;
+        # its first character decides, unless the gap is wider
+        gap = brk[te[:-1]]
+        wide = np.flatnonzero(ts[1:] - te[:-1] > 1)
+        if len(wide):
+            rest = np.stack((te[wide] + 1, ts[wide + 1]), axis=1).reshape(-1)
+            gap[wide] |= np.logical_or.reduceat(brk, rest)[::2]
+        if gap[0::2].any() or not gap[1::2].all():
+            return None
+        if rows is None:  # the first tokens are the header
+            try:
+                n, m = (int(text[start + ts[i] : start + te[i]]) for i in (0, 1))
+            except ValueError:
+                return None
+            # an edge line takes at least 4 characters
+            if not (0 <= n <= MAX_VERTICES and 0 <= 4 * m <= len(cp)):
+                return None
+            rows = np.empty((m, 2), dtype=np.int64)
+            ts, te = ts[2:], te[2:]
+        if filled + len(ts) > 2 * m:
+            return None
+        flat = rows.reshape(-1)[filled : filled + len(ts)]
+        filled += len(ts)
+        if not _token_values(block, word, ts, te, text, start, out=flat)[1].all():
+            return None
+        u, v = flat[0::2], flat[1::2]
+        if len(flat) and (u.min() < 0 or v.max() >= n or not (u < v).all()):
+            return None
+    if rows is None or filled != 2 * m:
+        return None
+    return n, rows
+
+
+def _parse_lines(cp: np.ndarray, text: str) -> Graph:
+    """parse_edge_list line by line: splits the whole text into lines and
+    raises the FormatError of the first bad one."""
+    word, brk = _classes(cp)
     # a line ends at each boundary; "\r\n" leaves an empty line between its
     # two characters, which is blank and so skipped like any other
-    ends = np.flatnonzero(kind == _BREAK)
+    ends = np.flatnonzero(brk)
     line_start = np.concatenate(([0], ends + 1))
     line_end = np.concatenate((ends, [len(cp)]))
 
     def line(k: int) -> str:
         return text[line_start[k] : line_end[k]]
 
-    # tokens are the maximal runs of word characters: starts and ends alternate
-    word = np.zeros(len(cp) + 2, dtype=np.int8)
-    word[1:-1] = kind == _WORD
-    bounds = np.flatnonzero(np.diff(word))
+    bounds = _token_bounds(word)
     ts, te = bounds[0::2], bounds[1::2]
+    values, ok = _token_values(cp, word, ts, te, text)
     first = np.searchsorted(ts, line_start)  # index of each line's first token
     counts = np.diff(first, append=len(ts))
     filled = np.flatnonzero(counts)
@@ -665,11 +771,16 @@ def parse_edge_list(text: str) -> Graph:
     pair = counts[body] == 2
     t = first[body][pair]
     t = np.concatenate((t, t + 1))  # first endpoints, then second ones
-    values, ok = _token_values(cp, text, ts[t], te[t])
-    u, v = values.reshape(2, -1)
-    readable = ok.reshape(2, -1).all(axis=0)
+    u, v = values[t].reshape(2, -1)
+    readable = ok[t].reshape(2, -1).all(axis=0)
+    fits = (0 <= u) & (u < v) & (v < n)
+    if n > 1 << 62:  # a clamped v may still lie below n: compare exactly
+        tu, tv = t.reshape(2, -1)
+        for j in np.flatnonzero(readable & (v == 1 << 62)).tolist():
+            a, b = (int(text[ts[x] : te[x]]) for x in (tu[j], tv[j]))
+            fits[j] = 0 <= a < b < n
     bad = ~pair
-    bad[pair] = ~readable | ~((0 <= u) & (u < v) & (v < n))
+    bad[pair] = ~readable | ~fits
     if bad.any():
         k = int(np.argmax(bad))
         i, ln = k + 2, line(body[k])
@@ -683,6 +794,32 @@ def parse_edge_list(text: str) -> Graph:
         raise FormatError(f"line {i}: need 0 <= u < v < n, got {a} {b}")
     try:
         return Graph(n, np.stack((u, v), axis=1))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse the edge-list format; raises FormatError on any violation.
+
+    Blank lines are skipped, lines and tokens split as str.splitlines() and
+    str.split() split them, and endpoints are read as int() reads them.
+    Line numbers in messages count the non-blank lines.
+
+    The text is read in one tokenising pass over line-aligned blocks of
+    _BLOCK_CHARS characters, so the temporaries beyond the text and the
+    rows stay bounded: the line shape is read from the gaps between
+    tokens, runs of at most 18 ASCII digits are converted in array passes
+    (int() sees only the other tokens), and the checked rows go straight
+    to Graph, which keeps them as they are when they come out sorted.
+    Only when a check fails is the whole text split into lines, to report
+    the first bad one.
+    """
+    cp = _code_points(text)
+    found = _read_rows(cp, text)
+    if found is None:
+        return _parse_lines(cp, text)
+    try:  # sorts the rows unless they are sorted, and reports duplicates
+        return Graph(*found)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import _kernels
 from .bounds import ceil_log2, idcode_lower_bound
 from .codes import code_mask, is_identifying_code, mask_to_set
-from .graphs import Graph, concat_ranges, dist2_pair_array, find_twins
+from .graphs import Graph, concat_ranges, dist2_pair_array, least_twins
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -199,9 +199,9 @@ def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """
     if g.n < 1:
         raise ValueError("exact_min_idcode needs n >= 1")
-    twins = find_twins(g)
+    twins = least_twins(g)
     if twins:
-        raise NotTwinFreeError(twins[0])
+        raise NotTwinFreeError(twins)
     n = g.n
     masks = g.closed_masks
     sets = _hitting_sets(g)
@@ -316,9 +316,9 @@ def greedy_idcode(g: Graph) -> frozenset[int]:
     """
     if g.n < 1:
         raise ValueError("greedy_idcode needs n >= 1")
-    twins = find_twins(g)
+    twins = least_twins(g)
     if twins:
-        raise NotTwinFreeError(twins[0])
+        raise NotTwinFreeError(twins)
     n = g.n
     indptr, nbrs = g._csr
     size = np.diff(indptr) + 1

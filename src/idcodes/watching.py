@@ -21,6 +21,7 @@ from .codes import (
     Verdict,
     is_dominating,
     is_identifying_code,
+    mask_to_set,
 )
 from .graphs import Graph, degree_stats
 from .solvers import SearchResult, exact_min_dominating, greedy_dominating
@@ -65,13 +66,14 @@ def verify_watching(g: Graph, system: WatchingSystem) -> Verdict:
     """ok iff every vertex lies in a non-empty and pairwise-distinct set of
     zones. Zones must sit inside their host's closed neighborhood; that is
     a structural error, not a failing verdict."""
+    masks = g.closed_masks
     membership = [0] * g.n  # bit i of membership[v]: watcher i sees v
     for idx, w in enumerate(system.watchers):
         if not 0 <= w.host < g.n:
             raise ZoneOutOfNeighborhoodError(idx, f"host {w.host} out of range")
         if not w.zone:
             raise ZoneOutOfNeighborhoodError(idx, "zone is empty")
-        stray = w.zone - g.closed_neighborhood(w.host)
+        stray = w.zone - mask_to_set(masks[w.host])
         if stray:
             raise ZoneOutOfNeighborhoodError(
                 idx, f"zone members {sorted(stray)} outside N[{w.host}]"
@@ -105,9 +107,8 @@ def watching_from_subgraph_code(
         raise InvalidCodeError(
             f"code is not identifying on the subgraph: {verdict.witness}"
         )
-    watchers = tuple(
-        Watcher(host=v, zone=h.closed_neighborhood(v)) for v in code
-    )
+    masks = h.closed_masks
+    watchers = tuple(Watcher(host=v, zone=mask_to_set(masks[v])) for v in code)
     system = WatchingSystem(watchers)
     check = verify_watching(g, system)
     if not check.ok:
@@ -127,9 +128,10 @@ def watching_binary(g: Graph, d: Iterable[int]) -> WatchingSystem:
         raise NotDominatingError(f"not a dominating set: {verdict.witness}")
     _, dmax = degree_stats(g)
     levels = ceil_log2(dmax + 2)
+    masks = g.closed_masks
     watchers = []
     for v in dom:
-        hood = sorted(g.closed_neighborhood(v))
+        hood = sorted(mask_to_set(masks[v]))
         for bit in range(levels):
             zone = frozenset(
                 u for label, u in enumerate(hood, start=1) if label >> bit & 1

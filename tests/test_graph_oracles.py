@@ -3,6 +3,7 @@
 components must give the same graphs, or fail with the same message."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,3 +271,102 @@ def test_local_closed_rows_follow_component_ranks():
     connected = gnp(70, 0.3, 1)
     assert len(connected.components) == 1
     assert connected.local_closed is connected.packed_closed
+
+
+# every ASCII separator: inside a line, then at its end
+ASCII_SEPARATORS = (" ", " ", "\t", "\x1f", "  \t")
+ASCII_LINE_ENDS = ("\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
+@st.composite
+def well_formed_texts(draw):
+    """Edge lists every line of which holds two ASCII digit runs: ids up to
+    10**6, leading zeros up to 18 and 19 digits, blank lines, no final
+    newline now and then, rows unsorted or duplicated."""
+    n = draw(st.sampled_from((1, 2, 9, 10, 101, 4096, 999_999, 1_000_000)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    rows = [(min(u, v), max(u, v)) for u, v in pairs if u != v]
+    if rows and draw(st.booleans()):
+        rows.sort()
+    if rows and draw(st.integers(0, 4)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(rows)))
+
+    def spell(value):
+        width = draw(st.sampled_from((0, 0, 0, 3, 18, 19)))
+        return str(value).zfill(width)
+
+    out = ""
+    for a, b in [(n, len(rows))] + rows:
+        if draw(st.integers(0, 4)) == 0:
+            out += draw(st.sampled_from(("", " ", "\x1f"))) + draw(st.sampled_from(ASCII_LINE_ENDS))
+        lead = draw(st.sampled_from(("", "", " ", "\t")))
+        out += lead + spell(a) + draw(st.sampled_from(ASCII_SEPARATORS)) + spell(b)
+        out += draw(st.sampled_from(("", "", " "))) + draw(st.sampled_from(ASCII_LINE_ENDS))
+    if draw(st.integers(0, 3)) == 0:
+        out = out.rstrip("".join(ASCII_LINE_ENDS))
+    return out
+
+
+def _check_array_pass(text):
+    """_check_parse, and the array pass alone reads every text the oracle
+    reads, up to duplicate rows, which the constructor reports."""
+    _check_parse(text)
+    try:
+        oracle_parse_edge_list(text)
+        accepted = True
+    except OracleFormatError as exc:
+        accepted = str(exc).startswith("duplicate edge")
+    cp = graphs_mod._code_points(text)
+    assert (graphs_mod._read_rows(cp, text) is not None) == accepted
+
+
+@settings(max_examples=300, deadline=None)
+@given(well_formed_texts())
+def test_parse_edge_list_well_formed_matches_oracle(text):
+    _check_array_pass(text)
+
+
+def test_parser_ascii_classes_match_kind():
+    word, brk = graphs_mod._classes(np.arange(128, dtype=np.uint8))
+    kind = graphs_mod._KIND[:128]
+    assert word.tolist() == (kind == graphs_mod._WORD).tolist()
+    assert brk.tolist() == (kind == graphs_mod._BREAK).tolist()
+
+
+def _block_texts():
+    text = graphs_mod.write_edge_list(gnp(30, 0.3, 2))
+    lines = text.splitlines()
+    yield text
+    yield text.replace("\n", "\r\n")
+    yield text.replace(" ", " \t ").rstrip("\n")
+    yield "\n" * 40 + text  # the header lies past the first blocks
+    yield text.replace("\n", "\n\x1f\x1f\x1f\x1f\x1f\n")
+    # a long zero-padded endpoint, read by int()
+    yield "\n".join(lines[:9] + ["0" * 40 + lines[9]] + lines[10:])
+    yield "\n".join(lines[:1] + lines[:0:-1]) + "\n"  # rows in descending order
+    # bad lines in a later block: three tokens, an endpoint out of range
+    yield "\n".join(lines[:-1] + [lines[-1] + " 2"]) + "\n"
+    yield "\n".join(lines[:-1] + ["0 " + "9" * 40]) + "\n"
+    yield text + "7 8\n"  # one edge more than the header says
+
+
+@pytest.mark.parametrize("block_chars", [1, 3, 16, 100])
+def test_parse_edge_list_in_small_blocks_matches_oracle(monkeypatch, block_chars):
+    # lines straddle the block targets, so every block is cut back or widened
+    monkeypatch.setattr(graphs_mod, "_BLOCK_CHARS", block_chars)
+    for text in _block_texts():
+        _check_array_pass(text)
+
+
+def test_parse_edge_list_huge_edge_count_allocates_no_rows():
+    # the header's m is checked against the text length before the rows
+    # are allocated
+    text = "2 " + "9" * 15 + "\n0 1\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="header says 999999999999999 edges, found 1"):
+            parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

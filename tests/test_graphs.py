@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from idcodes import (
     find_twins,
     generate,
     gnp,
+    least_twins,
     parse_edge_list,
     path,
     star,
@@ -117,6 +120,17 @@ def test_find_twins_matches_oracle_on_multiword_rows():
         assert twins and twins == oracle_twins(g.n, g.edges()), name
 
 
+def test_least_twins_is_the_first_twin_pair():
+    graphs = list(small_corpus()) + [
+        ("cliques", disjoint_cliques(31, 8)),
+        ("mixed", mixed_graph((40, 9, 30, 2), (0.3, 1.0, 0.9, 1.0), 6)),
+    ]
+    assert graphs[-1][1].packed_closed.shape[1] > 1
+    for name, g in graphs:
+        twins = find_twins(g)
+        assert least_twins(g) == (twins[0] if twins else None), name
+
+
 def test_dist2_pairs_matches_oracle():
     assert list(dist2_pairs(path(4))) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
     assert list(dist2_pairs(disjoint_cliques(1, 2))) == [(0, 1), (2, 3)]
@@ -190,6 +204,21 @@ def test_parse_edge_list_errors():
             parse_edge_list(text)
     with pytest.raises(FormatError, match="line 2"):
         parse_edge_list("3 1\n0 9\n")
+
+
+@pytest.mark.parametrize("g", [gnp(600, 0.5, 1), cycle(100_000)], ids=["gnp600", "cycle100000"])
+def test_parse_edge_list_memory_stays_within_ten_times_the_text(g):
+    # the parser's temporaries are bounded per block, so its peak is the
+    # text, its bytes and the rows plus a bounded remainder
+    text = write_edge_list(g)
+    tracemalloc.start()
+    try:
+        parsed = parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == g
+    assert peak <= 10 * len(text), peak / len(text)
 
 
 def test_to_dot():

@@ -206,3 +206,20 @@ def test_watching_checks_raise_runtime_error(monkeypatch):
         watching_from_subgraph_code(g, g, exact_min_idcode(g).code)
     with pytest.raises(RuntimeError, match="binary labelling failed"):
         watching_binary(g, exact_min_dominating(g).code)
+
+
+def test_watching_reads_the_closed_masks(monkeypatch):
+    # the constructions and the verifier take N[v] from g.closed_masks, not
+    # from one frozenset per watcher
+    g = cycle(26)
+    expected = watching_binary(g, greedy_dominating(g))
+    code = exact_min_idcode(cycle(9)).code
+    by_code = watching_from_subgraph_code(cycle(9), cycle(9), code)
+
+    def forbidden(self, v):
+        raise AssertionError("closed_neighborhood called")
+
+    monkeypatch.setattr(Graph, "closed_neighborhood", forbidden)
+    assert watching_binary(g, greedy_dominating(g)) == expected
+    assert watching_from_subgraph_code(cycle(9), cycle(9), code) == by_code
+    assert verify_watching(g, expected).ok
