@@ -221,7 +221,8 @@ def _cmd_verify(args) -> int:
         return 0
     w = verdict.witness
     if hasattr(w, "u"):
-        tag = " (twins)" if g.closed_neighborhood(w.u) == g.closed_neighborhood(w.v) else ""
+        rows = g.packed_closed
+        tag = " (twins)" if (rows[w.u] == rows[w.v]).all() else ""
         print(f"not ok: unseparated pair ({w.u}, {w.v}){tag}")
     else:
         print(f"not ok: undominated vertex {w.v}")

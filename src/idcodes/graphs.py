@@ -4,8 +4,7 @@ A Graph stores one thing: its edges as a sorted (m, 2) int64 array, one
 row (u, v) with u < v per edge, rows in ascending lexicographic order.
 Every other form is derived from that array on first use and cached:
 
-- the CSR adjacency (`indptr` and ascending neighbor lists), the degrees
-  and the connected components;
+- the degrees and the connected components;
 - `packed_closed`: closed neighborhoods as bit-packed uint64 rows, for the
   array kernels, the verifiers, `find_twins` and `least_twins`;
 - `local_closed`: the same neighborhoods with each vertex's column set to
@@ -14,9 +13,15 @@ Every other form is derived from that array on first use and cached:
   itself;
 - `closed_masks`: the same rows as Python ints, for the exact solvers,
   `complement` and `watching` (not for the verifiers);
+- the CSR adjacency (`indptr` and ascending neighbor lists);
 - the `edges()` tuples, only when a caller asks for them.
 
-`neighbors`, `closed_neighborhood` and `has_edge` read the CSR.
+The degrees (one bincount), the packed rows (two word passes over the
+sorted edges) and `has_edge` (a lookup of the edge key) read the edge
+array alone. The CSR comes from one sort of the 2m arc keys v * n + w;
+only the readers of neighbor lists build it: the distance-2 pairs,
+`greedy_idcode`, `neighbor_counts`, `neighbors` and
+`closed_neighborhood`.
 
 The builders (the constructor, `parse_edge_list`, `delete_edges`,
 `complement`, the generators) and the distance-2 pair enumeration work on
@@ -65,6 +70,17 @@ def _edge_rows(n: int, edges) -> tuple[np.ndarray, object]:
 
 def _pairs(u, v) -> np.ndarray:
     return np.stack((u, v), axis=1).astype(np.int64, copy=False)
+
+
+def _word_bits(rows: np.ndarray, cols: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
+    """(words, bits): per entry, the flat index of the word that holds
+    column cols[i] of row rows[i] in an (n, W) bit array, and the column's
+    bit in that word."""
+    words = rows * W
+    words += cols >> 6
+    bits = (cols & 63).view(np.uint64)
+    np.left_shift(np.uint64(1), bits, out=bits)
+    return words, bits
 
 
 def _norm_edge(u, v) -> Edge:
@@ -152,7 +168,8 @@ class Graph:
         return int(self.degrees[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors(u)
+        lo, hi = (u, v) if u < v else (v, u)
+        return 0 <= lo and hi < self._n and bool(self._find(np.array([lo * self._n + hi]))[0])
 
     def is_spanning_subgraph_of(self, other: "Graph") -> bool:
         """Same vertex set as other, and every edge of self is an edge of other."""
@@ -178,20 +195,27 @@ class Graph:
     def _csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, nbrs): the neighbors of v are nbrs[indptr[v]:indptr[v+1]],
         ascending."""
-        # row v lists the u < v (as the second endpoint of (u, v), in
-        # ascending u) before the w > v; a stable sort keeps both runs
+        n = self._n
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        if not n:
+            return indptr, np.empty(0, dtype=np.int64)
+        np.cumsum(self.degrees, out=indptr[1:])
+        # the arc keys v * n + w, one per direction of each edge, are
+        # unique, so any sort puts them in (row, neighbor) order
         lo, hi = self._edges[:, 0], self._edges[:, 1]
-        src = np.concatenate((hi, lo))
-        order = np.argsort(src, kind="stable")
-        nbrs = np.concatenate((lo, hi))[order]
-        indptr = np.zeros(self._n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=self._n), out=indptr[1:])
-        return indptr, nbrs
+        keys = np.empty((2, len(lo)), dtype=np.int64)
+        np.multiply(lo, n, out=keys[0])
+        keys[0] += hi
+        np.multiply(hi, n, out=keys[1])
+        keys[1] += lo
+        keys = keys.reshape(-1)
+        keys.sort()
+        return indptr, np.remainder(keys, n, out=keys)
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Read-only vertex degrees."""
-        deg = np.diff(self._csr[0])
+        deg = np.bincount(self._edges.reshape(-1), minlength=self._n)
         deg.setflags(write=False)
         return deg
 
@@ -230,22 +254,23 @@ class Graph:
     def _pack(self, cols: np.ndarray, W: int) -> np.ndarray:
         """Read-only (n, W) rows: bit cols[w] of row v is set iff w in N[v].
 
-        cols must keep the order of every neighbor list.
+        cols must keep the vertex order inside every component.
         """
         n = self._n
-        arr = np.zeros((n, W), dtype=np.uint64)
-        vs = np.arange(n)
-        arr[vs, cols >> 6] = np.uint64(1) << (cols & 63).astype(np.uint64)
-        indptr, nbrs = self._csr
-        if len(nbrs):
-            # CSR order is (row, neighbor) ascending, so the flat word index
-            # never decreases: OR each run of equal words in one reduceat
-            rows = np.repeat(vs, np.diff(indptr))
-            at = cols[nbrs]
-            words = rows * W + (at >> 6)
-            bits = np.uint64(1) << (at & 63).astype(np.uint64)
+        flat = np.zeros(n * W, dtype=np.uint64)
+        words, bits = _word_bits(np.arange(n), cols, W)
+        flat[words] = bits
+        if self.m:
+            lo, hi = self._edges[:, 0], self._edges[:, 1]
+            # bit hi of row lo: the edges are sorted by (lo, hi) and cols
+            # keeps the order of hi inside a run of lo, so the word index
+            # never decreases; OR each run of equal words in one reduceat
+            words, bits = _word_bits(lo, cols[hi], W)
             starts = np.flatnonzero(np.concatenate(([True], words[1:] != words[:-1])))
-            arr.reshape(-1)[words[starts]] |= np.bitwise_or.reduceat(bits, starts)
+            flat[words[starts]] |= np.bitwise_or.reduceat(bits, starts)
+            # bit lo of row hi, in no order
+            np.bitwise_or.at(flat, *_word_bits(hi, cols[lo], W))
+        arr = flat.reshape(n, W)
         arr.setflags(write=False)
         return arr
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -15,7 +16,10 @@ from idcodes import (
     cycle,
     disjoint_cliques,
     gnp,
+    greedy_idcode,
+    is_dominating,
     is_identifying_code,
+    least_twins,
     path,
     sparsify,
     write_edge_list,
@@ -490,3 +494,62 @@ def test_sparsify_and_greedy_commands_build_no_per_edge_forms(tmp_path, monkeypa
         argv = ["sparsify", "--in", str(graph), "--const-c", "2", "--variant", variant]
         assert run_cli(argv + ["--out-code", str(tmp_path / "c.txt")]) == 0
     assert run_cli(["greedy", "--in", str(graph), "--out", str(tmp_path / "g.out")]) == 0
+
+
+def test_verify_tags_only_twin_pairs(tmp_path, capsys):
+    # an unseparated pair is tagged " (twins)" iff N[u] = N[v]
+    argv = ["verify", "--in", str(tmp_path / "g.txt"), "--code", str(tmp_path / "c.txt")]
+    for edges, code, out in (
+        ("2 1\n0 1\n", "0\n", "not ok: unseparated pair (0, 1) (twins)\n"),
+        ("3 2\n0 1\n1 2\n", "1\n", "not ok: unseparated pair (0, 1)\n"),
+    ):
+        (tmp_path / "g.txt").write_text(edges)
+        (tmp_path / "c.txt").write_text(code)
+        assert run_cli(argv) == 1
+        assert capsys.readouterr() == (out, "")
+
+
+def _count_csr_builds(monkeypatch) -> list:
+    """Wrap the cached Graph._csr so that each build appends its graph to
+    the returned list."""
+    build = Graph.__dict__["_csr"].func
+    built = []
+
+    def counted(self):
+        built.append(self)
+        return build(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Graph, "_csr")
+    monkeypatch.setattr(Graph, "_csr", prop)
+    return built
+
+
+def test_verifiers_twins_degrees_and_verify_command_build_no_csr(tmp_path, monkeypatch, capsys):
+    # these read the edge array and the packed rows only; the CSR is for
+    # the code that reads neighbor lists
+    code = sorted(greedy_idcode(gnp(60, 0.5, 4)))
+    built = _count_csr_builds(monkeypatch)
+    g = gnp(60, 0.5, 4)
+    assert least_twins(g) is None
+    assert is_identifying_code(g, code, "full").ok and is_dominating(g, code).ok
+    assert int(g.degrees.sum()) == 2 * g.m
+    assert [g.has_edge(0, v) for v in range(g.n)].count(True) == g.degree(0)
+    h = g.delete_edges(g.edge_array()[::3])
+    assert not is_identifying_code(h, code[:1], "full").ok
+    assert is_dominating(complement(g), range(g.n)).ok
+    (tmp_path / "g.txt").write_text(write_edge_list(path(2)))
+    (tmp_path / "c.txt").write_text("0\n")
+    argv = ["verify", "--in", str(tmp_path / "g.txt"), "--code", str(tmp_path / "c.txt")]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().out == "not ok: unseparated pair (0, 1) (twins)\n"
+    assert built == []
+
+
+def test_sparsify_builds_the_csr_of_its_graph_only(monkeypatch):
+    # the distance-2 pairs read the parent's neighbor lists; the verified
+    # child is checked on its packed rows
+    for g, variant in ((gnp(60, 0.5, 4), "theorem1"), (disjoint_cliques(9, 4), "uniform")):
+        built = _count_csr_builds(monkeypatch)
+        sparsify(g, SparsifyParams(c=2.0, seed=3, variant=variant))
+        assert len(built) == 1 and built[0] is g, variant

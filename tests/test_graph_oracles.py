@@ -10,12 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idcodes import FormatError, Graph, dist2_pair_array, dist2_pairs, gnp, parse_edge_list
+from idcodes import (
+    FormatError,
+    Graph,
+    complement,
+    dist2_pair_array,
+    dist2_pairs,
+    gnp,
+    parse_edge_list,
+)
 from idcodes import graphs as graphs_mod
 
 from corpus import mixed_graph, small_corpus
 from oracles import (
     OracleFormatError,
+    adjacency,
     oracle_closed_masks,
     oracle_delete_edges,
     oracle_dist2_pairs,
@@ -271,6 +280,67 @@ def test_local_closed_rows_follow_component_ranks():
     connected = gnp(70, 0.3, 1)
     assert len(connected.components) == 1
     assert connected.local_closed is connected.packed_closed
+
+
+def _view_graphs():
+    yield "edgeless", Graph(5)
+    bases = list(_extra_graphs()) + list(_interleaved_graphs())
+    yield from bases
+    for name, g in bases:
+        # the constructor's sorting path: rows reversed, endpoints swapped
+        yield f"{name}/unsorted", Graph(g.n, g.edge_array()[::-1, ::-1])
+        yield f"{name}/child", g.delete_edges(g.edge_array()[::2])
+        yield f"{name}/complement", complement(g)
+
+
+def _oracle_ranks(n, adj):
+    """Per vertex, its position inside its sorted component."""
+    rank = [None] * n
+    for s in range(n):
+        if rank[s] is None:
+            comp, todo = {s}, [s]
+            while todo:
+                new = adj[todo.pop()] - comp
+                comp |= new
+                todo.extend(new)
+            for i, v in enumerate(sorted(comp)):
+                rank[v] = i
+    return rank
+
+
+def test_views_match_oracle():
+    # degrees, CSR, packed_closed and local_closed of every builder's
+    # graphs, down to n = 0 and up to multi-word and component-local rows
+    for name, g in _view_graphs():
+        n, edges = g.n, g.edges()
+        adj = adjacency(n, edges)
+        masks = oracle_closed_masks(n, edges)
+        assert g.degrees.dtype == np.int64, name
+        assert g.degrees.tolist() == [len(adj[v]) for v in range(n)], name
+        indptr, nbrs = g._csr
+        assert indptr.dtype == nbrs.dtype == np.int64, name
+        assert len(indptr) == n + 1 and indptr[0] == 0 and indptr[-1] == len(nbrs), name
+        assert (np.diff(indptr) >= 0).all(), name
+        rows = [nbrs[indptr[v] : indptr[v + 1]] for v in range(n)]
+        assert all((np.diff(row) > 0).all() for row in rows), name
+        got = tuple(sum(1 << w for w in row.tolist()) | 1 << v for v, row in enumerate(rows))
+        assert got == masks, name
+        assert g.packed_closed.tolist() == oracle_packed_rows(n, edges), name
+        rank = _oracle_ranks(n, adj)
+        assert g.local_closed.shape == (n, max(1, (max(rank, default=0) + 64) // 64)), name
+        for v in range(n):
+            local = sum(1 << rank[w] for w in range(n) if masks[v] >> w & 1)
+            row = int.from_bytes(g.local_closed[v].astype("<u8").tobytes(), "little")
+            assert row == local, (name, v)
+
+
+def test_has_edge_matches_oracle_adjacency():
+    for name, g in list(small_corpus()) + list(_extra_graphs()):
+        adj = adjacency(g.n, g.edges())
+        got = [[g.has_edge(u, v) for v in range(g.n)] for u in range(g.n)]
+        assert got == [[v in adj[u] for v in range(g.n)] for u in range(g.n)], name
+    g = gnp(70, 0.05, 2)
+    assert not any(g.has_edge(u, v) for u, v in ((-1, 3), (3, 70), (70, 140), (0, 0)))
 
 
 # every ASCII separator: inside a line, then at its end

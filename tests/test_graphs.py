@@ -221,6 +221,19 @@ def test_parse_edge_list_memory_stays_within_ten_times_the_text(g):
     assert peak <= 10 * len(text), peak / len(text)
 
 
+@pytest.mark.parametrize("view, bound", [("degrees", 1.5), ("packed_closed", 4)])
+def test_view_memory_stays_within_a_few_edge_arrays(view, bound):
+    # both views are read off the edge array, without the CSR's 2m arcs
+    g = parse_edge_list(write_edge_list(gnp(600, 0.5, 1)))
+    tracemalloc.start()
+    try:
+        getattr(g, view)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * g.edge_array().nbytes, peak / g.edge_array().nbytes
+
+
 def test_to_dot():
     text = to_dot(path(3))
     assert text.startswith("graph")
