@@ -19,13 +19,14 @@ Every other form is derived from that array on first use and cached:
 The degrees (one bincount), the packed rows (two word passes over the
 sorted edges) and `has_edge` (a lookup of the edge key) read the edge
 array alone. The CSR comes from one sort of the 2m arc keys v * n + w;
-only the readers of neighbor lists build it: the distance-2 pairs,
-`greedy_idcode`, `neighbor_counts`, `neighbors` and
-`closed_neighborhood`.
+only the readers of neighbor lists build it: the 2-balls (`ball_rows`,
+which the distance-2 pairs and `sparsify` read), `greedy_idcode`,
+`neighbor_counts`, `neighbors` and `closed_neighborhood`.
 
 The builders (the constructor, `parse_edge_list`, `delete_edges`,
-`complement`, the generators) and the distance-2 pair enumeration work on
-whole arrays; none of them loops over the edges in Python.
+`complement`, the generators), the 2-balls and the distance-2 pair
+enumeration work on whole arrays; none of them loops over the edges in
+Python.
 """
 
 from __future__ import annotations
@@ -406,7 +407,7 @@ def find_twins(g: Graph) -> list[Edge]:
     return list(zip(np.repeat(np.arange(g.n), after).tolist(), v.tolist()))
 
 
-# words gathered or unpacked per block of _dist2_blocks (2 MiB)
+# words gathered or unpacked per block of ball_rows and _dist2_blocks (2 MiB)
 _BLOCK_WORDS = 1 << 18
 
 
@@ -416,16 +417,47 @@ def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lens, lens)
 
 
+def ball_rows(g: Graph, vs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Per vertex v of vs, the OR of rows[w] over w in N[v], as a new
+    (len(vs), W) array. With g's packed or component-local closed rows this
+    is the 2-ball of v (the vertices at distance <= 2) in the same columns.
+
+    Reads g's neighbor lists, and gathers at most _BLOCK_WORDS words of
+    neighbor rows at a time (at least one vertex's), so the memory beyond
+    the graph and the result stays bounded.
+    """
+    indptr, nbrs = g._csr
+    out = rows[vs]
+    lo, hi = indptr[vs], indptr[vs + 1]
+    deg = hi - lo
+    offs = np.concatenate(([0], np.cumsum(deg)))
+    # consecutive vertices, as _dist2_blocks passes, read one slice of nbrs
+    runs = np.array_equal(lo[1:], hi[:-1])
+    cap = max(1, _BLOCK_WORDS // rows.shape[1])
+    a = 0
+    while a < len(vs):
+        b = max(a + 1, int(np.searchsorted(offs, offs[a] + cap, side="right")) - 1)
+        busy = np.flatnonzero(deg[a:b]) + a
+        if len(busy):
+            d = deg[busy]
+            at = slice(lo[a], hi[b - 1]) if runs else concat_ranges(lo[busy], d)
+            hood = rows[nbrs[at]]
+            out[busy] |= np.bitwise_or.reduceat(hood, np.cumsum(d) - d)
+        a = b
+    return out
+
+
 def _dist2_blocks(g: Graph) -> Iterator[np.ndarray]:
     """The pairs of dist2_pair_array, one (k, 2) array per block of rows u.
 
-    Row u of a block is the OR of the component-local rows of N[u]; its
-    bits above the rank of u are the partners v > u, since ranks follow
-    the vertex order inside a component. Only s_max columns are unpacked
-    per row, s_max the largest component size; graphs of at most 64
-    vertices keep the global rows, one word either way. A block gathers
-    at most _BLOCK_WORDS words of neighbor rows and unpacks at most
-    8 * _BLOCK_WORDS bits, so the memory beyond the graph stays bounded.
+    Row u of a block is the 2-ball of u in the component-local rows
+    (ball_rows); its bits above the rank of u are the partners v > u, since
+    ranks follow the vertex order inside a component. Only s_max columns
+    are unpacked per row, s_max the largest component size; graphs of at
+    most 64 vertices keep the global rows, one word either way. A block
+    gathers at most _BLOCK_WORDS words of neighbor rows and unpacks at
+    most 8 * _BLOCK_WORDS bits, so the memory beyond the graph stays
+    bounded.
     """
     n = g.n
     if n > 64:
@@ -437,19 +469,10 @@ def _dist2_blocks(g: Graph) -> Iterator[np.ndarray]:
     spread = len(starts) > 2  # local columns differ from the vertices
     W = rows.shape[1]
     cols = np.arange(s_max)
-    indptr, nbrs = g._csr
-    deg = g.degrees
-    gather_cap = max(1, _BLOCK_WORDS // W)
-    rows_cap = max(1, 8 * _BLOCK_WORDS // (64 * W))
-    a = 0
-    while a < n:
-        b = int(np.searchsorted(indptr, indptr[a] + gather_cap, side="right")) - 1
-        b = min(n, a + rows_cap, max(a + 1, b))
-        reach = rows[a:b].copy()
-        busy = deg[a:b] > 0
-        if busy.any():
-            hood = rows[nbrs[indptr[a] : indptr[b]]]
-            reach[busy] |= np.bitwise_or.reduceat(hood, (indptr[a:b] - indptr[a])[busy])
+    step = max(1, 8 * _BLOCK_WORDS // (64 * W))
+    for a in range(0, n, step):
+        b = min(n, a + step)
+        reach = ball_rows(g, np.arange(a, b), rows)
         bits = np.unpackbits(
             reach.astype("<u8", copy=False).view(np.uint8), axis=1, count=s_max, bitorder="little"
         ).view(bool)
@@ -458,7 +481,6 @@ def _dist2_blocks(g: Graph) -> Iterator[np.ndarray]:
         if spread:
             pv = members[starts[g.component_ids[pu]] + pv]
         yield np.stack((pu, pv), axis=1)
-        a = b
 
 
 def dist2_pair_array(g: Graph) -> np.ndarray:

@@ -9,18 +9,26 @@ far fewer rounds. Acceptance is gated on separation failures only;
 degree-deviation counts are tallied per round as diagnostics.
 
 A round is a fixed sequence of array passes over all still-active
-components at once, never a loop over their vertices or edges. Vertices,
-edges and distance-2 pairs are kept grouped by component, so a round
-gathers only the active ranges. The round gathers the active vertices'
-component-local packed rows (Graph.local_closed: a vertex's column is
-its rank inside its component) and packs each component's code into one
-local row. The code degrees are popcounts of the gathered rows masked by
-their component's code row, less the vertex's own bit, and the deletion
-probabilities are gathered per code-incident edge. Clearing the deleted
-edges' bits in the gathered rows gives the surviving closed
-neighborhoods. Each active vertex gets the exact id of its row masked by
-the code row (np.unique, no hashing), a pair fails when its two ids
-agree, and bincount tallies the failures per component. The uniform
+components at once, never a loop over their vertices or edges. Vertices
+and edges are kept grouped by component, so a round gathers only the
+active ranges. The round gathers the active vertices' component-local
+packed rows (Graph.local_closed: a vertex's column is its rank inside its
+component) and packs each component's code into one local row. The code
+degrees are popcounts of the gathered rows masked by their component's
+code row, less the vertex's own bit, and the deletion probabilities are
+gathered per code-incident edge. Clearing the deleted edges' bits in the
+gathered rows gives the surviving closed neighborhoods. Each active
+vertex gets the exact id of its row masked by the code row (np.unique,
+no hashing). A pair at distance <= 2 fails when its two ids agree, so
+only the vertices whose id repeats can fail: they alone are sorted into
+classes of equal (component, id), each class packed into one local row.
+A tied vertex u fails with every other member of its class inside its
+2-ball in g, so its partner count is one popcount of the ball masked by
+the class row, less u itself; bincount tallies half the partner counts
+per component. The 2-balls (graphs.ball_rows) never change between
+rounds, so each is computed the first time its vertex ties and kept in
+one n x W array; no list of the distance-2 pairs is ever built, and a run
+in which no vertex ties never reads the neighbor lists. The uniform
 variant's dominating sets come from one greedy cover stepping through
 all active components together, and its members outside the code are
 added to the code row before the ids are taken.
@@ -52,7 +60,7 @@ import numpy as np
 
 from ._kernels import greedy_cover_segments
 from .codes import is_dominating, is_identifying_code
-from .graphs import Edge, Graph, concat_ranges, degree_stats, dist2_pair_array
+from .graphs import Edge, Graph, ball_rows, concat_ranges, degree_stats, dist2_pair_array
 from .solvers import greedy_dominating
 
 _ONE = np.uint64(1)
@@ -449,7 +457,6 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
     ranks, local = g.ranks, g.local_closed
     W = local.shape[1]
     eu, ev, e_starts = _grouped(g.edge_array(), g.component_ids, k)
-    pu, pv, p_starts = _grouped(dist2_pair_array(g), g.component_ids, k)
     deg = g.degrees.astype(np.float64)
     # the current draw of every component, as vertex and edge flags; a
     # round rewrites only the entries of its active components
@@ -458,8 +465,10 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
     deleted = np.zeros(len(eu), dtype=bool)
     # per-vertex scratch, read only at the active vertices
     term = np.zeros(n)
-    sig = np.zeros(n, dtype=np.int64)
     pos = np.zeros(n, dtype=np.int64)
+    # the 2-balls in g as local rows, each filled when first needed
+    ball = np.empty((n, W), dtype=np.uint64)
+    has_ball = np.zeros(n, dtype=bool)
 
     accept = np.full(k, -1)
     active = np.arange(k)
@@ -470,13 +479,11 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
             break
         size_a = sizes[active]
         e_len = e_starts[active + 1] - e_starts[active]
-        p_len = p_starts[active + 1] - p_starts[active]
         if len(active) == k:
-            vs, e_at, p_at = members, slice(None), slice(None)
+            vs, e_at = members, slice(None)
         else:
             vs = members[concat_ranges(starts[active], size_a)]
             e_at = concat_ranges(e_starts[active], e_len)
-            p_at = concat_ranges(p_starts[active], p_len)
         drawn = streams.start(active, r, size_a, e_len) < p
         in_code[vs] = drawn
 
@@ -513,12 +520,28 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
             in_dom[vs] = dom
             extra = dom & ~drawn
             _toggle_bits(gates, seg[extra], ranks[vs[extra]])
-        # equal gated rows of h get equal ids, and a pair fails when its
-        # two ids agree
-        sig[vs] = _signature_ids(h & gates[seg])
-        same = np.flatnonzero(sig[pu[p_at]] == sig[pv[p_at]])
-        owner = np.searchsorted(np.cumsum(p_len), same, side="right")
-        fails = np.bincount(owner, minlength=len(active))
+        # equal gated rows of h get equal ids; only vertices whose id
+        # repeats can fail, and u fails with the members of its class (same
+        # component, same id) inside its 2-ball in g, other than u
+        ids = _signature_ids(h & gates[seg])
+        tied = np.flatnonzero(np.bincount(ids)[ids] > 1)
+        fails = np.zeros(len(active), dtype=np.int64)
+        if len(tied):
+            _, cls, cnt = np.unique(
+                seg[tied] * len(vs) + ids[tied], return_inverse=True, return_counts=True
+            )
+            keep = cnt[cls] > 1
+            tied, cls = tied[keep], cls[keep]
+            tv = vs[tied]
+            class_rows = np.zeros((len(cnt), W), dtype=np.uint64)
+            _toggle_bits(class_rows, cls, ranks[tv])
+            new = tv[~has_ball[tv]]
+            if len(new):
+                ball[new] = ball_rows(g, new, local)
+                has_ball[new] = True
+            partners = np.bitwise_count(ball[tv] & class_rows[cls]).sum(1, dtype=np.int64) - 1
+            # every failing pair is counted from both of its ends
+            fails = np.bincount(seg[tied], partners, minlength=len(active)).astype(np.int64) // 2
 
         accept[active[fails == 0]] = r
         active = active[fails > 0]
@@ -528,7 +551,7 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
                 int(np.count_nonzero(in_code)),
                 int(np.count_nonzero(deleted)),
                 a_cnt,
-                len(same),
+                int(fails.sum()),
             )
         )
     if len(active):

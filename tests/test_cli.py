@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -25,6 +26,7 @@ from idcodes import (
     write_edge_list,
 )
 from idcodes import cli, solvers, watching
+from idcodes import graphs as graphs_mod
 from idcodes.cli import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -547,9 +549,36 @@ def test_verifiers_twins_degrees_and_verify_command_build_no_csr(tmp_path, monke
 
 
 def test_sparsify_builds_the_csr_of_its_graph_only(monkeypatch):
-    # the distance-2 pairs read the parent's neighbor lists; the verified
-    # child is checked on its packed rows
-    for g, variant in ((gnp(60, 0.5, 4), "theorem1"), (disjoint_cliques(9, 4), "uniform")):
+    # the 2-balls of tied vertices read the parent's neighbor lists, built
+    # once on the first round with ties; the verified child is checked on
+    # its packed rows. At p = 1 every vertex is in the code and no two
+    # vertices tie here, so no CSR is built at all
+    cases = (
+        (gnp(60, 0.5, 4), "theorem1", 2.0, 0),
+        (disjoint_cliques(9, 4), "uniform", 2.0, 1),
+        (disjoint_cliques(9, 4), "theorem1", 2.0, 1),
+        (gnp(60, 0.5, 4), "theorem1", 66.0, 0),
+        (gnp(60, 0.5, 4), "uniform", 66.0, 0),
+    )
+    for g, variant, c, builds in cases:
         built = _count_csr_builds(monkeypatch)
-        sparsify(g, SparsifyParams(c=2.0, seed=3, variant=variant))
-        assert len(built) == 1 and built[0] is g, variant
+        res = sparsify(g, SparsifyParams(c=c, seed=3, variant=variant))
+        assert all(b is g for b in built), variant
+        assert len(built) == builds, (variant, c)
+        assert builds == 0 or res.trials[0].b_violations > 0, (variant, c)
+
+
+def test_sparsify_lists_no_distance_2_pairs(monkeypatch):
+    # separation failures come from the 2-balls of tied vertices, never
+    # from a list of every pair at distance <= 2
+    def refuse(*args):
+        raise AssertionError("sparsify listed the distance-2 pairs")
+
+    # the module, not the function of the same name that idcodes exports
+    sparsify_mod = importlib.import_module("idcodes.sparsify")
+    monkeypatch.setattr(sparsify_mod, "dist2_pair_array", refuse)
+    monkeypatch.setattr(graphs_mod, "_dist2_blocks", refuse)
+    for g in (disjoint_cliques(9, 4), gnp(60, 0.5, 4)):
+        for variant in ("theorem1", "uniform"):
+            res = sparsify(g, SparsifyParams(c=2.0, seed=3, variant=variant))
+            assert is_identifying_code(g.delete_edges(res.deleted_edges), res.final_code).ok

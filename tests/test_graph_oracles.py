@@ -2,6 +2,7 @@
 `oracles.py`: parsing, construction, edge deletion, distance-2 pairs and
 components must give the same graphs, or fail with the same message."""
 
+import itertools
 import sys
 import tracemalloc
 
@@ -260,6 +261,38 @@ def test_dist2_pairs_on_interleaved_components_match_oracle(monkeypatch, block_w
         expected = oracle_dist2_pairs(g.n, g.edges())
         assert dist2_pair_array(g).tolist() == [list(p) for p in expected], name
         assert list(dist2_pairs(g)) == expected, name
+
+
+@pytest.mark.parametrize("block_words", [None, 1, 8])
+def test_ball_rows_match_oracle(monkeypatch, block_words):
+    # a vertex's ball row sets exactly the vertices at distance <= 2 and
+    # itself, in either layout, for any order of the requested vertices and
+    # for a run of consecutive ones (one slice of the neighbor lists)
+    if block_words is not None:
+        monkeypatch.setattr(graphs_mod, "_BLOCK_WORDS", block_words)
+    rng = np.random.default_rng(11)
+    graphs = list(small_corpus())[::4] + list(_extra_graphs()) + list(_interleaved_graphs())
+    for name, g in graphs:
+        near = {v: {v} for v in range(g.n)}
+        for u, v in oracle_dist2_pairs(g.n, g.edges()):
+            near[u].add(v)
+            near[v].add(u)
+        members, starts = g.component_order
+        picked = rng.permutation(g.n)[: rng.integers(0, g.n + 1)]
+        picked = np.concatenate((picked, picked[:2]))  # repeats too
+        for vs, (rows, to_vertex) in itertools.product(
+            (picked, np.arange(g.n // 3, g.n)),
+            (
+                (g.packed_closed, lambda v, col: col),
+                (g.local_closed, lambda v, col: int(members[starts[g.component_ids[v]] + col])),
+            ),
+        ):
+            balls = graphs_mod.ball_rows(g, vs, rows)
+            assert balls.shape == (len(vs), rows.shape[1]), name
+            for v, ball in zip(vs.tolist(), balls):
+                bits = np.unpackbits(ball.astype("<u8").view(np.uint8), bitorder="little")
+                got = {to_vertex(v, col) for col in np.flatnonzero(bits).tolist()}
+                assert got == near[v], (name, v)
 
 
 def test_local_closed_rows_follow_component_ranks():

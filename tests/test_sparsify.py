@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from idcodes import (
     bounded_f,
     check_events,
     complete,
+    complete_bipartite,
     cycle,
     disjoint_cliques,
     gnp,
@@ -638,3 +640,20 @@ def test_sparsify_counts_code_degrees_without_neighbor_counts(monkeypatch):
             res = sparsify(g, SparsifyParams(c=2.0, seed=1, variant=variant))
             assert len(res.trials) > 1
     assert calls == []
+
+
+@pytest.mark.parametrize("variant", ["theorem1", "uniform"])
+def test_sparsify_memory_stays_linear_in_rows_and_edges(variant):
+    # K_{2,3000} has ~4.5e6 pairs at distance 2, all between leaves; the
+    # run must stay within O(n W + m), never hold a list of those pairs
+    g = complete_bipartite(2, 3000)
+    words = (g.n + 63) // 64
+    tracemalloc.start()
+    try:
+        res = sparsify(g, SparsifyParams(variant=variant))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.retries_used == 0
+    base = g.n * words * 8 + 16 * g.m
+    assert peak <= 16 * base, peak / base
