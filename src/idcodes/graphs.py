@@ -431,8 +431,6 @@ def ball_rows(g: Graph, vs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     lo, hi = indptr[vs], indptr[vs + 1]
     deg = hi - lo
     offs = np.concatenate(([0], np.cumsum(deg)))
-    # consecutive vertices, as _dist2_blocks passes, read one slice of nbrs
-    runs = np.array_equal(lo[1:], hi[:-1])
     cap = max(1, _BLOCK_WORDS // rows.shape[1])
     a = 0
     while a < len(vs):
@@ -440,8 +438,7 @@ def ball_rows(g: Graph, vs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         busy = np.flatnonzero(deg[a:b]) + a
         if len(busy):
             d = deg[busy]
-            at = slice(lo[a], hi[b - 1]) if runs else concat_ranges(lo[busy], d)
-            hood = rows[nbrs[at]]
+            hood = rows[nbrs[concat_ranges(lo[busy], d)]]
             out[busy] |= np.bitwise_or.reduceat(hood, np.cumsum(d) - d)
         a = b
     return out

@@ -11,14 +11,12 @@ incumbent is the greedy start set after one reverse-delete pass, lowest
 degree first, that drops a vertex when the rest still hits every set and
 the rule calls it solved, the same test the walk applies at a leaf. At
 each node the sets that the chosen vertices do not hit yet are
-restricted to the undecided vertices; a node filters them from its
-parent's, since the vertex it adds is its only new pick. The shared
-prunes fire, in this order, when the node cannot beat the incumbent
-(size), when one of those sets is empty (infeasible), when the solver's
-own rule fires, or when a greedy packing of pairwise disjoint ones,
-smallest first, needs as many picks as the incumbent has left (packing),
-since one pick hits at most one set of a packing. The identifying-code
-rule tests for two vertices
+restricted to the undecided vertices. The shared prunes fire, in this
+order, when the node cannot beat the incumbent (size), when one of those
+sets is empty (infeasible), when the solver's own rule fires, or when a
+greedy packing of pairwise disjoint ones, smallest first, needs as many
+picks as the incumbent has left (packing), since one pick hits at most
+one set of a packing. The identifying-code rule tests for two vertices
 that no undecided vertex can split (class) and bounds the picks by
 ceil(log2) of the largest signature class (log2); the dominating rule
 bounds them by the undominated count over the best single coverage
@@ -159,12 +157,9 @@ def _min_hitting_set(
     prunes = dict.fromkeys(rules, 0)
     best_size = best.bit_count()
     nodes, optimal = 0, True
-    # a node carries its parent's live sets and the bit it added to chosen
-    # (0 on the exclude branch): the sets chosen leaves unhit are the
-    # parent's that miss the bit, restricted to the smaller undecided set
-    stack = [(0, 0, sets, 0)] if best_size > lb else []
+    stack = [(0, 0)] if best_size > lb else []
     while stack:
-        i, chosen, live, bit = stack.pop()
+        i, chosen = stack.pop()
         nodes += 1
         if nodes > budget:
             optimal = False
@@ -173,7 +168,7 @@ def _min_hitting_set(
         room = best_size - size
         if room <= 0:
             fired = "size"
-        elif (live := _unhit_sets(live, bit, suffix[i])) is None:
+        elif (live := _unhit_sets(sets, chosen, suffix[i])) is None:
             fired = "infeasible"
         else:
             fired = rule(chosen, suffix[i], live, room)
@@ -186,9 +181,8 @@ def _min_hitting_set(
         elif fired:
             prunes[fired] += 1
         else:
-            bit = 1 << order[i]
-            stack.append((i + 1, chosen, live, 0))
-            stack.append((i + 1, chosen | bit, live, bit))
+            stack.append((i + 1, chosen))
+            stack.append((i + 1, chosen | (1 << order[i])))
     return SearchResult(mask_to_set(best), optimal, nodes, MappingProxyType(prunes))
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,24 @@ def test_budget_exhaustion_deep_search_returns_incumbent(monkeypatch):
     assert depth > 1000
     assert is_identifying_code(g, res.code).ok
     assert res.size <= len(greedy_idcode(g))
+
+
+def test_exact_walk_memory_stays_linear_in_rows_and_edges():
+    # the walk on a path is ~n/2 include decisions deep; a node that keeps
+    # its unhit sets for the nodes below it holds O(n) sets per level of the
+    # stack, O(n^2 W) in all, where the walk must stay within O(n W + m)
+    g = path(400)
+    g.packed_closed, g.degrees, g._csr
+    words = (g.n + 63) // 64
+    tracemalloc.start()
+    try:
+        res = exact_min_idcode(g, budget=500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.optimal and is_identifying_code(g, res.code).ok
+    base = g.n * words * 8 + 16 * g.m
+    assert peak <= 40 * base, peak / base
 
 
 def test_start_incumbent_is_valid_and_minimal():
