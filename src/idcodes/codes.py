@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .graphs import Graph, dist2_pair_array, row_runs
+from .graphs import Graph, row_runs
 
 
 class InvalidCodeError(ValueError):
@@ -125,24 +125,15 @@ def is_identifying_code(g: Graph, c: Iterable[int], mode: str = "full") -> Verdi
     """Dominating and separating.
 
     mode "full" checks separation over all vertex pairs; mode "dist2" only
-    over pairs at distance <= 2. The two agree: vertices farther apart have
-    disjoint closed neighborhoods, and once both are dominated their
-    non-empty signatures cannot coincide.
+    over pairs at distance <= 2. Both run the same check and give the same
+    witness: once every vertex is dominated, two equal signatures share a
+    code vertex, so the pair lies within distance 2, and vertices farther
+    apart are always separated.
     """
     if mode not in ("full", "dist2"):
         raise ValueError(f"mode must be 'full' or 'dist2', got {mode!r}")
     rows = g.packed_closed & _code_row(g, c)
-    undominated = _undominated(rows)
-    if undominated or mode == "full":
-        return undominated or _separation(rows)
-    # per vertex the offset of its run of equal rows, compared over the pairs
-    order, starts = row_runs(rows)
-    run = np.repeat(starts[:-1], np.diff(starts))[np.argsort(order)]
-    pairs = dist2_pair_array(g)
-    same = np.flatnonzero(run[pairs[:, 0]] == run[pairs[:, 1]])
-    if len(same):
-        return Verdict(False, UnseparatedPair(*pairs[same[0]].tolist()))
-    return _OK
+    return _undominated(rows) or _separation(rows)
 
 
 def is_locating_dominating(g: Graph, c: Iterable[int]) -> Verdict:

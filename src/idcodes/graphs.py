@@ -23,10 +23,10 @@ only the readers of neighbor lists build it: the 2-balls (`ball_rows`,
 which the distance-2 pairs and `sparsify` read), `greedy_idcode`,
 `neighbor_counts`, `neighbors` and `closed_neighborhood`.
 
-The builders (the constructor, `parse_edge_list`, `delete_edges`,
-`complement`, the generators), the 2-balls and the distance-2 pair
-enumeration work on whole arrays; none of them loops over the edges in
-Python.
+The builders (the constructor, `delete_edges`, `complement`, the
+generators, `parse_edge_list` on well-formed ASCII text), the 2-balls and
+the distance-2 pair enumeration work on whole arrays; none of them loops
+over the edges in Python.
 """
 
 from __future__ import annotations
@@ -407,7 +407,8 @@ def find_twins(g: Graph) -> list[Edge]:
     return list(zip(np.repeat(np.arange(g.n), after).tolist(), v.tolist()))
 
 
-# words gathered or unpacked per block of ball_rows and _dist2_blocks (2 MiB)
+# words gathered or unpacked per block of ball_rows, _dist2_blocks and the
+# exact solver's pair sets (2 MiB)
 _BLOCK_WORDS = 1 << 18
 
 
@@ -477,7 +478,9 @@ def _dist2_blocks(g: Graph) -> Iterator[np.ndarray]:
         pu += a
         if spread:
             pv = members[starts[g.component_ids[pu]] + pv]
-        yield np.stack((pu, pv), axis=1)
+        block = np.stack((pu, pv), axis=1)
+        del reach, bits, pu, pv  # not held while the caller reads the block
+        yield block
 
 
 def dist2_pair_array(g: Graph) -> np.ndarray:
@@ -618,20 +621,6 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The code points str.split() treats as whitespace, and among them the line
-# boundaries of str.splitlines(); all lie below _SPACE_END. _KIND maps every
-# code point below it, plus one slot for all those above, to _WORD, _SPACE
-# or _BREAK.
-SPACE_CODES = (
-    *range(9, 14), *range(28, 33), 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B),
-    0x2028, 0x2029, 0x202F, 0x205F, 0x3000,
-)
-BREAK_CODES = (*range(10, 14), 28, 29, 30, 0x85, 0x2028, 0x2029)
-_SPACE_END = 0x3001
-_WORD, _SPACE, _BREAK = 0, 1, 2
-_KIND = np.full(_SPACE_END + 1, _WORD, dtype=np.int8)
-_KIND[list(SPACE_CODES)] = _SPACE
-_KIND[list(BREAK_CODES)] = _BREAK
 # longest run of decimal digits whose value always fits in int64
 _SHORT_DIGITS = 18
 
@@ -641,22 +630,12 @@ _SHORT_DIGITS = 18
 _BLOCK_CHARS = 1 << 17
 
 
-def _code_points(text: str) -> np.ndarray:
-    """The text as uint8 bytes when it is ASCII, else as uint32 code points."""
-    if text.isascii():
-        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-
-
 def _classes(cp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(word, brk): per character, whether it is a word character and
-    whether it is a line boundary, as _KIND classes it. ASCII bytes are
-    classed by comparisons, which wrap below 0 in uint8."""
-    if cp.dtype == np.uint8:
-        word = (cp > 32) | (cp < 9) | (cp - 14 < 14)
-        return word, (cp - 10 < 4) | (cp - 28 < 3)
-    kind = _KIND[np.minimum(cp, _SPACE_END)]
-    return kind == _WORD, kind == _BREAK
+    """(word, brk): per ASCII byte, whether str.split() keeps it in a
+    token and whether str.splitlines() ends a line at it, by comparisons
+    that wrap below 0 in uint8."""
+    word = (cp > 32) | (cp < 9) | (cp - 14 < 14)
+    return word, (cp - 10 < 4) | (cp - 28 < 3)
 
 
 def _token_bounds(word: np.ndarray) -> np.ndarray:
@@ -667,16 +646,15 @@ def _token_bounds(word: np.ndarray) -> np.ndarray:
     return np.flatnonzero(pad[1:] != pad[:-1])
 
 
-def _token_values(cp, word, ts, te, text: str, start: int = 0, out=None):
-    """(values, ok) for the tokens cp[ts[i]:te[i]], that is
-    text[start + ts[i] : start + te[i]], read as int() reads them; ok[i] is
-    False where int() fails. word flags the word characters of cp; values
-    is out when given.
+def _token_values(cp, word, ts, te, text: str, start: int, out: np.ndarray) -> bool:
+    """Reads the tokens cp[ts[i]:te[i]], that is
+    text[start + ts[i] : start + te[i]], into out as int() reads them,
+    clamped to [-1, 2**62]; False if int() fails on one. word flags the
+    word characters of cp.
 
-    Tokens of at most 18 ASCII digits are converted in right-aligned
-    gathers, one per digit position over all tokens at once; any other
-    token (sign, underscores, non-ASCII digits, long runs, junk) goes
-    through int() itself. Values are clamped to [-1, 2**62].
+    Tokens of at most 18 digits are converted in right-aligned gathers,
+    one per digit position over all tokens at once; any other token (sign,
+    underscores, long runs, junk) goes through int() itself.
     """
     digit = cp - 48  # unsigned, so characters below "0" wrap to large values
     isdig = digit <= 9
@@ -686,23 +664,21 @@ def _token_values(cp, word, ts, te, text: str, start: int = 0, out=None):
     np.multiply(digit, isdig, out=shifted[1:], casting="unsafe")
     length = te - ts
     plain = length <= _SHORT_DIGITS
-    odd = np.flatnonzero(word & ~isdig)  # word characters other than ASCII digits
+    odd = np.flatnonzero(word & ~isdig)  # word characters other than digits
     if len(odd):
         plain &= np.searchsorted(odd, ts) == np.searchsorted(odd, te)
-    values = np.zeros(len(ts), dtype=np.int64) if out is None else out
-    values[:] = 0
+    out[:] = 0
     pos = te.copy()  # the k-th digit from the right, or the 0 before the token
     for k in range(min(int(length.max(initial=0)), _SHORT_DIGITS)):
         np.maximum(pos, ts, out=pos)
-        values += shifted.take(pos) * np.int64(10**k)
+        out += shifted.take(pos) * np.int64(10**k)
         pos -= 1
-    ok = np.ones(len(ts), dtype=bool)
     for i in np.flatnonzero(~plain).tolist():
         try:
-            values[i] = min(max(int(text[start + ts[i] : start + te[i]]), -1), 1 << 62)
+            out[i] = min(max(int(text[start + ts[i] : start + te[i]]), -1), 1 << 62)
         except ValueError:
-            ok[i] = False
-    return values, ok
+            return False
+    return True
 
 
 def _line_blocks(cp: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
@@ -766,7 +742,7 @@ def _read_rows(cp: np.ndarray, text: str):
             return None
         flat = rows.reshape(-1)[filled : filled + len(ts)]
         filled += len(ts)
-        if not _token_values(block, word, ts, te, text, start, out=flat)[1].all():
+        if not _token_values(block, word, ts, te, text, start, flat):
             return None
         u, v = flat[0::2], flat[1::2]
         if len(flat) and (u.min() < 0 or v.max() >= n or not (u < v).all()):
@@ -776,70 +752,45 @@ def _read_rows(cp: np.ndarray, text: str):
     return n, rows
 
 
-def _parse_lines(cp: np.ndarray, text: str) -> Graph:
-    """parse_edge_list line by line: splits the whole text into lines and
-    raises the FormatError of the first bad one."""
-    word, brk = _classes(cp)
-    # a line ends at each boundary; "\r\n" leaves an empty line between its
-    # two characters, which is blank and so skipped like any other
-    ends = np.flatnonzero(brk)
-    line_start = np.concatenate(([0], ends + 1))
-    line_end = np.concatenate((ends, [len(cp)]))
-
-    def line(k: int) -> str:
-        return text[line_start[k] : line_end[k]]
-
-    bounds = _token_bounds(word)
-    ts, te = bounds[0::2], bounds[1::2]
-    values, ok = _token_values(cp, word, ts, te, text)
-    first = np.searchsorted(ts, line_start)  # index of each line's first token
-    counts = np.diff(first, append=len(ts))
-    filled = np.flatnonzero(counts)
-
-    if not len(filled):
-        raise FormatError("empty input")
-    head = filled[0]
-    if counts[head] != 2:
-        raise FormatError(f"header must be 'n m', got {line(head)!r}")
-    t = first[head]
+def _graph(n: int, rows) -> Graph:
+    """Graph(n, rows), which sorts the rows unless they are sorted and
+    reports duplicates, with its ValueError raised as a FormatError."""
     try:
-        n, m = int(text[ts[t] : te[t]]), int(text[ts[t + 1] : te[t + 1]])
-    except ValueError as exc:
-        raise FormatError(f"bad header {line(head)!r}") from exc
-    if n < 0 or m < 0:
-        raise FormatError("negative n or m")
-    body = filled[1:]
-    if len(body) != m:
-        raise FormatError(f"header says {m} edges, found {len(body)}")
-
-    pair = counts[body] == 2
-    t = first[body][pair]
-    t = np.concatenate((t, t + 1))  # first endpoints, then second ones
-    u, v = values[t].reshape(2, -1)
-    readable = ok[t].reshape(2, -1).all(axis=0)
-    fits = (0 <= u) & (u < v) & (v < n)
-    if n > 1 << 62:  # a clamped v may still lie below n: compare exactly
-        tu, tv = t.reshape(2, -1)
-        for j in np.flatnonzero(readable & (v == 1 << 62)).tolist():
-            a, b = (int(text[ts[x] : te[x]]) for x in (tu[j], tv[j]))
-            fits[j] = 0 <= a < b < n
-    bad = ~pair
-    bad[pair] = ~readable | ~fits
-    if bad.any():
-        k = int(np.argmax(bad))
-        i, ln = k + 2, line(body[k])
-        if not pair[k]:
-            raise FormatError(f"line {i}: expected 'u v', got {ln!r}")
-        a, b = ln.split()
-        try:
-            a, b = int(a), int(b)
-        except ValueError as exc:
-            raise FormatError(f"line {i}: non-integer endpoint") from exc
-        raise FormatError(f"line {i}: need 0 <= u < v < n, got {a} {b}")
-    try:
-        return Graph(n, np.stack((u, v), axis=1))
+        return Graph(n, rows)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def _parse_lines(text: str) -> Graph:
+    """parse_edge_list line by line, raising the FormatError of the first
+    bad line."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise FormatError("empty input")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise FormatError(f"header must be 'n m', got {lines[0]!r}")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise FormatError(f"bad header {lines[0]!r}") from exc
+    if n < 0 or m < 0:
+        raise FormatError("negative n or m")
+    if len(lines) - 1 != m:
+        raise FormatError(f"header says {m} edges, found {len(lines) - 1}")
+    rows = []
+    for i, ln in enumerate(lines[1:], start=2):
+        parts = ln.split()
+        if len(parts) != 2:
+            raise FormatError(f"line {i}: expected 'u v', got {ln!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise FormatError(f"line {i}: non-integer endpoint") from exc
+        if not 0 <= u < v < n:
+            raise FormatError(f"line {i}: need 0 <= u < v < n, got {u} {v}")
+        rows.append((u, v))
+    return _graph(n, rows)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -849,23 +800,20 @@ def parse_edge_list(text: str) -> Graph:
     str.split() split them, and endpoints are read as int() reads them.
     Line numbers in messages count the non-blank lines.
 
-    The text is read in one tokenising pass over line-aligned blocks of
+    ASCII text is read in one tokenising pass over line-aligned blocks of
     _BLOCK_CHARS characters, so the temporaries beyond the text and the
     rows stay bounded: the line shape is read from the gaps between
-    tokens, runs of at most 18 ASCII digits are converted in array passes
+    tokens, runs of at most 18 digits are converted in array passes
     (int() sees only the other tokens), and the checked rows go straight
     to Graph, which keeps them as they are when they come out sorted.
-    Only when a check fails is the whole text split into lines, to report
-    the first bad one.
+    Other text, and text that fails a check of that pass, is read by a
+    plain walk over its lines, which reports the first bad one.
     """
-    cp = _code_points(text)
-    found = _read_rows(cp, text)
-    if found is None:
-        return _parse_lines(cp, text)
-    try:  # sorts the rows unless they are sorted, and reports duplicates
-        return Graph(*found)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    if text.isascii():
+        found = _read_rows(np.frombuffer(text.encode("ascii"), dtype=np.uint8), text)
+        if found is not None:
+            return _graph(*found)
+    return _parse_lines(text)
 
 
 def to_dot(g: Graph) -> str:

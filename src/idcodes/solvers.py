@@ -35,17 +35,13 @@ import numpy as np
 from . import _kernels
 from .bounds import ceil_log2, idcode_lower_bound
 from .codes import code_mask, is_identifying_code, mask_to_set
-from .graphs import Graph, concat_ranges, dist2_pair_array, least_twins
+from .graphs import _BLOCK_WORDS, Graph, _dist2_blocks, concat_ranges, least_twins
 
 DEFAULT_BUDGET = 10_000_000
 
 # prune rules of each solver, in the order a node tests them
 IDCODE_RULES = ("size", "infeasible", "class", "log2", "packing")
 DOMINATING_RULES = ("size", "infeasible", "cover", "packing")
-
-# words of XORed neighborhood rows per block when sizing the pair sets (2 MiB)
-_PAIR_BLOCK_WORDS = 1 << 18
-
 
 class NotTwinFreeError(ValueError):
     """Twin vertices admit no identifying code."""
@@ -77,15 +73,15 @@ def _hitting_sets(g: Graph) -> list[int]:
     Duplicates are dropped; there are at most 2n sets."""
     n = g.n
     rows = g.packed_closed
-    pairs = dist2_pair_array(g)
     # per vertex the least key |N[u] ^ N[w]| * n + w over its partners w
     best = np.full(n, -1 + (1 << 63), dtype=np.int64)
-    step = max(1, _PAIR_BLOCK_WORDS // rows.shape[1])
-    for a in range(0, len(pairs), step):
-        u, w = pairs[a : a + step, 0], pairs[a : a + step, 1]
-        size = np.bitwise_count(rows[u] ^ rows[w]).sum(axis=1, dtype=np.int64)
-        np.minimum.at(best, u, size * n + w)
-        np.minimum.at(best, w, size * n + u)
+    step = max(1, _BLOCK_WORDS // rows.shape[1])
+    for block in _dist2_blocks(g):
+        for a in range(0, len(block), step):
+            u, w = block[a : a + step, 0], block[a : a + step, 1]
+            size = np.bitwise_count(rows[u] ^ rows[w]).sum(axis=1, dtype=np.int64)
+            np.minimum.at(best, u, size * n + w)
+            np.minimum.at(best, w, size * n + u)
     masks = g.closed_masks
     sets = dict.fromkeys(masks)
     for u in np.flatnonzero(best < n * (n + 1)).tolist():

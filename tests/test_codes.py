@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,7 @@ from idcodes import (
     UnseparatedPair,
     Verdict,
     complete,
+    complete_bipartite,
     cycle,
     gnp,
     is_dominating,
@@ -217,3 +219,19 @@ def test_witnesses_match_oracle_on_multiword_rows():
             _check_witnesses(name, g, code)
             v = rng.randrange(n)
             assert signature(g, code, v) == oracle_signature(n, g.edges(), code, v), name
+
+
+def test_dist2_mode_memory_stays_linear_in_rows_and_edges():
+    # K_{2,3000} has ~4.5e6 pairs at distance 2; the check must stay within
+    # O(n W + m), never hold a list of those pairs
+    g = complete_bipartite(2, 3000)
+    words = (g.n + 63) // 64
+    tracemalloc.start()
+    try:
+        v = is_identifying_code(g, range(g.n), "dist2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.ok
+    base = g.n * words * 8 + 16 * g.m
+    assert peak <= 16 * base, peak / base

@@ -3,7 +3,6 @@
 components must give the same graphs, or fail with the same message."""
 
 import itertools
-import sys
 import tracemalloc
 
 import numpy as np
@@ -102,10 +101,14 @@ def _check_parse(text):
     try:
         n, edges = oracle_parse_edge_list(text)
     except OracleFormatError as exc:
-        with pytest.raises(FormatError) as err:
-            parse_edge_list(text)
-        assert str(err.value) == str(exc)
-        return
+        # a duplicate edge is the one oracle error that can follow the line
+        # checks, and Graph checks n before the edges
+        n = int(text.split()[0]) if str(exc).startswith("duplicate edge") else 0
+        if n <= graphs_mod.MAX_VERTICES:
+            with pytest.raises(FormatError) as err:
+                parse_edge_list(text)
+            assert str(err.value) == str(exc)
+            return
     if n > graphs_mod.MAX_VERTICES:
         # edge keys u * n + v must fit in int64; a graph this large could
         # not be built before either (its adjacency exhausts memory)
@@ -153,6 +156,7 @@ def test_parse_edge_list_fixed_cases_match_oracle():
         "9999999999999999999999999 0\n",
         "3037000500 0\n",
         "3037000499 0\n",
+        "\n9999999999999999999999999 2\n0 1\n0 1\n",
     ):
         _check_parse(text)
 
@@ -233,14 +237,6 @@ def test_delete_edges_matches_oracle():
             assert h == g.delete_edges(np.array(drop, dtype=np.int64).reshape(-1, 2)), name
             assert h.is_spanning_subgraph_of(g), name
             assert g.is_spanning_subgraph_of(h) == (h.m == g.m), name
-
-
-def test_parser_character_classes_match_str():
-    everything = range(sys.maxunicode + 1)
-    assert list(graphs_mod.SPACE_CODES) == [c for c in everything if chr(c).isspace()]
-    assert list(graphs_mod.BREAK_CODES) == [
-        c for c in graphs_mod.SPACE_CODES if len(f"a{chr(c)}b".splitlines()) == 2
-    ]
 
 
 def _interleaved_graphs():
@@ -419,7 +415,7 @@ def _check_array_pass(text):
         accepted = True
     except OracleFormatError as exc:
         accepted = str(exc).startswith("duplicate edge")
-    cp = graphs_mod._code_points(text)
+    cp = np.frombuffer(text.encode("ascii"), np.uint8)
     assert (graphs_mod._read_rows(cp, text) is not None) == accepted
 
 
@@ -429,11 +425,10 @@ def test_parse_edge_list_well_formed_matches_oracle(text):
     _check_array_pass(text)
 
 
-def test_parser_ascii_classes_match_kind():
+def test_parser_ascii_classes_match_str():
     word, brk = graphs_mod._classes(np.arange(128, dtype=np.uint8))
-    kind = graphs_mod._KIND[:128]
-    assert word.tolist() == (kind == graphs_mod._WORD).tolist()
-    assert brk.tolist() == (kind == graphs_mod._BREAK).tolist()
+    assert word.tolist() == [not chr(c).isspace() for c in range(128)]
+    assert brk.tolist() == [len(f"a{chr(c)}b".splitlines()) == 2 for c in range(128)]
 
 
 def _block_texts():
