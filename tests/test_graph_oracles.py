@@ -3,6 +3,7 @@
 components must give the same graphs, or fail with the same message."""
 
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -425,10 +426,22 @@ def test_parse_edge_list_well_formed_matches_oracle(text):
     _check_array_pass(text)
 
 
-def test_parser_ascii_classes_match_str():
+def test_parser_ascii_classes_match_kind():
+    # the kind of each ASCII byte (word, space or line break) as str sees it
     word, brk = graphs_mod._classes(np.arange(128, dtype=np.uint8))
     assert word.tolist() == [not chr(c).isspace() for c in range(128)]
     assert brk.tolist() == [len(f"a{chr(c)}b".splitlines()) == 2 for c in range(128)]
+
+
+def test_parser_character_classes_match_str():
+    # every character str.split() splits at, between tokens and between
+    # lines, and some it keeps in a token, are read as the oracle reads them
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert len(spaces) >= 25
+    for c in spaces + ["\x1f\x1f", "\u200b", "\ufeff", "\x00"]:
+        _check_parse(f"3 2{c}0 1\n1{c}2\n")
+        _check_parse(f"3{c}2\n0 1{c}1 2{c}")
+        _check_parse(f"{c}3 1{c}{c}0{c}2{c}\n")
 
 
 def _block_texts():
