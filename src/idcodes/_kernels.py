@@ -6,9 +6,9 @@ max-coverage pick loop of the dominating set, and
 `greedy_cover_segments` the same loop over many components at once, for
 the sparsify rounds and the dominating set of a graph of several
 components. `separator_counts` scores every vertex for one pick of the
-greedy identifying code from its cells: the parts (w, S) of the current
-signature classes S inside each closed neighborhood N[w], with their
-sizes.
+greedy identifying code from the sizes |S & N[w]| of the current
+signature classes S inside each closed neighborhood N[w], given per
+cell (w, S) on sparse graphs or as a (classes x n) table on dense ones.
 
 They live in a module of their own, apart from the solvers that call
 them, because the benchmark tracer looks both up here by name
@@ -24,20 +24,36 @@ _ONE = np.uint64(1)
 
 
 def separator_counts(
-    counts: np.ndarray, owner: np.ndarray, klass: np.ndarray, sizes: np.ndarray, n: int
+    counts: np.ndarray,
+    owner: np.ndarray | None,
+    klass: np.ndarray | None,
+    sizes: np.ndarray,
+    n: int,
 ) -> np.ndarray:
     """For each vertex w < n, the still-unseparated pairs that w separates.
 
     The vertices are partitioned into classes, class k of sizes[k]
-    vertices: a pair is unseparated while both ends share a class. Cell c
-    is the part of class klass[c] inside N[owner[c]] and holds counts[c]
-    vertices, at most one cell per (vertex, class). w separates the pairs
-    of a class S that have exactly one end in N[w], so its count is the
-    sum over its cells of counts * (sizes - counts). Empty cells and cells
-    of one-vertex classes add 0 and may be left out or kept. One weighted
-    bincount over the cell owners gives every count (exact while the
-    counts stay below 2**53); nothing is sorted.
+    vertices: a pair is unseparated while both ends share a class. w
+    separates the pairs of a class S that have exactly one end in N[w],
+    so its count is the sum over the classes of
+    |S & N[w]| * (|S| - |S & N[w]|). The counts |S & N[w]| come in one of
+    two forms:
+
+    - cells: cell c is the part of class klass[c] inside N[owner[c]] and
+      holds counts[c] vertices, at most one cell per (vertex, class).
+      Empty cells and cells of one-vertex classes add 0 and may be left
+      out or kept. One weighted bincount over the cell owners gives every
+      count (exact while the counts stay below 2**53); nothing is sorted.
+    - a table: counts is a (classes, n) integer array whose row k holds
+      |S_k & N[w]| for every w, owner and klass are None. The products
+      are taken in int32 while n < 2**15 and in int64 above, and summed
+      over the rows.
     """
+    if owner is None:
+        wide = np.int32 if n < 1 << 15 else np.int64
+        pairs = np.subtract(sizes[:, None], counts, dtype=wide)
+        np.multiply(pairs, counts, out=pairs)
+        return pairs.sum(axis=0, dtype=np.int64)
     pairs = counts * (sizes[klass] - counts)
     return np.bincount(owner, weights=pairs, minlength=n).astype(np.int64)
 

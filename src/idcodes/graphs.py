@@ -20,8 +20,8 @@ The degrees (one bincount), the packed rows (two word passes over the
 sorted edges) and `has_edge` (a lookup of the edge key) read the edge
 array alone. The CSR comes from one sort of the 2m arc keys v * n + w;
 only the readers of neighbor lists build it: the 2-balls (`ball_rows`,
-which the distance-2 pairs and `sparsify` read), `greedy_idcode`,
-`neighbor_counts`, `neighbors` and `closed_neighborhood`.
+which the distance-2 pairs and `sparsify` read), `greedy_idcode` on
+sparse graphs, `neighbor_counts`, `neighbors` and `closed_neighborhood`.
 
 The builders (the constructor, `delete_edges`, `complement`, the
 generators, `parse_edge_list` on well-formed ASCII text), the 2-balls and

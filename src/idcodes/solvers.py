@@ -22,6 +22,12 @@ ceil(log2) of the largest signature class (log2); the dominating rule
 bounds them by the undominated count over the best single coverage
 (cover). Budgets count node expansions; an exhausted budget returns the
 incumbent flagged non-optimal instead of failing.
+
+The greedy identifying code scores every vertex per pick from the sizes
+|S & N[w]| of the signature classes S inside each closed neighborhood.
+It fills them per cell of the CSR incidence on sparse graphs and as a
+(classes x n) table of unpacked closed rows on dense ones; both fills
+make the same picks (greedy_idcode).
 """
 
 from __future__ import annotations
@@ -38,6 +44,11 @@ from .codes import code_mask, is_identifying_code, mask_to_set
 from .graphs import _BLOCK_WORDS, Graph, _dist2_blocks, concat_ranges, least_twins
 
 DEFAULT_BUDGET = 10_000_000
+
+# greedy_idcode sums unpacked class rows once the closed incidence n + 2m
+# holds at least DENSE_DEGREE entries per vertex and 1/DENSE_FILL of n**2
+DENSE_DEGREE = 40
+DENSE_FILL = 12
 
 # prune rules of each solver, in the order a node tests them
 IDCODE_RULES = ("size", "infeasible", "class", "log2", "packing")
@@ -295,11 +306,47 @@ def greedy_idcode(g: Graph) -> frozenset[int]:
     partition of V by current signature N[x] & C instead. Class 0 holds
     the empty signature (the undominated vertices) plus one ghost vertex
     that no N[w] holds, so dominating x is separating x from the ghost.
+    The gain of w is the sum over the classes S of
+    |S & N[w]| * |S - N[w]|, which `_kernels.separator_counts` takes once
+    per pick from the counts |S & N[w]|. A pick p splits every class S
+    into S & N[p] and S - N[p].
+
+    Two fills compute those counts and make the same picks. `_cell_picks`
+    keeps them per cell of the closed-neighborhood incidence, read from
+    the CSR, and moves only the entries of the rows in N[p] per pick, in
+    O(n + m) memory. `_table_picks` sums unpacked closed rows per class
+    instead: O(n) per live vertex per pick, n**2 bytes and no CSR. The
+    table fill runs on dense graphs (`_is_dense`), where n**2 bytes are
+    O(m) and where it measured faster.
+    """
+    if g.n < 1:
+        raise ValueError("greedy_idcode needs n >= 1")
+    twins = least_twins(g)
+    if twins:
+        raise NotTwinFreeError(twins)
+    code = _table_picks(g) if _is_dense(g) else _cell_picks(g)
+    verdict = is_identifying_code(g, code, "full")
+    if not verdict.ok:
+        raise RuntimeError(f"greedy produced an invalid code: {verdict}")
+    return frozenset(code)
+
+
+def _is_dense(g: Graph) -> bool:
+    """Whether greedy_idcode takes the table fill: the closed incidence
+    n + 2m holds at least DENSE_DEGREE entries per vertex and at least
+    n**2 / DENSE_FILL in all."""
+    n = g.n
+    return n + 2 * g.m >= max(DENSE_DEGREE * n, n * n / DENSE_FILL)
+
+
+def _cell_picks(g: Graph) -> list[int]:
+    """The greedy identifying code's picks, in order, from cell counts.
+
     Each class S is cut into cells, one per vertex w with N[w] meeting S,
     over the closed-neighborhood incidence (x, w), x in N[w], grouped in
     rows by x. A cell stores its owner w, its class and its size
-    |S & N[w]|, so the gain of w is the sum over its cells of
-    |S & N[w]| * |S - N[w]| (`_kernels.separator_counts`).
+    |S & N[w]|, and the kernel sums |S & N[w]| * |S - N[w]| over the
+    cells of each owner.
 
     A pick p refines in place: the part S & N[p] of every class S that
     N[p] meets moves to a fresh class id, and so does the matching part
@@ -310,11 +357,6 @@ def greedy_idcode(g: Graph) -> frozenset[int]:
     one-vertex classes are dropped, with their entries, and the rest
     renumbered. Memory is O(n + m).
     """
-    if g.n < 1:
-        raise ValueError("greedy_idcode needs n >= 1")
-    twins = least_twins(g)
-    if twins:
-        raise NotTwinFreeError(twins)
     n = g.n
     indptr, nbrs = g._csr
     size = np.diff(indptr) + 1
@@ -384,7 +426,64 @@ def greedy_idcode(g: Graph) -> frozenset[int]:
                 kept = arr[:cells][keep]
                 arr[: len(kept)] = kept
             cells = int(np.count_nonzero(keep))
-    verdict = is_identifying_code(g, code, "full")
-    if not verdict.ok:
-        raise RuntimeError(f"greedy produced an invalid code: {verdict}")
-    return frozenset(code)
+    return code
+
+
+def _table_picks(g: Graph) -> list[int]:
+    """The greedy identifying code's picks, in order, from class tables.
+
+    The closed rows are unpacked once into an n x n table of 0/1 bytes,
+    and every vertex keeps a class id; the ghost counts only in the size
+    of class 0, the class of the undominated vertices. Per pick, the
+    vertices of the classes of two or more are sorted by class, the
+    classes grouped by how many vertices they hold. A group of c classes
+    of s vertices each is one (c, s, n) gather of rows summed over its
+    middle axis, which fills the (classes x n) table of |S & N[w]| that
+    the kernel scores. The pick p then splits every class by row p. A
+    pick costs O(n) per live vertex; counts are int16 while n < 2**15.
+    """
+    n = g.n
+    rows = np.unpackbits(
+        g.packed_closed.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little"
+    )
+    wide = np.int16 if n < 1 << 15 else np.int32
+    # class id per vertex, and class sizes with the ghost counted in class 0
+    label = np.zeros(n, dtype=np.int64)
+    sizes = np.array([n + 1])
+    code: list[int] = []
+    while sizes.max() > 1:
+        held = sizes.copy()
+        held[0] -= 1  # the ghost holds no row
+        live = (sizes[label] > 1).nonzero()[0]
+        klass = label[live]
+        # the live vertices by class, the classes by how many they hold
+        order = live[np.argsort(held[klass] * len(sizes) + klass, kind="stable")]
+        klass = label[order]
+        first = np.ones(len(order), dtype=bool)
+        np.not_equal(klass[1:], klass[:-1], out=first[1:])
+        bounds = np.append(first.nonzero()[0], len(order))
+        ids = klass[bounds[:-1]]  # the class of each table row
+        counts = np.empty((len(ids), n), dtype=wide)
+        # each run of classes of one size s is one (classes, s, n) block
+        span = held[ids]
+        runs = np.append((span[1:] != span[:-1]).nonzero()[0] + 1, len(ids))
+        r = 0
+        for r_end in runs.tolist():
+            block = rows[order[bounds[r] : bounds[r_end]]].reshape(r_end - r, int(span[r]), n)
+            np.sum(block, axis=1, dtype=wide, out=counts[r:r_end])
+            r = r_end
+        gain = _kernels.separator_counts(counts, None, None, sizes[ids], n)
+        p = int(np.argmax(gain))  # argmax takes the first maximum
+        if gain[p] <= 0:
+            raise RuntimeError("greedy_idcode found no progress on a twin-free graph")
+        code.append(p)
+        # S & N[p] takes the id of S plus the id count; then the ids are
+        # compacted, keeping id 0 for the ghost's class
+        label[rows[p].view(bool)] += len(sizes)
+        used = np.zeros(2 * len(sizes), dtype=bool)
+        used[0] = True
+        used[label] = True
+        label = np.cumsum(used)[label] - 1
+        sizes = np.bincount(label, minlength=1)
+        sizes[0] += 1
+    return code

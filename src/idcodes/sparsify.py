@@ -33,8 +33,9 @@ variant's dominating sets come from one greedy cover stepping through
 all active components together, and its members outside the code are
 added to the code row before the ids are taken.
 
-The deleted edges are sorted once, lexicographically, after the last
-round, and the result keeps them as that sorted tuple.
+After the last round the deletion flags are mapped back to g's sorted
+edge order: the kept rows build the sparsified graph directly, and the
+deleted rows are the result's sorted tuple of deleted edges.
 
 Randomness is derived per (seed, component, round): component i draws in
 round r from the stream of numpy.random.default_rng((seed, i, r)), its
@@ -409,19 +410,21 @@ def _toggle_bits(rows: np.ndarray, at: np.ndarray, cols: np.ndarray) -> None:
 
 def _grouped(
     rows: np.ndarray, comp: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(first, second, starts): vertex-pair rows ordered by the component
-    of their first vertex, keeping the row order inside each component,
-    as two column views, plus each component's offset with len(rows)
-    appended."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(first, second, starts, order): vertex-pair rows ordered by the
+    component of their first vertex, keeping the row order inside each
+    component, as two column views, each component's offset with
+    len(rows) appended, and the grouped position of every input row
+    (grouped row j is input row order[j])."""
     if k == 1:
         starts = np.array([0, len(rows)])
+        order = np.arange(len(rows))
     else:
         lab = comp[rows[:, 0]]
         order = np.argsort(lab, kind="stable")
         rows = rows[order]
         starts = np.searchsorted(lab[order], np.arange(k + 1))
-    return rows[:, 0], rows[:, 1], starts
+    return rows[:, 0], rows[:, 1], starts, order
 
 
 def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
@@ -456,7 +459,8 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
     k = len(sizes)
     ranks, local = g.ranks, g.local_closed
     W = local.shape[1]
-    eu, ev, e_starts = _grouped(g.edge_array(), g.component_ids, k)
+    edges = g.edge_array()
+    eu, ev, e_starts, e_order = _grouped(edges, g.component_ids, k)
     deg = g.degrees.astype(np.float64)
     # the current draw of every component, as vertex and edge flags; a
     # round rewrites only the entries of its active components
@@ -563,9 +567,11 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
             last,
         )
 
-    dels = np.stack((eu[deleted], ev[deleted]), axis=1)
-    dels = dels[np.lexsort((dels[:, 1], dels[:, 0]))]
-    h = g.delete_edges(dels)
+    # back in g's edge order, the deleted rows come out sorted
+    gone = np.empty_like(deleted)
+    gone[e_order] = deleted
+    dels = edges[gone]
+    h = Graph._from_sorted(n, edges[~gone])
     code = set(np.flatnonzero(in_code).tolist())
     if variant == "theorem1":
         dom = set(greedy_dominating(g))
@@ -584,7 +590,7 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
         n_ln_dmax_over_dmin=n * math.log(dmax) / dmin,
     )
     return SparsifyResult(
-        deleted_edges=tuple(map(tuple, dels.tolist())),
+        deleted_edges=tuple(zip(dels[:, 0].tolist(), dels[:, 1].tolist())),
         code=frozenset(code),
         dominating=frozenset(dom),
         final_code=frozenset(final),

@@ -46,6 +46,26 @@ def test_separator_counts_against_naive():
     assert not separator_counts(*cells(xs, ws, label), np.ones(5, dtype=np.int64), 5).any()
 
 
+def test_separator_counts_table_matches_cells():
+    # the (classes x n) table form scores like the per-cell form, in int16
+    # or int32 counts, with or without the one-vertex classes' rows
+    rng = np.random.default_rng(5)
+    for seed in range(8):
+        g = gnp(int(rng.integers(5, 40)), float(rng.uniform(0.05, 0.9)), seed)
+        n = g.n
+        label = np.unique(rng.integers(0, int(rng.integers(1, n + 1)), size=n), return_inverse=True)[1]
+        sizes = np.bincount(label)
+        xs, ws = closed_incidence(g)
+        want = separator_counts(*cells(xs, ws, label), sizes, n)
+        table = np.zeros((len(sizes), n), dtype=np.int64)
+        np.add.at(table, (label[xs], ws), 1)
+        for dtype in (np.int16, np.int32):
+            got = separator_counts(table.astype(dtype), None, None, sizes, n)
+            assert got.dtype == np.int64 and np.array_equal(got, want), seed
+        big = sizes > 1
+        assert np.array_equal(separator_counts(table[big], None, None, sizes[big], n), want)
+
+
 def test_greedy_cover_matches_python_oracle():
     for seed in range(6):
         g = gnp(40, 0.15, seed)

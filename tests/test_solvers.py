@@ -296,6 +296,10 @@ def test_greedy_idcode_matches_golden():
     for case in doc["cases"]:
         g = families[case["family"]](*case["args"])
         assert sorted(greedy_idcode(g)) == case["code"], case
+        # both fills, whichever greedy_idcode takes, make the same picks
+        cells = solvers._cell_picks(g)
+        assert sorted(cells) == case["code"], case
+        assert solvers._table_picks(g) == cells, case
 
 
 def test_greedy_idcode_matches_pair_oracle():
@@ -325,16 +329,91 @@ def test_greedy_idcode_matches_pair_oracle_on_dense_graphs(n, p, seed):
 
 
 def test_greedy_idcode_raises_on_failed_checks(monkeypatch):
-    # the checks must hold under python -O too, so they are not asserts
-    g = cycle(9)
-    with monkeypatch.context() as m:
-        m.setattr(solvers, "is_identifying_code", lambda *a: Verdict(False, UndominatedVertex(0)))
-        with pytest.raises(RuntimeError, match="invalid code"):
-            greedy_idcode(g)
-    with monkeypatch.context() as m:
-        m.setattr(_kernels, "separator_counts", lambda *a: np.zeros(g.n, dtype=np.int64))
-        with pytest.raises(RuntimeError, match="no progress"):
-            greedy_idcode(g)
+    # the checks must hold under python -O too, so they are not asserts;
+    # cycle(9) takes the cell fill and G(100, 1/2) the table fill
+    for g, dense in ((cycle(9), False), (gnp(100, 0.5, 0), True)):
+        assert solvers._is_dense(g) == dense
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "is_identifying_code", lambda *a: Verdict(False, UndominatedVertex(0)))
+            with pytest.raises(RuntimeError, match="invalid code"):
+                greedy_idcode(g)
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "separator_counts", lambda *a: np.zeros(g.n, dtype=np.int64))
+            with pytest.raises(RuntimeError, match="no progress"):
+                greedy_idcode(g)
+
+
+def _fill_parity_graphs():
+    """(name, graph): twin-free graphs for the two greedy fills."""
+    graphs = [(f"C{n}", cycle(n)) for n in (4, 5, 7, 9, 16, 40)]
+    # dense graphs, where tied gains pile up
+    for n, p in ((12, 0.5), (20, 0.6), (30, 0.7), (40, 0.8), (60, 0.5)):
+        graphs += [(f"G({n},{p},{s})", gnp(n, p, s)) for s in range(4)]
+    # the exact-small sizes
+    for n in (16, 18, 23, 28):
+        graphs += [(f"G({n},0.3,{s})", gnp(n, 0.3, s)) for s in range(3)]
+    return [(name, g) for name, g in graphs if not find_twins(g)]
+
+
+def test_greedy_fills_make_the_oracle_picks_in_order():
+    checked = 0
+    for name, g in _fill_parity_graphs():
+        picks = oracle_greedy_idcode(g.n, g.edges())
+        assert solvers._cell_picks(g) == picks, name
+        assert solvers._table_picks(g) == picks, name
+        checked += 1
+    assert checked > 30
+
+
+def test_greedy_fills_agree_either_side_of_the_cut_over():
+    # at n = 300 the degree floor decides (n + 2m >= 40 n), at n = 900 the
+    # fill floor (n + 2m >= n**2 / 12)
+    sides = {}
+    for n, ps in ((300, (0.1, 0.12, 0.14, 0.2)), (900, (0.06, 0.075, 0.095, 0.12))):
+        for p in ps:
+            g = gnp(n, p, 1)
+            assert not find_twins(g)
+            cells = solvers._cell_picks(g)
+            assert solvers._table_picks(g) == cells, (n, p)
+            assert greedy_idcode(g) == set(cells)
+            sides.setdefault(n, set()).add(solvers._is_dense(g))
+    assert sides == {300: {False, True}, 900: {False, True}}
+
+
+def test_dense_greedy_idcode_reads_no_csr(monkeypatch):
+    built = []
+    csr = Graph.__dict__["_csr"]
+    monkeypatch.setattr(Graph, "_csr", property(lambda self: built.append(self) or csr.func(self)))
+    scores = []
+    counts = _kernels.separator_counts
+    monkeypatch.setattr(_kernels, "separator_counts", lambda *a: scores.append(a[1]) or counts(*a))
+    g = gnp(300, 0.5, 0)
+    assert solvers._is_dense(g)
+    code = greedy_idcode(g)
+    assert built == [] and is_identifying_code(g, code).ok
+    # one kernel call per pick, each on the table
+    assert len(scores) == len(code) and all(owner is None for owner in scores)
+    sparse = cycle(30)
+    assert not solvers._is_dense(sparse)
+    greedy_idcode(sparse)
+    assert built == [sparse]
+
+
+def test_greedy_idcode_memory_on_dense_graphs():
+    # the table fill holds n**2 bytes, O(m) on the graphs it runs on
+    g = gnp(1200, 0.5, 0)
+    assert not find_twins(g) and solvers._is_dense(g)
+    g.packed_closed, g.degrees
+    words = (g.n + 63) // 64
+    tracemalloc.start()
+    try:
+        code = greedy_idcode(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert is_identifying_code(g, code).ok
+    base = g.n * words * 8 + 16 * g.m
+    assert peak <= 8 * base, peak / base
 
 
 def test_greedy_idcode_large_sparse_graphs():
