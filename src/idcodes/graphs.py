@@ -23,6 +23,19 @@ only the readers of neighbor lists build it: the 2-balls (`ball_rows`,
 which the distance-2 pairs and `sparsify` read), `greedy_idcode` on
 sparse graphs, `neighbor_counts`, `neighbors` and `closed_neighborhood`.
 
+A child graph, made by deleting edges (`delete_edges`, and the sparsified
+graph of `sparsify`), inherits the views its parent has already cached
+and that are cheap to edit: `packed_closed`, copied with both bits of
+every deleted edge cleared, and the degrees, less the deleted edges. It
+builds any other view, and these two when the parent has none, from its
+own edges on first use. `sparsify` caches the packed rows of a connected
+parent (they are its `local_closed`), so that child packs nothing; a
+parent of several components packs only its local rows, and its child
+packs its own.
+
+The components come from one union-find over the edge array
+(`component_ids`).
+
 The builders (the constructor, `delete_edges`, `complement`, the
 generators, `parse_edge_list` on well-formed ASCII text), the 2-balls and
 the distance-2 pair enumeration work on whole arrays; none of them loops
@@ -284,25 +297,37 @@ class Graph:
 
     @cached_property
     def component_ids(self) -> np.ndarray:
-        """Per vertex, the index of its connected component (read-only);
-        components are numbered in order of their least vertex."""
-        u, v = self._edges[:, 0], self._edges[:, 1]
-        parent = np.arange(self._n)
-        # hook the larger root of every edge with split roots onto the
-        # smaller, then jump pointers until every vertex points at its root;
-        # a root is always the least vertex of its tree
+        """Per vertex, the index of its connected component (read-only
+        int64); components are numbered in order of their least vertex.
+
+        One union-find over the edge array: hook the larger root of every
+        edge onto the smaller, then jump pointers until every vertex points
+        at its root, the least vertex of its tree, and repeat until no edge
+        joins two trees. The first hook needs no gathers, since every
+        vertex is still its own root and u < v; later hooks run over all
+        edges, where an edge inside one tree hooks its root onto itself and
+        changes nothing. A graph whose vertices all reach root 0 is
+        connected and stops there, without reading the edges again.
+        """
+        n = self._n
+        lo, hi = self._edges[:, 0], self._edges[:, 1]
+        parent = np.arange(n)
+        np.minimum.at(parent, hi, lo)
         while True:
-            ru, rv = parent[u], parent[v]
-            split = ru != rv
-            if not split.any():
-                break
-            np.minimum.at(parent, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
             while True:
                 up = parent[parent]
-                if np.array_equal(up, parent):
+                if (up == parent).all():
                     break
                 parent = up
-        ids = np.unique(parent, return_inverse=True)[1].reshape(-1)
+            if not parent.any():
+                ids = np.zeros(n, dtype=np.int64)
+                break
+            ru, rv = parent[lo], parent[hi]
+            if (ru == rv).all():
+                # the roots, counted in vertex order, number the components
+                ids = (np.cumsum(parent == np.arange(n), dtype=np.int64) - 1)[parent]
+                break
+            np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
         ids.setflags(write=False)
         return ids
 
@@ -336,7 +361,8 @@ class Graph:
         return tuple(tuple(part.tolist()) for part in parts)
 
     def delete_edges(self, to_delete: Iterable[Edge]) -> "Graph":
-        """New graph without the given edges (edges must exist)."""
+        """New graph without the given edges (edges must exist). It
+        inherits the packed rows and degrees of self when those are cached."""
         n = self._n
         rows, src = _edge_rows(n, to_delete)
         lo, hi = rows.min(axis=1), rows.max(axis=1)
@@ -345,9 +371,41 @@ class Graph:
         if not found.all():
             missing = sorted({_norm_edge(*src[i]) for i in np.flatnonzero(~found)})
             raise ValueError(f"edges not in graph: {missing[:3]}")
-        keep = np.ones(self.m, dtype=bool)
-        keep[np.searchsorted(self._keys, keys)] = False
-        return Graph._from_sorted(n, self._edges[keep])
+        gone = np.zeros(self.m, dtype=bool)
+        gone[np.searchsorted(self._keys, keys)] = True
+        return self._without(gone)
+
+    def _without(self, gone: np.ndarray) -> "Graph":
+        """The child graph without the edges flagged in gone (one bool per
+        edge, in edge order).
+
+        The child inherits the views of self that are already cached:
+        packed_closed as a copy with both bits of every deleted edge
+        cleared, and the degrees less the deleted edges. Any other view it
+        builds from its own edges on first use.
+        """
+        # compress copies whole rows, several times faster than a boolean
+        # index of the 2-D edge array
+        child = Graph._from_sorted(self._n, np.compress(~gone, self._edges, axis=0))
+        views = vars(self)
+        if "packed_closed" not in views and "degrees" not in views:
+            return child
+        dels = np.compress(gone, self._edges, axis=0)
+        if "packed_closed" in views:
+            rows = views["packed_closed"]
+            flat = rows.reshape(-1).copy()
+            lo, hi = dels[:, 0], dels[:, 1]
+            at, cols = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+            words, bits = _word_bits(at, cols, rows.shape[1])
+            np.bitwise_and.at(flat, words, ~bits)
+            packed = flat.reshape(rows.shape)
+            packed.setflags(write=False)
+            vars(child)["packed_closed"] = packed
+        if "degrees" in views:
+            deg = views["degrees"] - np.bincount(dels.reshape(-1), minlength=self._n)
+            deg.setflags(write=False)
+            vars(child)["degrees"] = deg
+        return child
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -34,8 +34,14 @@ all active components together, and its members outside the code are
 added to the code row before the ids are taken.
 
 After the last round the deletion flags are mapped back to g's sorted
-edge order: the kept rows build the sparsified graph directly, and the
-deleted rows are the result's sorted tuple of deleted edges.
+edge order (on a connected graph they are in it already): the kept rows
+build the sparsified graph directly, and the deleted rows are the
+result's sorted tuple of deleted edges. The sparsified graph inherits g's
+packed rows and degrees when g has them cached, as a connected g does
+(its component-local rows are its packed rows): a copy with the deleted
+edges' bits cleared by the graphs module's own bit helper, never by
+_toggle_bits, so the final verification reads rows that share no code
+with the rounds' row edits.
 
 Randomness is derived per (seed, component, round): component i draws in
 round r from the stream of numpy.random.default_rng((seed, i, r)), its
@@ -568,10 +574,13 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
         )
 
     # back in g's edge order, the deleted rows come out sorted
-    gone = np.empty_like(deleted)
-    gone[e_order] = deleted
-    dels = edges[gone]
-    h = Graph._from_sorted(n, edges[~gone])
+    if k == 1:
+        gone = deleted
+    else:
+        gone = np.empty_like(deleted)
+        gone[e_order] = deleted
+    dels = np.compress(gone, edges, axis=0)
+    h = g._without(gone)
     code = set(np.flatnonzero(in_code).tolist())
     if variant == "theorem1":
         dom = set(greedy_dominating(g))

@@ -96,6 +96,30 @@ def oracle_distances(n, edges, src):
     return dist
 
 
+def oracle_component_ids(n, edges):
+    """Per vertex, the index of its component: a breadth-first search from
+    each still unlabelled vertex in increasing order, so the components are
+    numbered in order of their least vertex."""
+    adj = adjacency(n, edges)
+    ids = [None] * n
+    k = 0
+    for s in range(n):
+        if ids[s] is not None:
+            continue
+        ids[s] = k
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if ids[w] is None:
+                        ids[w] = k
+                        nxt.append(w)
+            frontier = nxt
+        k += 1
+    return ids
+
+
 def oracle_dist2_pairs(n, edges):
     """Pairs at graph distance 1 or 2, lexicographic."""
     out = []

@@ -214,6 +214,16 @@ def test_sparsify_output_files_are_sorted_joins(tmp_path, monkeypatch):
         assert again == res and hash(again) == hash(res)
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [(), ((0, 1),), ((0, 9), (3, 10), (9, 99), (10, 100), (99, 1000), (7, 123456789), (8, 9))],
+)
+def test_deleted_edge_lines_match_the_per_edge_form(edges):
+    # the --out-deleted writer keeps the bytes of one f-string per edge
+    want = "".join(f"{u} {v}\n" for u, v in edges)
+    assert cli._edge_lines(edges).encode() == want.encode()
+
+
 def test_watch_solves_domination_once(tmp_path, monkeypatch, capsys):
     # the binary system and its upper bound share one dominating set, exact
     # up to EXACT_GAMMA_LIMIT vertices and greedy above, and the system is

@@ -19,6 +19,7 @@ from idcodes import (
     dist2_pairs,
     gnp,
     parse_edge_list,
+    path,
 )
 from idcodes import graphs as graphs_mod
 
@@ -27,6 +28,7 @@ from oracles import (
     OracleFormatError,
     adjacency,
     oracle_closed_masks,
+    oracle_component_ids,
     oracle_delete_edges,
     oracle_dist2_pairs,
     oracle_distances,
@@ -319,8 +321,18 @@ def _view_graphs():
     for name, g in bases:
         # the constructor's sorting path: rows reversed, endpoints swapped
         yield f"{name}/unsorted", Graph(g.n, g.edge_array()[::-1, ::-1])
-        yield f"{name}/child", g.delete_edges(g.edge_array()[::2])
         yield f"{name}/complement", complement(g)
+        # children of delete_edges: a "warm" parent has its packed rows and
+        # degrees cached, so the child inherits them; a "cold" one has
+        # none, so the child builds its own
+        for what, drop in (("half", g.edge_array()[::2]), ("none", []), ("all", g.edge_array())):
+            for warm in (False, True):
+                parent = Graph(g.n, g.edge_array())
+                if warm:
+                    parent.packed_closed, parent.degrees
+                child = parent.delete_edges(drop)
+                assert ("packed_closed" in vars(child)) == ("degrees" in vars(child)) == warm
+                yield f"{name}/child-{what}-{'warm' if warm else 'cold'}", child
 
 
 def _oracle_ranks(n, adj):
@@ -345,7 +357,12 @@ def test_views_match_oracle():
         n, edges = g.n, g.edges()
         adj = adjacency(n, edges)
         masks = oracle_closed_masks(n, edges)
-        assert g.degrees.dtype == np.int64, name
+        fresh = Graph(n, g.edge_array())
+        for view, dtype in (("degrees", np.int64), ("packed_closed", np.uint64), ("local_closed", np.uint64)):
+            got = getattr(g, view)
+            assert got.dtype == dtype and not got.flags.writeable, (name, view)
+            assert np.array_equal(got, getattr(fresh, view)), (name, view)
+        assert all(np.array_equal(a, b) for a, b in zip(g._csr, fresh._csr)), name
         assert g.degrees.tolist() == [len(adj[v]) for v in range(n)], name
         indptr, nbrs = g._csr
         assert indptr.dtype == nbrs.dtype == np.int64, name
@@ -362,6 +379,33 @@ def test_views_match_oracle():
             local = sum(1 << rank[w] for w in range(n) if masks[v] >> w & 1)
             row = int.from_bytes(g.local_closed[v].astype("<u8").tobytes(), "little")
             assert row == local, (name, v)
+
+
+def _component_graphs():
+    yield from small_corpus()
+    yield from _extra_graphs()
+    yield from _interleaved_graphs()
+    for n in (1, 2, 7, 100):
+        yield f"edgeless{n}", Graph(n)
+    yield "isolated_ends", Graph(9, [(2, 3), (3, 5), (4, 6), (6, 7)])
+    yield "path20000", path(20000)
+    # relabelled at random, a long path takes many hook rounds
+    perm = np.random.default_rng(3).permutation(20000)
+    yield "shuffled_path20000", Graph(20000, np.stack((perm[:-1], perm[1:]), axis=1))
+
+
+def test_component_ids_match_oracle_bfs():
+    for name, g in _component_graphs():
+        ids = g.component_ids
+        assert ids.dtype == np.int64 and not ids.flags.writeable, name
+        assert ids.tolist() == oracle_component_ids(g.n, g.edges()), name
+
+
+def test_component_ids_of_connected_graphs_are_read_only_zeros():
+    for g in (Graph(1), Graph(2, [(0, 1)]), gnp(440, 0.5, 1), path(20000), mixed_graph((300,), (0.01,), 2)):
+        ids = g.component_ids
+        assert ids.dtype == np.int64 and not ids.flags.writeable, g
+        assert ids.shape == (g.n,) and not ids.any(), g
 
 
 def test_has_edge_matches_oracle_adjacency():

@@ -623,6 +623,53 @@ def test_sparsify_raises_when_its_final_check_fails(monkeypatch):
         sparsify(disjoint_cliques(4, 8), SparsifyParams(c=2.0, seed=1))
 
 
+def test_sparsify_child_inherits_the_parents_rows(monkeypatch):
+    # on a connected graph the parent's rows are its component-local rows,
+    # and the sparsified child copies them with the deleted bits cleared:
+    # one pack per run. A graph of several components never builds its
+    # global rows before the child, so the child packs its own: the
+    # parent's local rows, its global rows for the greedy dominating set
+    # (at most 64 vertices), and the child's
+    packs = []
+    real = Graph._pack
+
+    def spy(self, *args):
+        packs.append(self.n)
+        return real(self, *args)
+
+    monkeypatch.setattr(Graph, "_pack", spy)
+    for g, want in ((gnp(60, 0.5, 1), 1), (disjoint_cliques(9, 4), 3)):
+        assert (len(g.components) == 1) == (want == 1)
+        for seed in range(3):
+            packs.clear()
+            res = sparsify(Graph(g.n, g.edge_array()), SparsifyParams(c=2.0, seed=seed))
+            assert res.stats.deleted_edges > 0
+            assert len(packs) == want, (g, seed, packs)
+
+
+def test_sparsify_final_check_reads_rows_apart_from_the_round_edits(monkeypatch):
+    # with the round loop's bit edits switched off, no round sees a
+    # separation failure, so round 0 is accepted unchecked; the final
+    # verification reads the child's own rows, not the loop's, and so
+    # catches the invalid code
+    module = importlib.import_module("idcodes.sparsify")
+    g = gnp(60, 0.5, 1)
+    params = [SparsifyParams(c=0.5, seed=seed) for seed in range(4)]
+    for prm in params:
+        sparsify(g, prm)  # valid codes while the edits are in place
+    monkeypatch.setattr(module, "_toggle_bits", lambda rows, at, cols: None)
+    failed = 0
+    for prm in params:
+        try:
+            res = sparsify(g, prm)
+        except RuntimeError as exc:
+            assert str(exc).startswith("accepted rounds must yield a valid code"), exc
+            failed += 1
+        else:
+            assert res.retries_used == 0
+    assert failed >= 1
+
+
 def test_sparsify_counts_code_degrees_without_neighbor_counts(monkeypatch):
     # a round takes its code degrees from the local rows it gathers anyway,
     # never from a CSR segment sum
