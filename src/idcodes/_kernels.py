@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_ONE = np.uint64(1)
+from .graphs import pack_rows
 
 
 def separator_counts(
@@ -67,8 +67,7 @@ def greedy_cover(closed: np.ndarray, n: int) -> np.ndarray:
     with one segment, in a loop of its own: with a single segment it needs
     no per-segment reductions, which would double its cost per pick.
     """
-    W = closed.shape[1]
-    uncovered = _full_bitsets(np.array([n]), W)[0]
+    uncovered = pack_rows(np.arange(64 * closed.shape[1]) < n)
     picks = []
     remaining = n
     while remaining > 0:
@@ -94,7 +93,7 @@ def greedy_cover_segments(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     sizes = np.asarray(sizes, dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
     seg = np.repeat(np.arange(len(sizes)), sizes)
-    uncovered = _full_bitsets(sizes, rows.shape[1])
+    uncovered = pack_rows(np.arange(64 * rows.shape[1]) < sizes[:, None])
     remaining = sizes.copy()
     # one key per row, gain * N + (N - 1 - row): a segment's largest key
     # is its best gain at its lowest row
@@ -111,9 +110,3 @@ def greedy_cover_segments(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         picks.append(best)
     return np.concatenate(picks) if picks else np.empty(0, dtype=np.int64)
 
-
-def _full_bitsets(sizes: np.ndarray, W: int) -> np.ndarray:
-    """Per size s, the all-ones bitset over s columns packed into W words."""
-    fill = np.minimum(np.maximum(sizes[:, None] - 64 * np.arange(W), 0), 64).astype(np.uint64)
-    low = (_ONE << (fill & np.uint64(63))) - _ONE
-    return np.where(fill == 64, np.uint64(0xFFFFFFFFFFFFFFFF), low)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -124,12 +123,6 @@ def _read_set(path: str) -> list[int]:
 def _write_set(path: str, vs: Iterable[int]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(f"{v}\n" for v in sorted(vs)))
-
-
-def _edge_lines(edges: tuple[tuple[int, int], ...]) -> str:
-    """One "u v" line per edge, in the given order: one format template
-    over the flattened pairs rather than one f-string per edge."""
-    return ("%d %d\n" * len(edges)) % tuple(itertools.chain.from_iterable(edges))
 
 
 def _graph_args(p: argparse.ArgumentParser) -> None:
@@ -330,7 +323,7 @@ def _cmd_sparsify(args) -> int:
         _write_set(args.out_code, res.final_code)
     if args.out_deleted:
         with open(args.out_deleted, "w", encoding="utf-8") as fh:
-            fh.write(_edge_lines(res.deleted_edges))
+            fh.write(graphs.edge_lines(res.deleted_edges))
     return 0
 
 

@@ -3,9 +3,13 @@ locating-dominating sets.
 
 All checks are array passes over `Graph.packed_closed` with every row
 gated by the code's row, exact for any graph size: an all-zero gated row
-is undominated, and one stable sort of the gated rows groups the
-unseparated vertices. Failing verdicts carry the lexicographically least
+is undominated, and the least pair of equal gated rows is the least
+unseparated pair. Failing verdicts carry the lexicographically least
 witness so failures are deterministic and re-checkable.
+
+The module holds only the verifiers and the checks of their input; the
+row layout is the graphs module's, and the code checked here imports
+from this module only the verifiers and their result and error types.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .graphs import Graph, row_runs
+from .graphs import Graph, least_equal_rows, pack_rows, unpack_rows
 
 
 class InvalidCodeError(ValueError):
@@ -59,28 +63,7 @@ def _code_row(g: Graph, c: Iterable[int]) -> np.ndarray:
         raise InvalidCodeError(f"code vertex {vals[int(np.argmax(bad))]} out of range for n={g.n}")
     bits = np.zeros(64 * g.packed_closed.shape[1], dtype=bool)
     bits[arr] = True
-    return np.packbits(bits, bitorder="little").view("<u8")
-
-
-def _bits(row: np.ndarray, n: int) -> np.ndarray:
-    """The first n bits of a packed row, as bools."""
-    octets = row.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(octets, count=n, bitorder="little").view(bool)
-
-
-def code_mask(g: Graph, c: Iterable[int]) -> int:
-    """Validate c as a subset of V(g) and pack it into an int bitmask."""
-    return int.from_bytes(_code_row(g, c).tobytes(), "little")
-
-
-def mask_to_set(mask: int) -> frozenset[int]:
-    """The set bits of mask, one step per set bit."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
+    return pack_rows(bits)
 
 
 def _undominated(rows: np.ndarray) -> Optional[Verdict]:
@@ -93,22 +76,20 @@ def _undominated(rows: np.ndarray) -> Optional[Verdict]:
 
 def _separation(rows: np.ndarray, vs: Optional[np.ndarray] = None) -> Verdict:
     """ok iff the gated rows are pairwise distinct, else the lex-least pair
-    i < j with equal rows, read through vs when given: the first two
-    members of the run of equal rows with the least first member."""
-    order, starts = row_runs(rows)
-    firsts = starts[:-1][np.diff(starts) > 1]
-    if not len(firsts):
+    i < j with equal rows, read through vs when given."""
+    pair = least_equal_rows(rows)
+    if pair is None:
         return _OK
-    s = firsts[np.argmin(order[firsts])]
-    pair = order[s : s + 2] if vs is None else vs[order[s : s + 2]]
-    return Verdict(False, UnseparatedPair(*pair.tolist()))
+    if vs is not None:
+        pair = vs[list(pair)].tolist()
+    return Verdict(False, UnseparatedPair(*pair))
 
 
 def signature(g: Graph, c: Iterable[int], v: int) -> frozenset[int]:
     """N[v] intersected with the code: the trace that identifies v."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return frozenset(np.flatnonzero(_bits(g.packed_closed[v] & _code_row(g, c), g.n)).tolist())
+    return frozenset(np.flatnonzero(unpack_rows(g.packed_closed[v] & _code_row(g, c), g.n)).tolist())
 
 
 def is_dominating(g: Graph, c: Iterable[int]) -> Verdict:
@@ -140,5 +121,5 @@ def is_locating_dominating(g: Graph, c: Iterable[int]) -> Verdict:
     """Dominating, and signatures of vertices outside the code distinct."""
     row = _code_row(g, c)
     rows = g.packed_closed & row
-    outside = np.flatnonzero(~_bits(row, g.n))
+    outside = np.flatnonzero(~unpack_rows(row, g.n))
     return _undominated(rows) or _separation(rows[outside], outside)

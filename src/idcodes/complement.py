@@ -22,8 +22,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .codes import InvalidCodeError, code_mask, is_identifying_code
-from .graphs import Graph, complement, least_twins
+from .codes import InvalidCodeError, is_identifying_code
+from .graphs import Graph, complement, least_twins, vertex_mask
 from .solvers import NotTwinFreeError, exact_min_idcode
 
 
@@ -65,7 +65,7 @@ def equivalence_classes(g: Graph, c0: Iterable[int]) -> EquivClassPartition:
     verdict = is_identifying_code(g, c0, "full")
     if not verdict.ok:
         raise InvalidCodeError(f"base code fails verification: {verdict.witness}")
-    cmask = code_mask(g, c0)
+    cmask = vertex_mask(g.n, c0)
     # equal open traces get equal ids, numbered in order of least member
     ids: dict[int, int] = {}
     label = np.array(
@@ -155,7 +155,7 @@ def complement_code(g: Graph, c0: Optional[Iterable[int]] = None) -> frozenset[i
     if len(extra) > len(base):
         raise RuntimeError("class separators exceeded the size bound")
     combined = base | extra
-    cmask = code_mask(gbar, combined)
+    cmask = vertex_mask(gbar.n, combined)
     undominated = [v for v, m in enumerate(gbar.closed_masks) if not m & cmask]
     if len(undominated) > 1:
         raise RuntimeError(

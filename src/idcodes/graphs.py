@@ -40,10 +40,15 @@ The builders (the constructor, `delete_edges`, `complement`, the
 generators, `parse_edge_list` on well-formed ASCII text), the 2-balls and
 the distance-2 pair enumeration work on whole arrays; none of them loops
 over the edges in Python.
+
+This module alone lays out bits and text: packed rows, their keys and
+equal pairs, int masks (the bit layouts section) and edge lines
+(`edge_lines`). The other modules call these helpers instead.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -419,6 +424,67 @@ class Graph:
         return f"Graph(n={self._n}, m={self.m})"
 
 
+# ----------------------------------------------------------- bit layouts --
+
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """Bool rows of 64 * W columns (the last axis) as rows of W uint64 words
+    in the layout of packed_closed: column v is bit v & 63 of word v >> 6."""
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+
+
+def unpack_rows(rows: np.ndarray, count: int) -> np.ndarray:
+    """The first count bits of each packed row (the last axis), as bools."""
+    octets = rows.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=count, bitorder="little").view(bool)
+
+
+def vertex_mask(n: int, vs: Iterable[int]) -> int:
+    """The subset vs of 0..n-1 as an int bitmask: bit v set iff v in vs."""
+    flags = np.zeros(n, dtype=bool)
+    flags[list(vs)] = True
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def mask_to_set(mask: int) -> frozenset[int]:
+    """The set bits of mask, one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """Per packed row, a key that exactly the equal rows share: the word of
+    a one-word row (ints sort faster than bytes), else the row's bytes."""
+    if rows.shape[1] == 1:
+        return rows[:, 0]
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * rows.shape[1])))[:, 0]
+
+
+def row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the row indices in one stable sort of the rows by
+    row_keys, so that equal rows form runs with ascending indices, and the
+    offset of each run in order, with len(order) appended."""
+    keys = row_keys(rows)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    heads = np.concatenate(([len(keys) > 0], keys[1:] != keys[:-1]))
+    return order, np.append(np.flatnonzero(heads), len(keys))
+
+
+def least_equal_rows(rows: np.ndarray) -> Optional[Edge]:
+    """The least pair i < j with rows[i] == rows[j], or None: the first two
+    members of the run of equal rows whose first member is least."""
+    order, starts = row_runs(rows)
+    heads = starts[:-1][np.diff(starts) > 1]
+    if not len(heads):
+        return None
+    i = heads[np.argmin(order[heads])]
+    return int(order[i]), int(order[i + 1])
+
+
 # ------------------------------------------------------------ operations ---
 
 def complement(g: Graph) -> Graph:
@@ -431,26 +497,9 @@ def complement(g: Graph) -> Graph:
     return Graph._from_sorted(n, _pairs(iu[keep], iv[keep]))
 
 
-def row_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, starts): the row indices in one stable sort of the rows by
-    their bytes, so that equal rows form runs with ascending indices, and
-    the offset of each run in order, with len(order) appended."""
-    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * rows.shape[1])))[:, 0]
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    heads = np.concatenate(([len(keys) > 0], keys[1:] != keys[:-1]))
-    return order, np.append(np.flatnonzero(heads), len(keys))
-
-
 def least_twins(g: Graph) -> Optional[Edge]:
-    """The least pair u < v with N[u] = N[v], or None: the first two members
-    of the run of equal rows whose first member is least."""
-    order, starts = row_runs(g.packed_closed)
-    if len(starts) > g.n:  # every run is a single vertex
-        return None
-    heads = starts[:-1][np.diff(starts) > 1]
-    i = heads[np.argmin(order[heads])]
-    return int(order[i]), int(order[i + 1])
+    """The least pair u < v with N[u] = N[v], or None."""
+    return least_equal_rows(g.packed_closed)
 
 
 def find_twins(g: Graph) -> list[Edge]:
@@ -529,9 +578,7 @@ def _dist2_blocks(g: Graph) -> Iterator[np.ndarray]:
     for a in range(0, n, step):
         b = min(n, a + step)
         reach = ball_rows(g, np.arange(a, b), rows)
-        bits = np.unpackbits(
-            reach.astype("<u8", copy=False).view(np.uint8), axis=1, count=s_max, bitorder="little"
-        ).view(bool)
+        bits = unpack_rows(reach, s_max)
         pu, pv = np.nonzero(bits & (cols > ranks[a:b, None]))  # keep v > u, row-major
         pu += a
         if spread:
@@ -672,11 +719,18 @@ def generate(spec: FamilySpec) -> Graph:
 
 # ------------------------------------------------------------ file formats -
 
+def edge_lines(edges, line: str = "%d %d\n") -> str:
+    """line % (u, v) per edge of edges, an (m, 2) int array or a sequence
+    of pairs, in order: one template over the flattened pairs (chained,
+    not passed through numpy, for a sequence)."""
+    chain = itertools.chain.from_iterable
+    flat = edges.ravel().tolist() if isinstance(edges, np.ndarray) else chain(edges)
+    return (line * len(edges)) % tuple(flat)
+
+
 def write_edge_list(g: Graph) -> str:
     """Edge-list text: first line "n m", then one "u v" line per edge."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return f"{g.n} {g.m}\n" + edge_lines(g.edge_array())
 
 
 # longest run of decimal digits whose value always fits in int64
@@ -876,8 +930,5 @@ def parse_edge_list(text: str) -> Graph:
 
 def to_dot(g: Graph) -> str:
     """DOT text for visualization (undirected, default attributes)."""
-    lines = ["graph G {"]
-    lines.extend(f"  {v};" for v in range(g.n))
-    lines.extend(f"  {u} -- {v};" for u, v in g.edges())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    vertices = "".join(f"  {v};\n" for v in range(g.n))
+    return "graph G {\n" + vertices + edge_lines(g.edge_array(), "  %d -- %d;\n") + "}\n"

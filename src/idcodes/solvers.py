@@ -40,8 +40,9 @@ import numpy as np
 
 from . import _kernels
 from .bounds import ceil_log2, idcode_lower_bound
-from .codes import code_mask, is_identifying_code, mask_to_set
+from .codes import is_identifying_code
 from .graphs import _BLOCK_WORDS, Graph, _dist2_blocks, concat_ranges, least_twins
+from .graphs import mask_to_set, unpack_rows, vertex_mask
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -155,7 +156,7 @@ def _min_hitting_set(
     suffix = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
         suffix[i] = suffix[i + 1] | (1 << order[i])
-    best = code_mask(g, start)
+    best = vertex_mask(g.n, start)
     for v in reversed(order):
         rest = best & ~(1 << v)
         if rest != best and all(s & rest for s in sets) and rule(rest, 0, [], 1) == "solved":
@@ -259,15 +260,7 @@ def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult
         for v, m in enumerate(masks):
             if not m & chosen:
                 undom |= 1 << v
-        best_cover = 0
-        a = undecided
-        while a:
-            low = a & -a
-            w = low.bit_length() - 1
-            cov = (masks[w] & undom).bit_count()
-            if cov > best_cover:
-                best_cover = cov
-            a ^= low
+        best_cover = max((masks[w] & undom).bit_count() for w in mask_to_set(undecided))
         return "cover" if -(-undom.bit_count() // best_cover) >= room else None
 
     bound = -(-g.n // (int(g.degrees.max()) + 1))
@@ -432,7 +425,7 @@ def _cell_picks(g: Graph) -> list[int]:
 def _table_picks(g: Graph) -> list[int]:
     """The greedy identifying code's picks, in order, from class tables.
 
-    The closed rows are unpacked once into an n x n table of 0/1 bytes,
+    The closed rows are unpacked once into an n x n table of bools,
     and every vertex keeps a class id; the ghost counts only in the size
     of class 0, the class of the undominated vertices. Per pick, the
     vertices of the classes of two or more are sorted by class, the
@@ -443,9 +436,7 @@ def _table_picks(g: Graph) -> list[int]:
     pick costs O(n) per live vertex; counts are int16 while n < 2**15.
     """
     n = g.n
-    rows = np.unpackbits(
-        g.packed_closed.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little"
-    )
+    rows = unpack_rows(g.packed_closed, n)
     wide = np.int16 if n < 1 << 15 else np.int32
     # class id per vertex, and class sizes with the ghost counted in class 0
     label = np.zeros(n, dtype=np.int64)
@@ -479,7 +470,7 @@ def _table_picks(g: Graph) -> list[int]:
         code.append(p)
         # S & N[p] takes the id of S plus the id count; then the ids are
         # compacted, keeping id 0 for the ghost's class
-        label[rows[p].view(bool)] += len(sizes)
+        label[rows[p]] += len(sizes)
         used = np.zeros(2 * len(sizes), dtype=bool)
         used[0] = True
         used[label] = True

@@ -68,6 +68,7 @@ import numpy as np
 from ._kernels import greedy_cover_segments
 from .codes import is_dominating, is_identifying_code
 from .graphs import Edge, Graph, ball_rows, concat_ranges, degree_stats, dist2_pair_array
+from .graphs import pack_rows, row_keys
 from .solvers import greedy_dominating
 
 _ONE = np.uint64(1)
@@ -308,15 +309,6 @@ def _members(vs: Iterable[int], n: int) -> np.ndarray:
     return flags
 
 
-def _signature_ids(rows: np.ndarray) -> np.ndarray:
-    """Per row, an id that exactly the equal rows share (sorted, not hashed)."""
-    if rows.shape[1] == 1:
-        keys = rows[:, 0]  # integer keys sort several times faster than bytes
-    else:
-        keys = np.ascontiguousarray(rows).view(np.dtype((np.void, 8 * rows.shape[1])))[:, 0]
-    return np.unique(keys, return_inverse=True)[1]
-
-
 def pick_code(g: Graph, params: SparsifyParams) -> frozenset[int]:
     """Each vertex joins the code independently with probability
     min(1, c*ln(dmax)/dmin); one uniform draw per vertex in index order."""
@@ -361,12 +353,12 @@ def sample_subgraph(
         return g, frozenset()
     terms = np.divide(f, dc, out=np.zeros(n), where=dc > 0)
     es = g.edge_array()
-    inc = es[in_code[es[:, 0]] | in_code[es[:, 1]]]
+    inc = np.compress(in_code[es[:, 0]] | in_code[es[:, 1]], es, axis=0)
     p_edge = (terms[inc[:, 0]] + terms[inc[:, 1]]) / 4.0
     if not np.all(p_edge <= 0.5):
         raise RuntimeError("deletion probability exceeded 1/2")
     draws = np.random.default_rng(seed).random(len(inc))
-    dropped = inc[draws < p_edge]
+    dropped = np.compress(draws < p_edge, inc, axis=0)
     return g.delete_edges(dropped), frozenset(map(tuple, dropped.tolist()))
 
 
@@ -392,9 +384,8 @@ def check_events(
     ps = dist2_pair_array(g)
     aeq = aflag[ps[:, 0]] | aflag[ps[:, 1]]
     rows = h.packed_closed
-    packed = np.packbits(in_code, bitorder="little")
-    code_row = np.pad(packed, (0, 8 * rows.shape[1] - len(packed))).view("<u8")
-    sig = _signature_ids(rows & code_row)
+    code_row = pack_rows(np.pad(in_code, (0, 64 * rows.shape[1] - g.n)))
+    sig = np.unique(row_keys(rows & code_row), return_inverse=True)[1]
     beq = sig[ps[:, 0]] == sig[ps[:, 1]]
     out: list[Violation] = []
     for k in np.flatnonzero(aeq | beq).tolist():
@@ -428,7 +419,7 @@ def _grouped(
     else:
         lab = comp[rows[:, 0]]
         order = np.argsort(lab, kind="stable")
-        rows = rows[order]
+        rows = np.take(rows, order, axis=0)
         starts = np.searchsorted(lab[order], np.arange(k + 1))
     return rows[:, 0], rows[:, 1], starts, order
 
@@ -533,7 +524,7 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
         # equal gated rows of h get equal ids; only vertices whose id
         # repeats can fail, and u fails with the members of its class (same
         # component, same id) inside its 2-ball in g, other than u
-        ids = _signature_ids(h & gates[seg])
+        ids = np.unique(row_keys(h & gates[seg]), return_inverse=True)[1]
         tied = np.flatnonzero(np.bincount(ids)[ids] > 1)
         fails = np.zeros(len(active), dtype=np.int64)
         if len(tied):
@@ -633,7 +624,7 @@ def pair_collision_frequency(
         if not 0 <= x < g.n:
             raise ValueError(f"vertex {x} out of range for n={g.n}")
     code_set = frozenset(code)
-    if g.has_edge(u, v) or not (g.neighbors(u) & g.neighbors(v)):
+    if u == v or g.has_edge(u, v) or not (g.neighbors(u) & g.neighbors(v)):
         raise ValueError("pair must be at distance exactly 2")
     if u in code_set or v in code_set:
         return 0.0

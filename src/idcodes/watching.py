@@ -21,9 +21,8 @@ from .codes import (
     Verdict,
     is_dominating,
     is_identifying_code,
-    mask_to_set,
 )
-from .graphs import Graph, degree_stats
+from .graphs import Graph, degree_stats, mask_to_set
 from .solvers import SearchResult, exact_min_dominating, greedy_dominating
 
 # largest graph on which `watch` and watch_bounds use the exact dominating set

@@ -21,6 +21,7 @@ from idcodes import (
     Graph,
     NotTwinFreeError,
     SparsifyParams,
+    UndominatedVertex,
     alpha0,
     bipartite_subgraph_bound,
     bounded_f,
@@ -50,7 +51,7 @@ from idcodes import (
     write_edge_list,
 )
 from corpus import small_corpus
-from oracles import oracle_min_idcode
+from oracles import oracle_dist2_pairs, oracle_min_idcode, oracle_witness
 
 
 @pytest.fixture(scope="module")
@@ -118,19 +119,39 @@ def test_criterion_02_log_sandwich(criterion_log, corpus_gamma):
 
 
 def test_criterion_03_dist2_equivalence(criterion_log):
+    # both modes run one check, so each verdict is also held to the
+    # oracle's least failure, once over all pairs and once over the pairs
+    # at distance <= 2 only: the distance-2 lemma (Karpovsky, Chakrabarty
+    # and Levitin 1998) checked against code the library does not share
     disagreements = 0
     checked = 0
 
-    def agree(g, code):
+    def as_oracle(verdict):
+        w = verdict.witness
+        if w is None:
+            return None
+        if isinstance(w, UndominatedVertex):
+            return ("undominated", w.v)
+        return ("unseparated", w.u, w.v)
+
+    def agree(g, code, near_pairs):
         full = is_identifying_code(g, code, "full")
         near = is_identifying_code(g, code, "dist2")
-        return (full.ok, full.witness) == (near.ok, near.witness)
+        edges = g.edges()
+        want = oracle_witness(g.n, edges, code)
+        want_near = oracle_witness(g.n, edges, code, near_pairs)
+        return (
+            (full.ok, full.witness) == (near.ok, near.witness)
+            and as_oracle(full) == want == want_near
+            and full.ok == (want is None)
+        )
 
     for _, g in small_corpus():
+        near_pairs = oracle_dist2_pairs(g.n, g.edges())
         for k in range(5):
             for code in itertools.combinations(range(g.n), k):
                 checked += 1
-                if not agree(g, code):
+                if not agree(g, code, near_pairs):
                     disagreements += 1
     for i in range(1000):
         g = gnp(30, 0.2, seed=20_000 + i)
@@ -138,14 +159,15 @@ def test_criterion_03_dist2_equivalence(criterion_log):
         size = int(rng.integers(0, g.n + 1))
         code = sorted(int(v) for v in rng.choice(g.n, size=size, replace=False))
         checked += 1
-        if not agree(g, code):
+        if not agree(g, code, oracle_dist2_pairs(g.n, g.edges())):
             disagreements += 1
     ok = disagreements == 0
     criterion_log(
         3,
         ok,
-        f"full vs dist2 verdicts identical on {checked} (graph, code) "
-        f"pairs, disagreements={disagreements}",
+        f"full vs dist2 verdicts identical, and equal to the oracle's over all "
+        f"pairs and over distance-2 pairs, on {checked} (graph, code) pairs, "
+        f"disagreements={disagreements}",
     )
     assert ok
 

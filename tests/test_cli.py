@@ -219,9 +219,10 @@ def test_sparsify_output_files_are_sorted_joins(tmp_path, monkeypatch):
     [(), ((0, 1),), ((0, 9), (3, 10), (9, 99), (10, 100), (99, 1000), (7, 123456789), (8, 9))],
 )
 def test_deleted_edge_lines_match_the_per_edge_form(edges):
-    # the --out-deleted writer keeps the bytes of one f-string per edge
+    # the --out-deleted writer (graphs.edge_lines over the result's tuple
+    # of pairs) keeps the bytes of one f-string per edge
     want = "".join(f"{u} {v}\n" for u, v in edges)
-    assert cli._edge_lines(edges).encode() == want.encode()
+    assert graphs_mod.edge_lines(edges).encode() == want.encode()
 
 
 def test_watch_solves_domination_once(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,8 @@
 import ast
+import sys
 from pathlib import Path
+
+from idcodes import codes
 
 SRC = Path(__file__).parent.parent / "src" / "idcodes"
 
@@ -30,4 +33,80 @@ def test_verifiers_import_none_of_the_code_they_check():
         else:
             continue
         found += [f"line {node.lineno}: {name}" for name in names if name in checked]
+    assert not found, found
+
+
+# the calls and views that lay out bits: only graphs.py may use them
+BIT_LAYOUT = {"packbits", "unpackbits", "from_bytes", "void"}
+# what the code that codes.py checks may import from it, besides the is_*
+# verifiers
+VERIFIER_NAMES = {
+    "signature",
+    "Verdict",
+    "UndominatedVertex",
+    "UnseparatedPair",
+    "InvalidCodeError",
+}
+
+
+def _imported_from_codes(node):
+    """Names an import statement takes from idcodes.codes, or ["*codes"]
+    when it imports the module itself."""
+    if isinstance(node, ast.ImportFrom):
+        module = "." * node.level + (node.module or "")
+        if module in (".codes", "idcodes.codes"):
+            return [a.name for a in node.names]
+        if module in (".", "idcodes"):
+            return ["*codes" for a in node.names if a.name == "codes"]
+    if isinstance(node, ast.Import):
+        return ["*codes" for a in node.names if a.name == "idcodes.codes"]
+    return []
+
+
+def test_graphs_owns_the_bit_layout_and_codes_lends_only_verifiers():
+    found = []
+    # no module but graphs.py packs or unpacks bits, turns bytes into ints
+    # or views rows as raw bytes
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in BIT_LAYOUT:
+                found.append(f"{path.name}:{node.lineno}: {node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                names = [a.name for a in node.names if a.name in BIT_LAYOUT]
+                found += [f"{path.name}:{node.lineno}: {name}" for name in names]
+    # the other direction of test_verifiers_import_none_of_the_code_they_check:
+    # the code the verifiers check borrows no helper from codes.py
+    for name in ("sparsify", "solvers", "complement", "watching", "cli"):
+        path = SRC / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            found += [
+                f"{path.name}:{node.lineno}: codes.{got}"
+                for got in _imported_from_codes(node)
+                if not (got.startswith("is_") or got in VERIFIER_NAMES)
+            ]
+    # the int-mask pair lives in graphs.py, and codes.py does not pass it on
+    found += [f"codes.{name}" for name in ("code_mask", "mask_to_set") if hasattr(codes, name)]
+    assert not found, found
+
+
+def test_library_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency (pyproject.toml); scipy and
+    # networkx may be importable where the tests run, but the library must
+    # not need them
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                roots = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno}: {root}"
+                for root in roots
+                if root != "numpy" and root not in sys.stdlib_module_names
+            ]
     assert not found, found

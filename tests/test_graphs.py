@@ -188,6 +188,25 @@ def test_edge_list_round_trip():
     assert parse_edge_list("2 0\n") == Graph(2)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph(5),
+        Graph(1),
+        Graph(1001, [(0, 9), (3, 10), (9, 99), (10, 100), (99, 1000), (7, 123), (8, 9)]),
+        gnp(440, 0.5, 3),
+    ],
+    ids=["no_edges", "one_vertex", "mixed_digit_widths", "gnp_440"],
+)
+def test_edge_writers_match_the_per_edge_form(g):
+    # write_edge_list and to_dot keep the bytes of one f-string per line
+    lines = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.edges()]
+    assert write_edge_list(g).encode() == ("\n".join(lines) + "\n").encode()
+    lines = ["graph G {"] + [f"  {v};" for v in range(g.n)]
+    lines += [f"  {u} -- {v};" for u, v in g.edges()] + ["}"]
+    assert to_dot(g).encode() == ("\n".join(lines) + "\n").encode()
+
+
 def test_parse_edge_list_errors():
     for text in (
         "",

@@ -362,6 +362,8 @@ def test_pair_collision_frequency_validation():
         pair_collision_frequency(g, [2], 2.0, 0, 1)  # adjacent
     with pytest.raises(ValueError):
         pair_collision_frequency(g, [2], 2.0, 0, 3)  # distance 3
+    with pytest.raises(ValueError, match="distance exactly 2"):
+        pair_collision_frequency(g, [2, 5], 2.0, 1, 1, 2000, 0)  # u == v
     with pytest.raises(ValueError):
         pair_collision_frequency(g, [2], 2.0, 0, 2, trials=0)
     for bad in (math.nan, -1.0):
