@@ -3,9 +3,9 @@ the size of a given code of the original graph.
 
 Pipeline: partition vertices into classes sharing the same open
 neighborhood trace of the base code (for a valid code such vertices are
-automatically non-adjacent), separate each class inside the complement by
-recursive splitting, then patch the at-most-one vertex the union leaves
-undominated there.
+non-adjacent: cliques of the complement), split all classes inside the
+complement in one loop over a worklist of parts, then patch the
+at-most-one vertex the union leaves undominated there.
 
 The per-class budget sums to at most |base|, and on rare inputs it is
 exhausted while the undominated patch is still needed, overshooting the
@@ -17,7 +17,6 @@ only known overshoot shapes carry enough slack for this to succeed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -95,37 +94,46 @@ def separate_class(gbar: Graph, cls: Iterable[int]) -> frozenset[int]:
     """Separating set of size <= |cls|-1 for a class forming a clique in
     gbar: pick the lowest vertex of the closed-neighborhood symmetric
     difference of the two smallest members, split the class by adjacency
-    to it, recurse on both sides."""
+    to it, and split both sides the same way."""
     members = sorted(set(cls))
     for v in members:
         if not 0 <= v < gbar.n:
             raise ValueError(f"vertex {v} out of range for n={gbar.n}")
     masks = gbar.closed_masks
-    for u, v in combinations(members, 2):
-        if not masks[u] >> v & 1:
+    cmask = vertex_mask(gbar.n, members)
+    for u in members:
+        # partners below u were tested from their side, so miss holds only v > u
+        miss = cmask & ~masks[u]
+        if miss:
+            v = (miss & -miss).bit_length() - 1
             raise ValueError(
                 f"class is not a clique in the complement: {u} and {v} are non-adjacent"
             )
-    return frozenset(_split(gbar, members))
+    return frozenset(_split(gbar, [members]))
 
 
-def _split(gbar: Graph, members: list[int]) -> set[int]:
-    if len(members) <= 1:
-        return set()
-    u1, u2 = members[0], members[1]
-    diff = gbar.closed_masks[u1] ^ gbar.closed_masks[u2]
-    if not diff:
-        raise NoSeparatorError(
-            f"vertices {u1} and {u2} are twins in the complement"
-        )
-    w = (diff & -diff).bit_length() - 1
-    # a clique's members all share adjacency with u1 and u2, so w is outside
-    if w in members:
-        raise RuntimeError("separator landed inside the class")
-    adj = gbar.closed_masks[w]
-    side1 = [x for x in members if adj >> x & 1]
-    side0 = [x for x in members if not adj >> x & 1]
-    return {w} | _split(gbar, side1) | _split(gbar, side0)
+def _split(gbar: Graph, classes: list[list[int]]) -> set[int]:
+    """Separators of the sorted cliques in classes, first class first, by
+    one worklist of parts: the side adjacent to a separator goes first."""
+    masks = gbar.closed_masks
+    out: set[int] = set()
+    parts = classes[::-1]
+    while parts:
+        members = parts.pop()
+        if len(members) <= 1:
+            continue
+        u1, u2 = members[0], members[1]
+        diff = masks[u1] ^ masks[u2]
+        if not diff:
+            raise NoSeparatorError(
+                f"vertices {u1} and {u2} are twins in the complement"
+            )
+        w = (diff & -diff).bit_length() - 1  # outside the clique, which N[u1] & N[u2] holds
+        out.add(w)
+        adj = masks[w]
+        parts.append([x for x in members if not adj >> x & 1])
+        parts.append([x for x in members if adj >> x & 1])
+    return out
 
 
 def complement_code(g: Graph, c0: Optional[Iterable[int]] = None) -> frozenset[int]:
@@ -146,14 +154,9 @@ def complement_code(g: Graph, c0: Optional[Iterable[int]] = None) -> frozenset[i
         base = exact_min_idcode(g).code
     else:
         base = frozenset(c0)
-    partition = equivalence_classes(g, base)
-    extra: set[int] = set()
-    for cls in partition.classes:
-        extra |= separate_class(gbar, cls)
-    # every class holds at most one non-base vertex, so the split budget
-    # sums to at most |base| (not |base|-1: classes can all be tight)
-    if len(extra) > len(base):
-        raise RuntimeError("class separators exceeded the size bound")
+    # equivalence_classes checked that each class is a clique of gbar with
+    # at most one member outside base, so extra holds at most |base| vertices
+    extra = _split(gbar, [sorted(cls) for cls in equivalence_classes(g, base).classes])
     combined = base | extra
     cmask = vertex_mask(gbar.n, combined)
     undominated = [v for v, m in enumerate(gbar.closed_masks) if not m & cmask]

@@ -514,8 +514,8 @@ def find_twins(g: Graph) -> list[Edge]:
     return list(zip(np.repeat(np.arange(g.n), after).tolist(), v.tolist()))
 
 
-# words gathered or unpacked per block of ball_rows, _dist2_blocks and the
-# exact solver's pair sets (2 MiB)
+# per block: words of rows gathered by ball_rows or XORed for the exact
+# solver's pair sets (2 MiB), and bits, so pairs, unpacked by _dist2_blocks
 _BLOCK_WORDS = 1 << 18
 
 
@@ -561,8 +561,8 @@ def _dist2_blocks(g: Graph) -> Iterator[np.ndarray]:
     are unpacked per row, s_max the largest component size; graphs of at
     most 64 vertices keep the global rows, one word either way. A block
     gathers at most _BLOCK_WORDS words of neighbor rows and unpacks at
-    most 8 * _BLOCK_WORDS bits, so the memory beyond the graph stays
-    bounded.
+    most max(_BLOCK_WORDS, s_max) bits, so it holds at most as many pairs
+    and the memory beyond the graph stays bounded.
     """
     n = g.n
     if n > 64:
@@ -572,9 +572,8 @@ def _dist2_blocks(g: Graph) -> Iterator[np.ndarray]:
     else:  # one word per row in either layout: skip finding the components
         rows, ranks, starts, s_max = g.packed_closed, np.arange(n), (), n
     spread = len(starts) > 2  # local columns differ from the vertices
-    W = rows.shape[1]
     cols = np.arange(s_max)
-    step = max(1, 8 * _BLOCK_WORDS // (64 * W))
+    step = max(1, _BLOCK_WORDS // max(1, s_max))  # s_max is 0 on the empty graph
     for a in range(0, n, step):
         b = min(n, a + step)
         reach = ball_rows(g, np.arange(a, b), rows)

@@ -38,10 +38,10 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, graphs
 from .bounds import ceil_log2, idcode_lower_bound
 from .codes import is_identifying_code
-from .graphs import _BLOCK_WORDS, Graph, _dist2_blocks, concat_ranges, least_twins
+from .graphs import Graph, _dist2_blocks, concat_ranges, least_twins
 from .graphs import mask_to_set, unpack_rows, vertex_mask
 
 DEFAULT_BUDGET = 10_000_000
@@ -87,7 +87,7 @@ def _hitting_sets(g: Graph) -> list[int]:
     rows = g.packed_closed
     # per vertex the least key |N[u] ^ N[w]| * n + w over its partners w
     best = np.full(n, -1 + (1 << 63), dtype=np.int64)
-    step = max(1, _BLOCK_WORDS // rows.shape[1])
+    step = max(1, graphs._BLOCK_WORDS // rows.shape[1])
     for block in _dist2_blocks(g):
         for a in range(0, len(block), step):
             u, w = block[a : a + step, 0], block[a : a + step, 1]
@@ -207,9 +207,7 @@ def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """
     if g.n < 1:
         raise ValueError("exact_min_idcode needs n >= 1")
-    twins = least_twins(g)
-    if twins:
-        raise NotTwinFreeError(twins)
+    start = greedy_idcode(g)  # raises NotTwinFreeError on twins
     n = g.n
     masks = g.closed_masks
     sets = _hitting_sets(g)
@@ -236,7 +234,7 @@ def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
             extra = 1
         return "log2" if extra >= room else None
 
-    return _min_hitting_set(g, sets, greedy_idcode(g), idcode_lower_bound(n), rule, IDCODE_RULES, budget)
+    return _min_hitting_set(g, sets, start, idcode_lower_bound(n), rule, IDCODE_RULES, budget)
 
 
 def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:

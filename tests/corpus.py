@@ -92,3 +92,12 @@ def mixed_graph(sizes, densities, seed):
         parts.append(np.stack((perm[base + iu[keep]], perm[base + iv[keep]]), axis=1))
         base += s
     return Graph(n, np.concatenate(parts))
+
+
+def interleaved_graphs():
+    """(name, graph) pairs of over 64 vertices whose components
+    interleave, some of them wider than one 64-bit word."""
+    yield "straddle", mixed_graph((3, 17, 64, 65, 130), (1.0, 0.3, 0.2, 0.1, 0.05), 3)
+    yield "sparse_big", mixed_graph((70, 129, 5), (0.02, 0.02, 0.5), 4)
+    # one component is a single edge
+    yield "single_edge", mixed_graph((2, 66, 9, 131), (1.0, 0.1, 0.4, 0.04), 5)

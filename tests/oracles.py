@@ -131,6 +131,22 @@ def oracle_dist2_pairs(n, edges):
     return out
 
 
+def oracle_hitting_sets(n, edges):
+    """The exact solver's sets, in order: N[v] for every v, then for each
+    vertex u with a partner w at distance <= 2 (N[u] and N[w] meet) the
+    set N[u] ^ N[w] of the partner with the least (|N[u] ^ N[w]|, w);
+    each set kept only where it first appears."""
+    adj = adjacency(n, edges)
+    hood = [frozenset(closed(adj, v)) for v in range(n)]
+    out = list(hood)
+    for u in range(n):
+        partners = [w for w in range(n) if w != u and hood[u] & hood[w]]
+        if partners:
+            w = min(partners, key=lambda w: (len(hood[u] ^ hood[w]), w))
+            out.append(hood[u] ^ hood[w])
+    return list(dict.fromkeys(out))
+
+
 def oracle_min_idcode(n, edges):
     """Smallest identifying code by subset enumeration, or None when twins
     make the instance infeasible. Ties resolve to the lexicographically

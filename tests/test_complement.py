@@ -1,5 +1,8 @@
+import hashlib
 import importlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from idcodes import (
     star,
 )
 
+from corpus import small_corpus
 from oracles import (
     adjacency,
     oracle_complement_edges,
@@ -35,6 +39,16 @@ from oracles import (
     oracle_unseparated,
 )
 from strategies import twin_free_edge_lists
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def hub_and_pendants(k):
+    """Hub 0 joined to 1..k, vertex i also joined to its leaf k + i. With
+    the code 0..k the vertices 1..k form one class, and each separator in
+    the complement splits one member off it."""
+    edges = [(0, i) for i in range(1, k + 1)] + [(i, k + i) for i in range(1, k + 1)]
+    return Graph(2 * k + 1, edges)
 
 
 def test_equivalence_classes_p3():
@@ -103,16 +117,42 @@ def test_separate_class_base_cases():
 
 def test_separate_class_requires_clique():
     gbar = path(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^class is not a clique in the complement: 0 and 2 are non-adjacent$"):
         separate_class(gbar, [0, 2])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vertex 9 out of range for n=3$"):
         separate_class(gbar, [0, 9])
+
+
+def test_separate_class_names_the_first_non_adjacent_pair():
+    # the first pair in lexicographic order, not the first two members
+    gbar = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    with pytest.raises(ValueError, match="^class is not a clique in the complement: 2 and 3 are non-adjacent$"):
+        separate_class(gbar, [3, 2, 1, 0])
+    # 0 misses 3 and 1 misses 2: the pair of the least member comes first
+    gbar = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    with pytest.raises(ValueError, match="^class is not a clique in the complement: 0 and 3 are non-adjacent$"):
+        separate_class(gbar, [0, 1, 2, 3])
 
 
 def test_separate_class_twins_raise():
     gbar = complete(2)
-    with pytest.raises(NoSeparatorError):
+    with pytest.raises(NoSeparatorError, match="^vertices 0 and 1 are twins in the complement$"):
         separate_class(gbar, [0, 1])
+
+
+def test_class_of_1500_splits_without_recursion_limit():
+    # the class 1..k loses one member per separator, so a split that
+    # recursed per part would go k levels deep
+    k = 1500
+    g = hub_and_pendants(k)
+    gbar = complement(g)
+    code = complement_code(g, range(k + 1))
+    assert is_identifying_code(gbar, sorted(code)).ok
+    assert len(code) <= 2 * (k + 1)
+    sep = separate_class(gbar, range(1, k + 1))
+    assert len(sep) == k - 1
+    mask = sum(1 << w for w in sep)
+    assert len({gbar.closed_masks[v] & mask for v in range(1, k + 1)}) == k
 
 
 def test_separate_class_size_four():
@@ -253,3 +293,32 @@ def test_complement_checks_raise_runtime_error(monkeypatch):
             equivalence_classes(path(3), [])
         with pytest.raises(RuntimeError, match="two members outside"):
             equivalence_classes(Graph(2), [])
+
+
+def test_complement_code_matches_golden():
+    # pinned from the recursive class split that the worklist replaced
+    doc = json.loads((GOLDEN / "complement_code.json").read_text())
+    graphs = {
+        name: g for name, g in small_corpus() if not find_twins(g) and not find_twins(complement(g))
+    }
+    assert [case["name"] for case in doc["cases"]] == list(graphs)
+    for case in doc["cases"]:
+        g = graphs[case["name"]]
+        assert sorted(complement_code(g)) == case["exact"], case["name"]
+        assert sorted(complement_code(g, greedy_idcode(g))) == case["greedy"], case["name"]
+    hub = doc["hub_pendants"]
+    code = sorted(complement_code(hub_and_pendants(hub["k"]), range(hub["k"] + 1)))
+    assert len(code) == hub["size"]
+    assert hashlib.sha256(" ".join(map(str, code)).encode()).hexdigest() == hub["sha256"]
+
+
+def test_complement_code_trusts_the_partition(monkeypatch):
+    # equivalence_classes already rejects adjacent members, so every class
+    # is a clique of the complement and is not checked again
+    mod = importlib.import_module("idcodes.complement")
+
+    def rechecks(gbar, cls):
+        raise AssertionError("complement_code called separate_class")
+
+    monkeypatch.setattr(mod, "separate_class", rechecks)
+    assert complement_code(path(4)) == complement_code(path(4), exact_min_idcode(path(4)).code)

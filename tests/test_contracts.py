@@ -36,6 +36,33 @@ def test_verifiers_import_none_of_the_code_they_check():
     assert not found, found
 
 
+def _callee(call):
+    """The name a call reaches without leaving its scope: a plain name, or
+    an attribute of self or cls."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id
+    if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls"):
+        return f.attr
+    return None
+
+
+def test_no_library_function_calls_itself():
+    # a call per level of recursion hits the interpreter's stack limit on
+    # deep but valid input and raises RecursionError; loops over a
+    # worklist do not
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    f"{path.name}:{call.lineno}: {node.name}"
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and _callee(call) == node.name
+                ]
+    assert not found, found
+
+
 # the calls and views that lay out bits: only graphs.py may use them
 BIT_LAYOUT = {"packbits", "unpackbits", "from_bytes", "void"}
 # what the code that codes.py checks may import from it, besides the is_*

@@ -23,7 +23,7 @@ from idcodes import (
 )
 from idcodes import graphs as graphs_mod
 
-from corpus import mixed_graph, small_corpus
+from corpus import interleaved_graphs, mixed_graph, small_corpus
 from oracles import (
     OracleFormatError,
     adjacency,
@@ -242,20 +242,12 @@ def test_delete_edges_matches_oracle():
             assert g.is_spanning_subgraph_of(h) == (h.m == g.m), name
 
 
-def _interleaved_graphs():
-    # components over 64 vertices, labels permuted so that they interleave
-    yield "straddle", mixed_graph((3, 17, 64, 65, 130), (1.0, 0.3, 0.2, 0.1, 0.05), 3)
-    yield "sparse_big", mixed_graph((70, 129, 5), (0.02, 0.02, 0.5), 4)
-    # one component is a single edge
-    yield "single_edge", mixed_graph((2, 66, 9, 131), (1.0, 0.1, 0.4, 0.04), 5)
-
-
 @pytest.mark.parametrize("block_words", [None, 1, 64, 256])
 def test_dist2_pairs_on_interleaved_components_match_oracle(monkeypatch, block_words):
     # small blocks split the rows inside components and across them
     if block_words is not None:
         monkeypatch.setattr(graphs_mod, "_BLOCK_WORDS", block_words)
-    for name, g in _interleaved_graphs():
+    for name, g in interleaved_graphs():
         assert len(g.components) > 1 and g.local_closed.shape[1] < g.packed_closed.shape[1]
         expected = oracle_dist2_pairs(g.n, g.edges())
         assert dist2_pair_array(g).tolist() == [list(p) for p in expected], name
@@ -270,7 +262,7 @@ def test_ball_rows_match_oracle(monkeypatch, block_words):
     if block_words is not None:
         monkeypatch.setattr(graphs_mod, "_BLOCK_WORDS", block_words)
     rng = np.random.default_rng(11)
-    graphs = list(small_corpus())[::4] + list(_extra_graphs()) + list(_interleaved_graphs())
+    graphs = list(small_corpus())[::4] + list(_extra_graphs()) + list(interleaved_graphs())
     for name, g in graphs:
         near = {v: {v} for v in range(g.n)}
         for u, v in oracle_dist2_pairs(g.n, g.edges()):
@@ -295,7 +287,7 @@ def test_ball_rows_match_oracle(monkeypatch, block_words):
 
 
 def test_local_closed_rows_follow_component_ranks():
-    for name, g in _interleaved_graphs():
+    for name, g in interleaved_graphs():
         comps = g.components
         members, starts = g.component_order
         assert members.tolist() == [v for comp in comps for v in comp], name
@@ -316,7 +308,7 @@ def test_local_closed_rows_follow_component_ranks():
 
 def _view_graphs():
     yield "edgeless", Graph(5)
-    bases = list(_extra_graphs()) + list(_interleaved_graphs())
+    bases = list(_extra_graphs()) + list(interleaved_graphs())
     yield from bases
     for name, g in bases:
         # the constructor's sorting path: rows reversed, endpoints swapped
@@ -384,7 +376,7 @@ def test_views_match_oracle():
 def _component_graphs():
     yield from small_corpus()
     yield from _extra_graphs()
-    yield from _interleaved_graphs()
+    yield from interleaved_graphs()
     for n in (1, 2, 7, 100):
         yield f"edgeless{n}", Graph(n)
     yield "isolated_ends", Graph(9, [(2, 3), (3, 5), (4, 6), (6, 7)])

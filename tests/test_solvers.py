@@ -13,6 +13,7 @@ from idcodes import (
     UndominatedVertex,
     Verdict,
     complete,
+    complete_bipartite,
     cycle,
     disjoint_cliques,
     exact_min_dominating,
@@ -27,13 +28,15 @@ from idcodes import (
     path,
     star,
 )
-from idcodes import _kernels, solvers
+from idcodes import _kernels, graphs, solvers
+from idcodes.graphs import mask_to_set
 
-from corpus import mixed_graph, small_corpus
+from corpus import interleaved_graphs, mixed_graph, small_corpus
 from oracles import (
     oracle_fewest_extra_picks,
     oracle_greedy_cover,
     oracle_greedy_idcode,
+    oracle_hitting_sets,
     oracle_min_dominating,
     oracle_min_idcode,
 )
@@ -149,6 +152,34 @@ def test_exact_walk_memory_stays_linear_in_rows_and_edges():
     assert not res.optimal and is_identifying_code(g, res.code).ok
     base = g.n * words * 8 + 16 * g.m
     assert peak <= 40 * base, peak / base
+
+
+def test_exact_pair_sets_memory_stays_linear_in_rows_and_edges():
+    # every bit a block of _dist2_blocks unpacks can become a 16-byte pair,
+    # so a block that unpacks 8 * _BLOCK_WORDS bits holds 128 bytes per word;
+    # K_{2,3000} has ~4.5M pairs and must stay within O(n W + m)
+    g = complete_bipartite(2, 3000)
+    g.packed_closed, g.closed_masks, g.local_closed, g.ranks, g.component_order, g._csr
+    words = (g.n + 63) // 64
+    tracemalloc.start()
+    try:
+        solvers._hitting_sets(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    base = g.n * words * 8 + 16 * g.m
+    assert peak <= 16 * base, peak / base
+
+
+@pytest.mark.parametrize("block_words", [1, 8, None])
+def test_hitting_sets_match_oracle_across_blocks(monkeypatch, block_words):
+    # the order of the family feeds the packing bound, so the list must
+    # match exactly, also when blocks split the rows and their pairs
+    if block_words is not None:
+        monkeypatch.setattr(graphs, "_BLOCK_WORDS", block_words)
+    for name, g in list(small_corpus())[::4] + list(interleaved_graphs()):
+        got = [mask_to_set(s) for s in solvers._hitting_sets(g)]
+        assert got == oracle_hitting_sets(g.n, g.edges()), name
 
 
 def test_start_incumbent_is_valid_and_minimal():
