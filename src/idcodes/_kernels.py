@@ -54,7 +54,9 @@ def separator_counts(
         pairs = np.subtract(sizes[:, None], counts, dtype=wide)
         np.multiply(pairs, counts, out=pairs)
         return pairs.sum(axis=0, dtype=np.int64)
-    pairs = counts * (sizes[klass] - counts)
+    pairs = sizes[klass]  # a fresh array, updated in place
+    pairs -= counts
+    pairs *= counts
     return np.bincount(owner, weights=pairs, minlength=n).astype(np.int64)
 
 

@@ -109,20 +109,23 @@ def separate_class(gbar: Graph, cls: Iterable[int]) -> frozenset[int]:
             raise ValueError(
                 f"class is not a clique in the complement: {u} and {v} are non-adjacent"
             )
-    return frozenset(_split(gbar, [members]))
+    return frozenset(_split(gbar, [cmask]))
 
 
-def _split(gbar: Graph, classes: list[list[int]]) -> set[int]:
-    """Separators of the sorted cliques in classes, first class first, by
-    one worklist of parts: the side adjacent to a separator goes first."""
+def _split(gbar: Graph, parts: list[int]) -> set[int]:
+    """Separators of the cliques in parts, given as vertex bitmasks, first
+    class first, by one worklist of parts: the side adjacent to a
+    separator goes first. A separator splits a part with two ANDs."""
     masks = gbar.closed_masks
     out: set[int] = set()
-    parts = classes[::-1]
-    while parts:
-        members = parts.pop()
-        if len(members) <= 1:
+    todo = parts[::-1]
+    while todo:
+        part = todo.pop()
+        if not part & (part - 1):  # at most one member
             continue
-        u1, u2 = members[0], members[1]
+        low = part & -part
+        rest = part ^ low
+        u1, u2 = low.bit_length() - 1, (rest & -rest).bit_length() - 1
         diff = masks[u1] ^ masks[u2]
         if not diff:
             raise NoSeparatorError(
@@ -131,8 +134,8 @@ def _split(gbar: Graph, classes: list[list[int]]) -> set[int]:
         w = (diff & -diff).bit_length() - 1  # outside the clique, which N[u1] & N[u2] holds
         out.add(w)
         adj = masks[w]
-        parts.append([x for x in members if not adj >> x & 1])
-        parts.append([x for x in members if adj >> x & 1])
+        todo.append(part & ~adj)
+        todo.append(part & adj)
     return out
 
 
@@ -156,7 +159,9 @@ def complement_code(g: Graph, c0: Optional[Iterable[int]] = None) -> frozenset[i
         base = frozenset(c0)
     # equivalence_classes checked that each class is a clique of gbar with
     # at most one member outside base, so extra holds at most |base| vertices
-    extra = _split(gbar, [sorted(cls) for cls in equivalence_classes(g, base).classes])
+    # one bitmask per class; its bits are distinct, so the sum is the union
+    classes = equivalence_classes(g, base).classes
+    extra = _split(gbar, [sum(1 << v for v in cls) for cls in classes])
     combined = base | extra
     cmask = vertex_mask(gbar.n, combined)
     undominated = [v for v, m in enumerate(gbar.closed_masks) if not m & cmask]

@@ -41,7 +41,7 @@ import numpy as np
 from . import _kernels, graphs
 from .bounds import ceil_log2, idcode_lower_bound
 from .codes import is_identifying_code
-from .graphs import Graph, _dist2_blocks, concat_ranges, least_twins
+from .graphs import Graph, _dist2_blocks, least_twins
 from .graphs import mask_to_set, unpack_rows, vertex_mask
 
 DEFAULT_BUDGET = 10_000_000
@@ -300,7 +300,15 @@ def greedy_idcode(g: Graph) -> frozenset[int]:
     The gain of w is the sum over the classes S of
     |S & N[w]| * |S - N[w]|, which `_kernels.separator_counts` takes once
     per pick from the counts |S & N[w]|. A pick p splits every class S
-    into S & N[p] and S - N[p].
+    into S & N[p] and S - N[p]. The gains are exact, so the picks stop
+    once they add up to the C(n + 1, 2) pairs of V and the ghost.
+
+    On a twin-free graph every pick gains, since some N[w] splits any two
+    vertices of a class. The picks stall, with no gain left, only on
+    twins; only then is the graph searched for them, and
+    NotTwinFreeError names the least twin pair (`least_twins`). A stall
+    without twins raises RuntimeError. A twin graph thus costs the greedy
+    up to its stall before it raises.
 
     Two fills compute those counts and make the same picks. `_cell_picks`
     keeps them per cell of the closed-neighborhood incidence, read from
@@ -312,10 +320,12 @@ def greedy_idcode(g: Graph) -> frozenset[int]:
     """
     if g.n < 1:
         raise ValueError("greedy_idcode needs n >= 1")
-    twins = least_twins(g)
-    if twins:
-        raise NotTwinFreeError(twins)
     code = _table_picks(g) if _is_dense(g) else _cell_picks(g)
+    if code is None:
+        twins = least_twins(g)
+        if twins:
+            raise NotTwinFreeError(twins)
+        raise RuntimeError("greedy_idcode found no progress on a twin-free graph")
     verdict = is_identifying_code(g, code, "full")
     if not verdict.ok:
         raise RuntimeError(f"greedy produced an invalid code: {verdict}")
@@ -330,7 +340,7 @@ def _is_dense(g: Graph) -> bool:
     return n + 2 * g.m >= max(DENSE_DEGREE * n, n * n / DENSE_FILL)
 
 
-def _cell_picks(g: Graph) -> list[int]:
+def _cell_picks(g: Graph) -> Optional[list[int]]:
     """The greedy identifying code's picks, in order, from cell counts.
 
     Each class S is cut into cells, one per vertex w with N[w] meeting S,
@@ -346,7 +356,9 @@ def _cell_picks(g: Graph) -> list[int]:
     and class counts are updated without any sort. Once the cell ids
     outnumber the live entries, the empty cells and the cells of
     one-vertex classes are dropped, with their entries, and the rest
-    renumbered. Memory is O(n + m).
+    renumbered. Memory is O(n + m). Beyond the moved entries, a pick makes
+    a few passes over all cell ids (the kernel, the count of moved entries
+    per cell). Returns None when no vertex gains, which only twins cause.
     """
     n = g.n
     indptr, nbrs = g._csr
@@ -363,7 +375,10 @@ def _cell_picks(g: Graph) -> list[int]:
     # 0, so the cell of (x, w) is w
     xs = np.repeat(np.arange(n), size)
     cell = hood.copy()
-    row_start, row_len = start, size
+    # row x of the closed incidence is hood[lo[x]:hi[x]], that is N[x];
+    # its live entries end at row_end[x]
+    row_len, row_end = size, start + size
+    lo, hi = start.tolist(), row_end.tolist()
     # cells and classes get fresh ids at the end; between compactions
     # there are at most 2e cell ids, and at most e + 1 class ids in all
     count = np.zeros(2 * e, dtype=np.int64)
@@ -375,52 +390,62 @@ def _cell_picks(g: Graph) -> list[int]:
     new_class = np.empty(e + 1, dtype=np.int64)
     new_cell = np.empty(2 * e, dtype=np.int64)
     cells, classes = n, 1
+    unseparated = n * (n + 1) // 2  # pairs of V plus the ghost
     code: list[int] = []
-    while sizes[:classes].max() > 1:
+    while unseparated > 0:
         gain = _kernels.separator_counts(
             count[:cells], owner[:cells], klass[:cells], sizes[:classes], n
         )
-        p = int(np.argmax(gain))  # argmax takes the first maximum
-        if gain[p] <= 0:
-            raise RuntimeError("greedy_idcode found no progress on a twin-free graph")
+        p = int(gain.argmax())  # argmax takes the first maximum
+        best = int(gain[p])
+        if best <= 0:
+            return None
         code.append(p)
-        hp = hood[start[p] : start[p] + size[p]]
-        at = concat_ranges(row_start[hp], row_len[hp])
+        unseparated -= best
+        # the live entries of the rows x in N[p], row after row
+        hp = hood[lo[p] : hi[p]]
+        lens = row_len[hp]
+        ends = lens.cumsum()
+        at = np.repeat(row_end[hp] - ends, lens)
+        at += np.arange(len(at))
         old = cell[at]
         moved = np.bincount(old, minlength=cells)
-        hit = np.flatnonzero(moved)
-        # the cells of p are the parts S & N[p]: each moves to a fresh class
-        mine = hit[owner[hit] == p]
-        split, part = klass[mine], count[mine]
-        new_class[split] = np.arange(classes, classes + len(split))
+        hit = (moved > 0).nonzero()[0]
+        moved, hit_owner, hit_class = moved[hit], owner[hit], klass[hit]
+        # the cells of p are the parts S & N[p], all of whose entries
+        # moved: each part moves to a fresh class
+        mine = hit_owner == p
+        split, part = hit_class[mine], moved[mine]
+        k = len(split)
+        new_class[split] = np.arange(classes, classes + k)
         sizes[split] -= part
-        sizes[classes : classes + len(split)] = part
-        classes += len(split)
+        sizes[classes : classes + k] = part
+        classes += k
         # and the part of every cell inside N[p] to a fresh cell
-        fresh = slice(cells, cells + len(hit))
-        new_cell[hit] = np.arange(fresh.start, fresh.stop)
+        k = len(hit)
+        new_cell[hit] = np.arange(cells, cells + k)
         cell[at] = new_cell[old]
-        part = moved[hit]
-        count[hit] -= part
-        count[fresh] = part
-        owner[fresh] = owner[hit]
-        klass[fresh] = new_class[klass[hit]]
-        cells = fresh.stop
+        count[hit] -= moved
+        count[cells : cells + k] = moved
+        owner[cells : cells + k] = hit_owner
+        klass[cells : cells + k] = new_class[hit_class]
+        cells += k
         if cells > len(cell):
-            keep = (count[:cells] > 0) & (sizes[klass[:cells]] > 1)
+            keep = count[:cells] > 0
+            keep &= sizes[klass[:cells]] > 1
+            kept = keep.nonzero()[0]
             live = keep[cell]
-            cell = (np.cumsum(keep) - 1)[cell[live]]
+            cell = (keep.cumsum() - 1)[cell[live]]
             xs = xs[live]
             row_len = np.bincount(xs, minlength=n)
-            row_start = np.cumsum(row_len) - row_len
+            row_end = row_len.cumsum()
+            cells = len(kept)
             for arr in (count, owner, klass):
-                kept = arr[:cells][keep]
-                arr[: len(kept)] = kept
-            cells = int(np.count_nonzero(keep))
+                arr[:cells] = arr[kept]
     return code
 
 
-def _table_picks(g: Graph) -> list[int]:
+def _table_picks(g: Graph) -> Optional[list[int]]:
     """The greedy identifying code's picks, in order, from class tables.
 
     The closed rows are unpacked once into an n x n table of bools,
@@ -432,6 +457,7 @@ def _table_picks(g: Graph) -> list[int]:
     middle axis, which fills the (classes x n) table of |S & N[w]| that
     the kernel scores. The pick p then splits every class by row p. A
     pick costs O(n) per live vertex; counts are int16 while n < 2**15.
+    Returns None when no vertex gains, which only twins cause.
     """
     n = g.n
     rows = unpack_rows(g.packed_closed, n)
@@ -439,8 +465,9 @@ def _table_picks(g: Graph) -> list[int]:
     # class id per vertex, and class sizes with the ghost counted in class 0
     label = np.zeros(n, dtype=np.int64)
     sizes = np.array([n + 1])
+    unseparated = n * (n + 1) // 2  # pairs of V plus the ghost
     code: list[int] = []
-    while sizes.max() > 1:
+    while unseparated > 0:
         held = sizes.copy()
         held[0] -= 1  # the ghost holds no row
         live = (sizes[label] > 1).nonzero()[0]
@@ -462,10 +489,12 @@ def _table_picks(g: Graph) -> list[int]:
             np.sum(block, axis=1, dtype=wide, out=counts[r:r_end])
             r = r_end
         gain = _kernels.separator_counts(counts, None, None, sizes[ids], n)
-        p = int(np.argmax(gain))  # argmax takes the first maximum
-        if gain[p] <= 0:
-            raise RuntimeError("greedy_idcode found no progress on a twin-free graph")
+        p = int(gain.argmax())  # argmax takes the first maximum
+        best = int(gain[p])
+        if best <= 0:
+            return None
         code.append(p)
+        unseparated -= best
         # S & N[p] takes the id of S plus the id count; then the ids are
         # compacted, keeping id 0 for the ghost's class
         label[rows[p]] += len(sizes)

@@ -101,3 +101,33 @@ def interleaved_graphs():
     yield "sparse_big", mixed_graph((70, 129, 5), (0.02, 0.02, 0.5), 4)
     # one component is a single edge
     yield "single_edge", mixed_graph((2, 66, 9, 131), (1.0, 0.1, 0.4, 0.04), 5)
+
+
+# the cycles and G(n, p) shapes of the greedy-sparse benchmark workload,
+# plus one long cycle; seeds 0-2 of each shape are twin-free
+GREEDY_PICK_CASES = (
+    [("cycle", (n,)) for n in (190, 230, 240, 4000)]
+    + [
+        ("gnp", (n, p, seed))
+        for n, p in ((300, 0.03), (330, 0.04), (350, 0.05), (380, 0.05), (400, 0.03), (400, 0.02))
+        for seed in range(3)
+    ]
+)
+
+
+def greedy_pick_graphs():
+    """(family, args, graph) for each of GREEDY_PICK_CASES."""
+    families = {"cycle": cycle, "gnp": gnp}
+    return [(family, args, families[family](*args)) for family, args in GREEDY_PICK_CASES]
+
+
+def twin_graphs():
+    """(name, graph) pairs with twins, for the cell and the table fill of
+    the greedy identifying code: a cycle with two pendant twin pairs (a
+    triangle hung on vertex 5 and one on vertex 17), and G(100, 1/2) with
+    a twin added to vertex 7 (vertex 100) and to vertex 3 (vertex 101)."""
+    c = cycle(30)
+    pendants = Graph(34, list(c.edges()) + [(5, 30), (5, 31), (30, 31), (17, 32), (17, 33), (32, 33)])
+    g = gnp(100, 0.5, 0)
+    copies = [(100 + i, w) for i, v in enumerate((7, 3)) for w in g.closed_neighborhood(v)]
+    return [("C30+pendant twins", pendants), ("G(100,0.5,0)+twins", Graph(102, list(g.edges()) + copies))]

@@ -29,6 +29,8 @@ from idcodes import cli, solvers, watching
 from idcodes import graphs as graphs_mod
 from idcodes.cli import run_cli
 
+from corpus import twin_graphs
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -96,6 +98,20 @@ def test_solve_twin_graph_exit_code(tmp_path):
     run(["gen", "--family", "complete", "--n", "4", "--out", str(gfile)])
     r = run(["solve", "--in", str(gfile)])
     assert r.returncode == 1 and "twins" in r.stderr
+
+
+def test_greedy_and_solve_name_the_least_twins(tmp_path, capsys):
+    # the greedy looks for twins only once its picks stall, and names the
+    # least pair on either fill
+    for i, (name, g) in enumerate(twin_graphs()):
+        gfile = tmp_path / f"twins{i}.txt"
+        gfile.write_text(write_edge_list(g))
+        u, v = least_twins(g)
+        for cmd in ("greedy", "solve"):
+            assert run_cli([cmd, "--in", str(gfile)]) == 1, (name, cmd)
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"not ok: vertices {u} and {v} are twins; no identifying code exists\n"
 
 
 def test_greedy_subcommand(tmp_path):

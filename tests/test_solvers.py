@@ -25,13 +25,14 @@ from idcodes import (
     idcode_lower_bound,
     is_dominating,
     is_identifying_code,
+    least_twins,
     path,
     star,
 )
 from idcodes import _kernels, graphs, solvers
 from idcodes.graphs import mask_to_set
 
-from corpus import interleaved_graphs, mixed_graph, small_corpus
+from corpus import greedy_pick_graphs, interleaved_graphs, mixed_graph, small_corpus, twin_graphs
 from oracles import (
     oracle_fewest_extra_picks,
     oracle_greedy_cover,
@@ -331,6 +332,41 @@ def test_greedy_idcode_matches_golden():
         cells = solvers._cell_picks(g)
         assert sorted(cells) == case["code"], case
         assert solvers._table_picks(g) == cells, case
+
+
+def test_greedy_picks_match_golden():
+    # the ordered picks on the greedy-sparse benchmark shapes and C4000
+    doc = json.loads((GOLDEN / "greedy_picks.json").read_text())
+    cases = greedy_pick_graphs()
+    assert len(doc["cases"]) == len(cases) == 22
+    for case, (family, args, g) in zip(doc["cases"], cases):
+        assert [case["family"], case["args"]] == [family, list(args)]
+        assert not solvers._is_dense(g)
+        assert solvers._cell_picks(g) == case["picks"], case["args"]
+        assert greedy_idcode(g) == set(case["picks"]), case["args"]
+        if g.n <= 400:
+            assert solvers._table_picks(g) == case["picks"], case["args"]
+
+
+def test_greedy_idcode_checks_for_twins_only_at_a_stall(monkeypatch):
+    calls = []
+    monkeypatch.setattr(solvers, "least_twins", lambda g: calls.append(g) or least_twins(g))
+    # a twin-free graph: every pick gains, so no twin search, on either fill
+    for g, dense in ((cycle(40), False), (gnp(100, 0.5, 0), True)):
+        assert solvers._is_dense(g) == dense and not find_twins(g)
+        assert is_identifying_code(g, greedy_idcode(g)).ok
+    assert calls == []
+    # twins stall the picks of either fill, and only then are searched for
+    for name, g in twin_graphs():
+        assert solvers._cell_picks(g) is None and solvers._table_picks(g) is None, name
+        calls.clear()
+        with pytest.raises(NotTwinFreeError) as err:
+            greedy_idcode(g)
+        assert err.value.pair == least_twins(g) and calls == [g], name
+        with pytest.raises(NotTwinFreeError) as err:
+            exact_min_idcode(g)
+        assert err.value.pair == least_twins(g), name
+    assert {solvers._is_dense(g) for _, g in twin_graphs()} == {False, True}
 
 
 def test_greedy_idcode_matches_pair_oracle():
