@@ -553,7 +553,7 @@ def ball_rows(g: Graph, vs: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _dist2_blocks(g: Graph) -> Iterator[np.ndarray]:
-    """The pairs of dist2_pair_array, one (k, 2) array per block of rows u.
+    """dist2_pairs as one (k, 2) int64 array per block of rows u.
 
     Row u of a block is the 2-ball of u in the component-local rows
     (ball_rows); its bits above the rank of u are the partners v > u, since
@@ -585,13 +585,6 @@ def _dist2_blocks(g: Graph) -> Iterator[np.ndarray]:
         block = np.stack((pu, pv), axis=1)
         del reach, bits, pu, pv  # not held while the caller reads the block
         yield block
-
-
-def dist2_pair_array(g: Graph) -> np.ndarray:
-    """Pairs u < v at distance 1 or 2 as a (k, 2) int64 array, rows in
-    ascending lexicographic order."""
-    blocks = list(_dist2_blocks(g))
-    return np.concatenate(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
 
 
 def dist2_pairs(g: Graph) -> Iterator[Edge]:

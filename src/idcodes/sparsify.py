@@ -1,12 +1,15 @@
 """Randomized edge-deletion sparsification with Las-Vegas retries.
 
 The public building blocks (pick_code, bounded_f, sample_subgraph,
-check_events) operate on whole graphs exactly as defined. The driver,
-sparsify, runs the construction per connected component in synchronized
-rounds, redrawing only components that still fail: component draws are
-independent, so the output law equals whole-graph retrying while needing
-far fewer rounds. Acceptance is gated on separation failures only;
-degree-deviation counts are tallied per round as diagnostics.
+check_events, pair_collision_frequency) operate on whole graphs exactly
+as defined. sample_subgraph and pair_collision_frequency delete edges by
+the rule of the driver's theorem1 rounds (_deleted), each with its own
+random draws. The driver, sparsify, runs the construction per connected
+component in synchronized rounds, redrawing only components that still
+fail: component draws are independent, so the output law equals
+whole-graph retrying while needing far fewer rounds. Acceptance is gated
+on separation failures only; degree-deviation counts are tallied per
+round as diagnostics.
 
 A round is a fixed sequence of array passes over all still-active
 components at once, never a loop over their vertices or edges. Vertices
@@ -67,7 +70,7 @@ import numpy as np
 
 from ._kernels import greedy_cover_segments
 from .codes import is_dominating, is_identifying_code
-from .graphs import Edge, Graph, ball_rows, concat_ranges, degree_stats, dist2_pair_array
+from .graphs import Edge, Graph, _dist2_blocks, ball_rows, concat_ranges, degree_stats
 from .graphs import pack_rows, row_keys
 from .solvers import greedy_dominating
 
@@ -318,6 +321,20 @@ def pick_code(g: Graph, params: SparsifyParams) -> frozenset[int]:
     return frozenset(int(v) for v in np.nonzero(draws < p)[0])
 
 
+def _check_c(c: float) -> None:
+    if not (c >= 0 and math.isfinite(c)):  # NaN too
+        raise ValueError("c must be >= 0 and finite")
+
+
+def _deleted(terms: np.ndarray, eu, ev, draws: np.ndarray) -> np.ndarray:
+    """The edge-deletion rule of the theorem1 rounds, sample_subgraph and
+    pair_collision_frequency: the code-incident edge (eu[j], ev[j]) is
+    deleted when its uniform draws[j] falls below (terms[eu[j]] +
+    terms[ev[j]]) / 4, where terms[x] = f(x)/dc(x) (0 where dc(x) = 0).
+    With f <= dc every probability is at most 1/2."""
+    return draws < (terms[eu] + terms[ev]) / 4.0
+
+
 def bounded_f(g: Graph, code: Iterable[int], c: float) -> np.ndarray:
     """f(u) = min(c*ln(dmax), code-degree of u), as a float array.
 
@@ -325,8 +342,7 @@ def bounded_f(g: Graph, code: Iterable[int], c: float) -> np.ndarray:
     non-increasing in the degree, which caps every deletion probability
     at 1/2.
     """
-    if not (c >= 0 and math.isfinite(c)):  # NaN too
-        raise ValueError("c must be >= 0 and finite")
+    _check_c(c)
     _, dmax = degree_stats(g)
     cap = c * math.log(dmax) if dmax >= 1 else 0.0
     dc = g.neighbor_counts(_members(code, g.n))
@@ -354,18 +370,17 @@ def sample_subgraph(
     terms = np.divide(f, dc, out=np.zeros(n), where=dc > 0)
     es = g.edge_array()
     inc = np.compress(in_code[es[:, 0]] | in_code[es[:, 1]], es, axis=0)
-    p_edge = (terms[inc[:, 0]] + terms[inc[:, 1]]) / 4.0
-    if not np.all(p_edge <= 0.5):
-        raise RuntimeError("deletion probability exceeded 1/2")
     draws = np.random.default_rng(seed).random(len(inc))
-    dropped = np.compress(draws < p_edge, inc, axis=0)
+    dropped = np.compress(_deleted(terms, inc[:, 0], inc[:, 1], draws), inc, axis=0)
     return g.delete_edges(dropped), frozenset(map(tuple, dropped.tolist()))
 
 
 def check_events(
     g: Graph, h: Graph, code: Iterable[int], c: float
 ) -> list[Violation]:
-    """Scan every pair at distance <= 2 in g, in lexicographic order.
+    """Scan every pair at distance <= 2 in g, in lexicographic order, one
+    block of pairs at a time (graphs._dist2_blocks), so the list of all
+    pairs is never held. c must be >= 0 and finite.
 
     A-violation: an endpoint's code-degree in g lands outside the open
     interval (d*p/2, 3*d*p/2) around its mean d*p, p = min(1, c*ln(dmax)/dmin).
@@ -373,27 +388,27 @@ def check_events(
     subset. An empty list is exactly the good event the construction
     retries for.
     """
+    _check_c(c)
     dmin, dmax = _degree_checks(g)
     if not h.is_spanning_subgraph_of(g):
         raise ValueError("h must be a spanning subgraph of g")
     p = _inclusion_prob(c * math.log(dmax) / dmin, True)
     in_code = _members(code, g.n)
-    dc = g.neighbor_counts(in_code).astype(np.float64)
-    dg = g.degrees.astype(np.float64)
-    aflag = np.abs(dc - dg * p) >= dg * p / 2.0
-    ps = dist2_pair_array(g)
-    aeq = aflag[ps[:, 0]] | aflag[ps[:, 1]]
+    mean = g.degrees * p
+    aflag = np.abs(g.neighbor_counts(in_code) - mean) >= mean / 2.0
     rows = h.packed_closed
     code_row = pack_rows(np.pad(in_code, (0, 64 * rows.shape[1] - g.n)))
     sig = np.unique(row_keys(rows & code_row), return_inverse=True)[1]
-    beq = sig[ps[:, 0]] == sig[ps[:, 1]]
     out: list[Violation] = []
-    for k in np.flatnonzero(aeq | beq).tolist():
-        u, v = ps[k].tolist()
-        if aeq[k]:
-            out.append(Violation("A", u, v))
-        if beq[k]:
-            out.append(Violation("B", u, v))
+    for ps in _dist2_blocks(g):
+        aeq = aflag[ps[:, 0]] | aflag[ps[:, 1]]
+        beq = sig[ps[:, 0]] == sig[ps[:, 1]]
+        for k in np.flatnonzero(aeq | beq).tolist():
+            u, v = ps[k].tolist()
+            if aeq[k]:
+                out.append(Violation("A", u, v))
+            if beq[k]:
+                out.append(Violation("B", u, v))
     return out
 
 
@@ -496,16 +511,16 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
         seg = np.repeat(np.arange(len(active)), size_a)
         gates = np.zeros((len(active), W), dtype=np.uint64)
         _toggle_bits(gates, seg[drawn], ranks[vs[drawn]])
+        draws = streams.rest(inc_len)
         if variant == "theorem1":
             # the rows are closed, so a code vertex also counts its own bit
             dc = np.bitwise_count(h & gates[seg]).sum(1, dtype=np.int64) - drawn
             term[vs] = np.minimum(cap, dc) / np.maximum(dc, 1)
             mean = deg[vs] * p
             a_cnt = int(np.count_nonzero(np.abs(dc - mean) >= mean / 2.0))
-            pe = (term[au[inc]] + term[av[inc]]) / 4.0
+            drop = inc[_deleted(term, au[inc], av[inc], draws)]
         else:
-            a_cnt, pe = 0, 0.25
-        drop = inc[streams.rest(inc_len) < pe]
+            a_cnt, drop = 0, inc[draws < 0.25]
         flags = np.zeros(len(au), dtype=bool)
         flags[drop] = True
         deleted[e_at] = flags
@@ -631,20 +646,12 @@ def pair_collision_frequency(
     f = bounded_f(g, code_set, c)
     dc = g.neighbor_counts(_members(code_set, g.n))
     terms = np.divide(f, dc.astype(np.float64), out=np.zeros(g.n), where=dc > 0)
-    su = sorted(g.neighbors(u) & code_set)
-    sv = sorted(g.neighbors(v) & code_set)
+    su, sv = (np.array(sorted(g.neighbors(x) & code_set), dtype=np.int64) for x in (u, v))
     rng = np.random.default_rng(seed)
-    keep_u = rng.random((trials, len(su))) >= (terms[u] + terms[su]) / 4.0
-    keep_v = rng.random((trials, len(sv))) >= (terms[v] + terms[sv]) / 4.0
-    iu = {w: j for j, w in enumerate(su)}
-    iv = {w: j for j, w in enumerate(sv)}
-    same = np.ones(trials, dtype=bool)
-    for w in su:
-        if w in iv:
-            same &= keep_u[:, iu[w]] == keep_v[:, iv[w]]
-        else:
-            same &= ~keep_u[:, iu[w]]
-    for w in sv:
-        if w not in iu:
-            same &= ~keep_v[:, iv[w]]
-    return float(same.mean())
+    keep_u = ~_deleted(terms, u, su, rng.random((trials, len(su))))
+    keep_v = ~_deleted(terms, v, sv, rng.random((trials, len(sv))))
+    # the signatures agree when each shared code neighbor's two edges
+    # share a fate and no other code edge at u or v survives
+    in_v, in_u = np.isin(su, sv), np.isin(sv, su)
+    same = (keep_u[:, in_v] == keep_v[:, in_u]).all(1)
+    return float((same & ~keep_u[:, ~in_v].any(1) & ~keep_v[:, ~in_u].any(1)).mean())

@@ -8,6 +8,8 @@ identifying-code bounds apply whenever the graph is twin-free; empty
 random draws are redrawn with a deterministic seed offset.
 """
 
+import hashlib
+import json
 from functools import lru_cache
 
 import networkx as nx
@@ -15,13 +17,20 @@ import numpy as np
 
 from idcodes import (
     Graph,
+    SparsifyParams,
+    bounded_f,
+    check_events,
     complete,
     complete_bipartite,
     connected_cliques,
     cycle,
     disjoint_cliques,
+    dist2_pairs,
     gnp,
+    pair_collision_frequency,
     path,
+    pick_code,
+    sample_subgraph,
     star,
 )
 
@@ -131,3 +140,48 @@ def twin_graphs():
     g = gnp(100, 0.5, 0)
     copies = [(100 + i, w) for i, v in enumerate((7, 3)) for w in g.closed_neighborhood(v)]
     return [("C30+pendant twins", pendants), ("G(100,0.5,0)+twins", Graph(102, list(g.edges()) + copies))]
+
+
+# the step-by-step sparsify API's cases: (family, args, c, seed); C130
+# packs three words per row, star(4) has a starved center, the cliques
+# have no pair at distance exactly 2
+SPARSIFY_STEP_CASES = (
+    ("cycle", (130,), 0.5, 0),
+    ("star", (4,), 0.5, 1),
+    *(("gnp", (140, 0.08, seed), 0.5, seed) for seed in range(3)),
+    ("disjoint_cliques", (5, 7), 1.0, 2),
+    ("complete_bipartite", (2, 40), 0.2, 3),
+)
+
+
+def sparsify_steps(family, args, c, seed):
+    """The outputs of pick_code, bounded_f, sample_subgraph, check_events
+    and pair_collision_frequency on one of SPARSIFY_STEP_CASES, as JSON
+    values. The frequency is taken on the first pair at distance exactly 2
+    with no endpoint in the code (else the first such pair, else none)."""
+    families = {
+        "cycle": cycle,
+        "star": star,
+        "gnp": gnp,
+        "disjoint_cliques": disjoint_cliques,
+        "complete_bipartite": complete_bipartite,
+    }
+    g = families[family](*args)
+    code = sorted(pick_code(g, SparsifyParams(c=c, seed=seed)))
+    f = bounded_f(g, code, c)
+    h, deleted = sample_subgraph(g, code, f, seed)
+    dels = json.dumps([list(e) for e in sorted(deleted)])
+    far = [pr for pr in dist2_pairs(g) if not g.has_edge(*pr)]
+    pair = ([pr for pr in far if not set(pr) & set(code)] or far or [None])[0]
+    return {
+        "family": family,
+        "args": list(args),
+        "c": c,
+        "seed": seed,
+        "code": code,
+        "bounded_f": f.tobytes().hex(),
+        "deleted_sha256": hashlib.sha256(dels.encode()).hexdigest(),
+        "events": [[x.kind, x.u, x.v] for x in check_events(g, h, code, c)],
+        "pair": list(pair) if pair else None,
+        "frequency": pair_collision_frequency(g, code, c, *pair, 4000, seed) if pair else None,
+    }

@@ -603,7 +603,7 @@ def test_sparsify_lists_no_distance_2_pairs(monkeypatch):
 
     # the module, not the function of the same name that idcodes exports
     sparsify_mod = importlib.import_module("idcodes.sparsify")
-    monkeypatch.setattr(sparsify_mod, "dist2_pair_array", refuse)
+    monkeypatch.setattr(sparsify_mod, "_dist2_blocks", refuse)
     monkeypatch.setattr(graphs_mod, "_dist2_blocks", refuse)
     for g in (disjoint_cliques(9, 4), gnp(60, 0.5, 4)):
         for variant in ("theorem1", "uniform"):

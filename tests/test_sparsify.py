@@ -34,9 +34,10 @@ from idcodes import (
     star,
 )
 
+from idcodes import graphs as graphs_mod
 from idcodes.sparsify import _pcg64_state, _stream_words, _Streams
 
-from corpus import mixed_graph
+from corpus import SPARSIFY_STEP_CASES, interleaved_graphs, mixed_graph, sparsify_steps
 from oracles import (
     adjacency,
     oracle_collision_probability,
@@ -268,6 +269,79 @@ def test_check_events_rejects_non_subgraph():
         check_events(path_graph_4(), cycle(4), [0], 1.0)
 
 
+@pytest.mark.parametrize("c", [float("nan"), -1.0, float("inf"), float("-inf")])
+def test_check_events_rejects_bad_c(c):
+    # NaN fails every comparison and would drop every A-violation; a
+    # negative c would flag every pair
+    g = star(4)
+    with pytest.raises(ValueError, match="c must be >= 0 and finite"):
+        check_events(g, g, [0], c)
+
+
+def test_check_events_memory_stays_linear_in_rows_and_edges():
+    # K_{2,3000} has ~4.5e6 pairs at distance 2; check_events must meet
+    # them one bounded block at a time, never as one list
+    g = complete_bipartite(2, 3000)
+    words = (g.n + 63) // 64
+    tracemalloc.start()
+    try:
+        out = check_events(g, g, range(g.n), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == []
+    base = g.n * words * 8 + 16 * g.m
+    assert peak <= 16 * base, peak / base
+
+
+def _golden_graphs():
+    """The graphs of the three sparsify goldens."""
+    docs = {
+        name: json.loads((GOLDEN / f"{name}.json").read_text())
+        for name in ("sparsify", "sparsify_mixed", "sparsify_streams")
+    }
+    families = {"disjoint_cliques": disjoint_cliques, "gnp": gnp}
+    graphs = [families[fam](*args) for fam, args in docs["sparsify"]["graphs"].values()]
+    graphs += [mixed_graph(**spec) for spec in docs["sparsify_mixed"]["graphs"].values()]
+    streams = docs["sparsify_streams"]["graphs"]
+    graphs.append(mixed_graph(**{k: v for k, v in streams["mixed"].items() if k != "family"}))
+    graphs.append(disjoint_cliques(*streams["cliques"]["args"]))
+    return graphs
+
+
+@pytest.mark.parametrize("variant", ["theorem1", "uniform"])
+def test_check_events_finds_no_separation_failure_after_sparsify(variant):
+    # the rounds' tied-class count and check_events' pair scan agree on
+    # the accepted draw
+    graphs = _golden_graphs() + [gnp(n, 0.3, seed) for n in (40, 90) for seed in range(3)]
+    for g in graphs:
+        params = SparsifyParams(c=2.0, seed=5, variant=variant)
+        res = sparsify(g, params)
+        h = g.delete_edges(res.deleted_edges)
+        code = res.code if variant == "theorem1" else res.code | res.dominating
+        assert not [x for x in check_events(g, h, code, 2.0) if x.kind == "B"], (g.n, g.m)
+
+
+@pytest.mark.parametrize("block_words", [None, 8])
+def test_check_events_b_pairs_on_interleaved_components(monkeypatch, block_words):
+    # the pair blocks map component-local ranks back to vertices, and
+    # small blocks split the rows inside components and across them
+    if block_words is not None:
+        monkeypatch.setattr(graphs_mod, "_BLOCK_WORDS", block_words)
+    rng = np.random.default_rng(2)
+    found = 0
+    for name, g in interleaved_graphs():
+        assert len(g.components) > 1
+        pairs = oracle_dist2_pairs(g.n, g.edges())
+        for seed in range(2):
+            code = sorted(rng.choice(g.n, size=g.n // 4, replace=False).tolist())
+            h, _ = sample_subgraph(g, code, bounded_f(g, code, 0.5), seed)
+            got = [(x.u, x.v) for x in check_events(g, h, code, 0.5) if x.kind == "B"]
+            assert got == oracle_unseparated(h.n, h.edges(), code, pairs), (name, seed)
+            found += len(got)
+    assert found > 0
+
+
 def path_graph_4():
     return Graph(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -480,6 +554,18 @@ def test_sparsify_mixed_components_match_golden():
         assert str(err.value) == case["message"]
         got = [t.trial, t.code_size, t.deleted, t.a_violations, t.b_violations]
         assert got == case["last_trial"]
+
+
+def test_sparsify_steps_match_golden():
+    # pinned from the step-by-step API before its deletion rule was shared
+    # with the sparsify round and check_events streamed its pair blocks
+    doc = json.loads((GOLDEN / "sparsify_steps.json").read_text())
+    assert [
+        (case["family"], tuple(case["args"]), case["c"], case["seed"]) for case in doc["cases"]
+    ] == list(SPARSIFY_STEP_CASES)
+    for case in doc["cases"]:
+        got = sparsify_steps(case["family"], case["args"], case["c"], case["seed"])
+        assert json.dumps(got) == json.dumps(case), (case["family"], case["args"])
 
 
 def _stream_digest(res):
