@@ -3,6 +3,8 @@ randomized edge-deletion sparsification, complement-graph codes, watching
 systems, and the analytic bounds backing them.
 """
 
+import types
+
 from .bounds import (
     BoundReport,
     alpha0,
@@ -95,80 +97,9 @@ from .watching import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "ComplementNotTwinFreeError",
-    "DegenerateGraphError",
-    "EquivClassPartition",
-    "FamilySpec",
-    "FormatError",
-    "Graph",
-    "InfeasibleProbabilityError",
-    "InvalidCodeError",
-    "MaxDegreeError",
-    "NoSeparatorError",
-    "NotDominatingError",
-    "NotTwinFreeError",
-    "RetriesExhaustedError",
-    "SearchResult",
-    "SparsifyParams",
-    "SparsifyResult",
-    "SparsifyStats",
-    "TrialRecord",
-    "UndominatedVertex",
-    "UnseparatedPair",
-    "Verdict",
-    "Violation",
-    "WatchBounds",
-    "Watcher",
-    "WatchingSystem",
-    "ZoneOutOfNeighborhoodError",
-    "alpha0",
-    "bipartite_subgraph_bound",
-    "bound_names",
-    "bounded_f",
-    "chernoff_constant",
-    "check_events",
-    "complement",
-    "complement_code",
-    "complete",
-    "complete_bipartite",
-    "connected_cliques",
-    "cycle",
-    "degree_stats",
-    "disjoint_cliques",
-    "dist2_pairs",
-    "edge_deletion_sensitivity_bound",
-    "equivalence_classes",
-    "evaluate",
-    "exact_min_dominating",
-    "exact_min_idcode",
-    "find_twins",
-    "generate",
-    "gnp",
-    "gnp_idcode_prediction",
-    "greedy_dominating",
-    "greedy_idcode",
-    "idcode_lower_bound",
-    "is_dominating",
-    "is_identifying_code",
-    "is_locating_dominating",
-    "is_separating",
-    "least_twins",
-    "pair_collision_frequency",
-    "parse_edge_list",
-    "path",
-    "pick_code",
-    "sample_subgraph",
-    "separate_class",
-    "signature",
-    "sparse_edge_threshold",
-    "sparsify",
-    "star",
-    "to_dot",
-    "verify_watching",
-    "watch_bounds",
-    "watching_binary",
-    "watching_from_subgraph_code",
-    "write_edge_list",
-]
+# the public names are the classes and functions the lists above import;
+# the submodules they load are bound here too, and are not public names
+__all__ = sorted(
+    name for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+)

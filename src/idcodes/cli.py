@@ -159,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a code against a graph")
     _graph_args(p)
     p.add_argument("--code", required=True, metavar="FILE")
-    p.add_argument("--mode", choices=("full", "dist2"), default="full")
 
     p = sub.add_parser("solve", help="exact minimum identifying code")
     _graph_args(p)
@@ -215,7 +214,7 @@ def _cmd_gen(args) -> int:
 def _cmd_verify(args) -> int:
     g, _ = _load_graph(args)
     code = _read_set(args.code)
-    verdict = is_identifying_code(g, code, args.mode)
+    verdict = is_identifying_code(g, code)
     if verdict.ok:
         print("ok")
         return 0
@@ -453,11 +452,9 @@ def run_experiment(cfg: ExperimentConfig, out: TextIO) -> None:
                 p_value = None
             params = replace(cfg.params, seed=seed)
             ratio: Optional[float] = None
-            if prediction is not None:
-                try:
-                    ratio = len(greedy_idcode(g)) / prediction
-                except NotTwinFreeError:
-                    pass
+            # a draw with twins has no code, so greedy never runs to its stall
+            if prediction is not None and graphs.least_twins(g) is None:
+                ratio = len(greedy_idcode(g)) / prediction
             res, status = None, "ok"
             try:
                 res = sparsify(g, params)

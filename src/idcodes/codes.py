@@ -102,17 +102,13 @@ def is_separating(g: Graph, c: Iterable[int]) -> Verdict:
     return _separation(g.packed_closed & _code_row(g, c))
 
 
-def is_identifying_code(g: Graph, c: Iterable[int], mode: str = "full") -> Verdict:
+def is_identifying_code(g: Graph, c: Iterable[int]) -> Verdict:
     """Dominating and separating.
 
-    mode "full" checks separation over all vertex pairs; mode "dist2" only
-    over pairs at distance <= 2. Both run the same check and give the same
-    witness: once every vertex is dominated, two equal signatures share a
-    code vertex, so the pair lies within distance 2, and vertices farther
-    apart are always separated.
+    Separation is checked over all vertex pairs. Once every vertex is
+    dominated, two equal signatures share a code vertex, so any unseparated
+    pair lies within distance 2 and the check needs no distance-2 list.
     """
-    if mode not in ("full", "dist2"):
-        raise ValueError(f"mode must be 'full' or 'dist2', got {mode!r}")
     rows = g.packed_closed & _code_row(g, c)
     return _undominated(rows) or _separation(rows)
 

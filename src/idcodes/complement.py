@@ -61,7 +61,7 @@ def equivalence_classes(g: Graph, c0: Iterable[int]) -> EquivClassPartition:
     inside a group is checked anyway and treated as an internal error.
     """
     c0 = frozenset(c0)
-    verdict = is_identifying_code(g, c0, "full")
+    verdict = is_identifying_code(g, c0)
     if not verdict.ok:
         raise InvalidCodeError(f"base code fails verification: {verdict.witness}")
     cmask = vertex_mask(g.n, c0)
@@ -178,10 +178,10 @@ def complement_code(g: Graph, c0: Optional[Iterable[int]] = None) -> frozenset[i
         for v in sorted(result):
             if len(trimmed) <= 2 * len(base):
                 break
-            if is_identifying_code(gbar, trimmed - {v}, "full").ok:
+            if is_identifying_code(gbar, trimmed - {v}).ok:
                 trimmed.discard(v)
         result = frozenset(trimmed)
-    verdict = is_identifying_code(gbar, result, "full")
+    verdict = is_identifying_code(gbar, result)
     if not verdict.ok:
         raise RuntimeError(f"constructed code fails on the complement: {verdict}")
     if len(result) > 2 * len(base):

@@ -515,7 +515,8 @@ def find_twins(g: Graph) -> list[Edge]:
 
 
 # per block: words of rows gathered by ball_rows or XORed for the exact
-# solver's pair sets (2 MiB), and bits, so pairs, unpacked by _dist2_blocks
+# solver's pair sets, or doubles drawn by gnp (2 MiB), and bits, so pairs,
+# unpacked by _dist2_blocks
 _BLOCK_WORDS = 1 << 18
 
 
@@ -674,14 +675,20 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     """G(n,p): each pair u < v kept independently with probability p.
 
     One uniform draw per pair in row-major order (u ascending, then v),
-    so a fixed seed reproduces the same graph bit-for-bit.
+    so a fixed seed reproduces the same graph bit-for-bit. The draws come
+    from the one generator at most _BLOCK_WORDS at a time, which gives the
+    same doubles as one call.
     """
     if n < 1:
         raise ValueError("gnp needs n >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("gnp needs 0 <= p <= 1")
     rng = np.random.default_rng(seed)
-    hits = np.flatnonzero(rng.random(n * (n - 1) // 2) < p)
+    pairs = n * (n - 1) // 2
+    hits = np.concatenate([
+        start + np.flatnonzero(rng.random(min(_BLOCK_WORDS, pairs - start)) < p)
+        for start in range(0, pairs + 1, _BLOCK_WORDS)
+    ])
     vs = np.arange(n)
     row_start = vs * (2 * n - vs - 1) // 2  # index of the pair (u, u + 1)
     u = np.searchsorted(row_start, hits, side="right") - 1

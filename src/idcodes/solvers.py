@@ -326,7 +326,7 @@ def greedy_idcode(g: Graph) -> frozenset[int]:
         if twins:
             raise NotTwinFreeError(twins)
         raise RuntimeError("greedy_idcode found no progress on a twin-free graph")
-    verdict = is_identifying_code(g, code, "full")
+    verdict = is_identifying_code(g, code)
     if not verdict.ok:
         raise RuntimeError(f"greedy produced an invalid code: {verdict}")
     return frozenset(code)

@@ -595,7 +595,7 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
     else:
         dom = set(np.flatnonzero(in_dom).tolist())
     final = code | dom
-    verdict = is_identifying_code(h, sorted(final), "full")
+    verdict = is_identifying_code(h, sorted(final))
     if not verdict.ok:
         raise RuntimeError(f"accepted rounds must yield a valid code: {verdict}")
     stats = SparsifyStats(

@@ -101,7 +101,7 @@ def watching_from_subgraph_code(
     if not h.is_spanning_subgraph_of(g):
         raise ValueError("h must be a spanning subgraph of g")
     code = sorted(set(c))
-    verdict = is_identifying_code(h, code, "full")
+    verdict = is_identifying_code(h, code)
     if not verdict.ok:
         raise InvalidCodeError(
             f"code is not identifying on the subgraph: {verdict.witness}"
@@ -122,9 +122,7 @@ def watching_binary(g: Graph, d: Iterable[int]) -> WatchingSystem:
     Empty zones are dropped, so the size is at most |d| * ceil(log2(D+2))
     with D the maximum degree."""
     dom = sorted(set(d))
-    verdict = is_dominating(g, dom)
-    if not verdict.ok:
-        raise NotDominatingError(f"not a dominating set: {verdict.witness}")
+    _check_dominating(g, dom)
     _, dmax = degree_stats(g)
     levels = ceil_log2(dmax + 2)
     masks = g.closed_masks
@@ -144,6 +142,12 @@ def watching_binary(g: Graph, d: Iterable[int]) -> WatchingSystem:
     return system
 
 
+def _check_dominating(g: Graph, d: Collection[int]) -> None:
+    verdict = is_dominating(g, d)
+    if not verdict.ok:
+        raise NotDominatingError(f"not a dominating set: {verdict.witness}")
+
+
 def watch_bounds(
     g: Graph, dominating: Union[SearchResult, Collection[int], None] = None
 ) -> WatchBounds:
@@ -152,7 +156,8 @@ def watch_bounds(
 
     gamma is the size of a dominating set: either the SearchResult of
     exact_min_dominating(g), exact iff the search finished, or a plain
-    vertex set such as greedy_dominating(g), never exact. Without one,
+    vertex set such as greedy_dominating(g), never exact, which must
+    dominate g (else NotDominatingError). Without one,
     the set is exact_min_dominating(g) for n <= EXACT_GAMMA_LIMIT and
     greedy_dominating(g) above. gamma_exact reports which kind the upper
     bound uses.
@@ -165,6 +170,7 @@ def watch_bounds(
     if isinstance(dominating, SearchResult):
         gamma, gamma_exact = dominating.size, dominating.optimal
     else:
+        _check_dominating(g, dominating)
         gamma, gamma_exact = len(dominating), False
     _, dmax = degree_stats(g)
     return WatchBounds(

@@ -8,9 +8,12 @@ identifying-code bounds apply whenever the graph is twin-free; empty
 random draws are redrawn with a deterministic seed offset.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from functools import lru_cache
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -32,7 +35,9 @@ from idcodes import (
     pick_code,
     sample_subgraph,
     star,
+    write_edge_list,
 )
+from idcodes.cli import run_cli
 
 GNP_SIZES = (4, 5, 6, 7)
 GNP_PROBS = (0.25, 0.5, 0.75)
@@ -185,3 +190,165 @@ def sparsify_steps(family, args, c, seed):
         "pair": list(pair) if pair else None,
         "frequency": pair_collision_frequency(g, code, c, *pair, 4000, seed) if pair else None,
     }
+
+
+@lru_cache(maxsize=None)
+def cli_inputs():
+    """File name -> text of every input file that CLI_CASES read: edge
+    lists (a cycle, a path, two G(n, 0.3), a disconnected graph, the 0- and
+    1-vertex graphs, K4 and the pendant-twin cycle of twin_graphs, and two
+    malformed lists), set files and an experiment config."""
+    union = Graph(13, list(cycle(5).edges()) + [(5, 6), (6, 7), (7, 8), (9, 10), (10, 11)])
+    graphs = {
+        "c7": cycle(7),
+        "p6": path(6),
+        "gnp20": gnp(20, 0.3, 1),
+        "gnp28": gnp(28, 0.3, 2),
+        "union": union,
+        "k4": complete(4),
+        "pendants": twin_graphs()[0][1],
+    }
+    out = {f"{name}.txt": write_edge_list(g) for name, g in graphs.items()}
+    out["empty.txt"] = "0 0\n"
+    out["one.txt"] = "1 0\n"
+    out["bad_vertex.txt"] = "3 2\n0 1\n1 5\n"
+    out["bad_line.txt"] = "3 2\n0 1 2\n"
+    sets = {
+        "c7_ok": (0, 1, 2, 3, 4),
+        "c7_short": (0, 1, 2, 4, 5),
+        "c7_undominated": (0, 1),
+        "c7_unseparated": (0, 2, 4, 6),
+        "k4_all": (0, 1, 2, 3),
+        "union_ok": (0, 1, 2, 5, 6, 7, 9, 11, 12),
+        "union_twins": (0, 1, 2, 5, 6, 7, 9, 10, 12),
+        "none": (),
+        "zero": (0,),
+        "range": (0, 9),
+        "p6_base": (1, 2, 3, 4),
+    }
+    out.update({f"{name}.set": "".join(f"{v}\n" for v in vs) for name, vs in sets.items()})
+    out["bad.set"] = "0\nx\n"
+    out["exp.json"] = json.dumps({
+        "families": [
+            {"kind": "hdelta", "delta": 7, "cliques": 4},
+            {"kind": "gnp", "n": 24, "p": 0.5},
+            {"kind": "path", "n": 6},
+        ],
+        "c": 2.0,
+        "trials": 2,
+        "master_seed": 5,
+    })
+    return out
+
+
+_FAMILY_ARGVS = (
+    ["--family", "path", "--n", "5"],
+    ["--family", "cycle", "--n", "7"],
+    ["--family", "star", "--leaves", "6"],
+    ["--family", "complete_bipartite", "--r", "2", "--s", "3"],
+    ["--family", "hdelta", "--delta", "3", "--cliques", "2"],
+    ["--family", "gnp", "--n", "12", "--p", "0.3", "--graph-seed", "3"],
+)
+_GRAPH_FILES = ("c7", "p6", "gnp20", "gnp28", "union", "empty", "one")
+
+# argv of each pinned CLI transcript; files are named relative to a
+# directory that holds cli_inputs()
+CLI_CASES = (
+    *(["gen", *a] for a in _FAMILY_ARGVS),
+    ["gen", "--family", "cycle", "--n", "6", "--format", "dot"],
+    ["gen", "--family", "hdelta_connected", "--delta", "2", "--cliques", "3", "--out", "out.txt"],
+    ["gen", "--family", "complete", "--n", "4", "--format", "dot", "--out", "out.dot"],
+    ["gen", "--in", "union.txt"],
+    ["gen", "--in", "empty.txt", "--format", "dot"],
+    ["gen", "--in", "one.txt"],
+    ["gen", "--in", "bad_vertex.txt"],
+    ["gen", "--in", "bad_line.txt"],
+    ["gen", "--in", "missing.txt"],
+    ["gen"],
+    ["verify", "--in", "c7.txt", "--code", "c7_ok.set"],
+    ["verify", "--in", "c7.txt", "--code", "c7_undominated.set"],
+    ["verify", "--in", "c7.txt", "--code", "c7_unseparated.set"],
+    ["verify", "--in", "k4.txt", "--code", "k4_all.set"],
+    ["verify", "--in", "union.txt", "--code", "union_ok.set"],
+    ["verify", "--in", "c7.txt", "--code", "c7_short.set"],
+    ["verify", "--in", "union.txt", "--code", "union_twins.set"],
+    ["verify", "--in", "union.txt", "--code", "c7_ok.set"],
+    ["verify", "--in", "empty.txt", "--code", "none.set"],
+    ["verify", "--in", "one.txt", "--code", "zero.set"],
+    ["verify", "--in", "one.txt", "--code", "none.set"],
+    ["verify", "--in", "c7.txt", "--code", "range.set"],
+    ["verify", "--in", "c7.txt", "--code", "bad.set"],
+    ["verify", "--in", "bad_vertex.txt", "--code", "zero.set"],
+    ["verify", "--family", "cycle", "--n", "7", "--code", "c7_ok.set"],
+    *(["solve", "--in", f"{name}.txt"] for name in _GRAPH_FILES),
+    *(["solve", "--dominating", "--in", f"{name}.txt"] for name in _GRAPH_FILES),
+    ["solve", "--in", "gnp28.txt", "--out", "out.set"],
+    ["solve", "--in", "gnp28.txt", "--budget", "5", "--out", "out.set"],
+    ["solve", "--dominating", "--in", "union.txt", "--out", "out.set"],
+    ["solve", "--in", "k4.txt"],
+    ["solve", "--in", "pendants.txt"],
+    ["solve", "--in", "bad_line.txt"],
+    *(["greedy", "--in", f"{name}.txt"] for name in _GRAPH_FILES),
+    *(["greedy", "--dominating", "--in", f"{name}.txt"] for name in _GRAPH_FILES),
+    ["greedy", "--in", "gnp28.txt", "--out", "out.set"],
+    ["greedy", "--in", "c7.txt", "--out", "out.set"],
+    ["greedy", "--in", "union.txt", "--out", "out.set"],
+    ["greedy", "--dominating", "--in", "gnp20.txt", "--out", "out.set"],
+    ["greedy", "--family", "gnp", "--n", "60", "--p", "0.3", "--graph-seed", "2"],
+    ["greedy", "--in", "k4.txt"],
+    ["greedy", "--in", "pendants.txt"],
+    ["sparsify", "--family", "hdelta", "--delta", "7", "--cliques", "4", "--const-c", "2",
+     "--seed", "3", "--out-code", "code.set", "--out-deleted", "deleted.txt"],
+    ["sparsify", "--in", "gnp28.txt", "--const-c", "1", "--variant", "uniform", "--seed", "1",
+     "--out-code", "code.set"],
+    ["sparsify", "--in", "gnp28.txt", "--const-c", "0.5", "--no-clamp"],
+    ["sparsify", "--in", "p6.txt", "--const-c", "2", "--max-retries", "3"],
+    ["sparsify", "--family", "path", "--n", "40", "--max-retries", "2"],
+    ["sparsify", "--in", "union.txt", "--const-c", "2"],
+    ["sparsify", "--in", "one.txt"],
+    ["sparsify", "--in", "empty.txt"],
+    ["complement-code", "--family", "path", "--n", "4", "--out", "out.set"],
+    ["complement-code", "--in", "p6.txt"],
+    ["complement-code", "--in", "p6.txt", "--code", "p6_base.set", "--out", "out.set"],
+    ["complement-code", "--in", "c7.txt", "--code", "c7_ok.set"],
+    ["complement-code", "--in", "gnp20.txt"],
+    ["complement-code", "--in", "union.txt", "--code", "union_ok.set"],
+    ["complement-code", "--in", "c7.txt", "--code", "c7_unseparated.set"],
+    ["complement-code", "--in", "k4.txt"],
+    ["complement-code", "--family", "star", "--leaves", "3"],
+    *(["watch", "--in", f"{name}.txt", "--method", m]
+      for name in ("c7", "gnp20", "gnp28", "union", "one") for m in ("binary", "code")),
+    ["watch", "--family", "star", "--leaves", "6"],
+    ["watch", "--in", "empty.txt"],
+    ["watch", "--in", "k4.txt", "--method", "code"],
+    ["watch", "--in", "pendants.txt"],
+    ["bounds", "idcode_lower_bound", "--n", "1000"],
+    ["bounds", "chernoff_constant", "--eps", "1"],
+    ["bounds", "alpha0", "--mp", "0.3"],
+    ["bounds", "sparse_edge_threshold", "--mp", "0.3"],
+    ["bounds", "gnp_idcode_prediction", "--n", "1000", "--p", "0.5"],
+    ["bounds", "bipartite_subgraph_bound", "--r", "5"],
+    ["bounds", "edge_deletion_sensitivity_bound"],
+    ["bounds", "gnp_idcode_prediction", "--n", "1000"],
+    ["bounds", "alpha0", "--mp", "-1"],
+    ["experiment", "--config", "exp.json"],
+    ["experiment", "--config", "exp.json", "--out", "out.csv"],
+    ["experiment", "--config", "c7.txt"],
+)
+
+
+def cli_transcript(argv):
+    """run_cli(argv) in the current directory, which holds cli_inputs():
+    the SHA-256 of each input file argv names, the exit code, stdout,
+    stderr and the text of each file written through an --out flag."""
+    files = {arg for arg in argv if arg in cli_inputs()}
+    outs = [val for flag, val in zip(argv, argv[1:]) if flag.startswith("--out")]
+    digests = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in sorted(files)}
+    for name in outs:
+        Path(name).unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(list(argv))
+    written = {name: Path(name).read_text() for name in outs if Path(name).exists()}
+    return {"argv": list(argv), "inputs": digests, "exit": code,
+            "stdout": out.getvalue(), "stderr": err.getvalue(), "files": written}

@@ -9,6 +9,8 @@ helper code.
 from itertools import combinations
 from math import prod
 
+import numpy as np
+
 
 def adjacency(n, edges):
     adj = {v: set() for v in range(n)}
@@ -360,3 +362,10 @@ def oracle_delete_edges(n, edges, drop):
     if missing:
         raise ValueError(f"edges not in graph: {sorted(missing)[:3]}")
     return sorted(e for e in edges if e not in drop)
+
+
+def oracle_gnp_edges(n, p, seed):
+    """G(n, p) from one call for all n(n-1)/2 uniforms: the pair u < v, in
+    row-major order, is kept where its uniform is below p."""
+    draws = np.random.default_rng(seed).random(n * (n - 1) // 2)
+    return tuple(pair for pair, x in zip(combinations(range(n), 2), draws.tolist()) if x < p)

@@ -119,10 +119,10 @@ def test_criterion_02_log_sandwich(criterion_log, corpus_gamma):
 
 
 def test_criterion_03_dist2_equivalence(criterion_log):
-    # both modes run one check, so each verdict is also held to the
-    # oracle's least failure, once over all pairs and once over the pairs
-    # at distance <= 2 only: the distance-2 lemma (Karpovsky, Chakrabarty
-    # and Levitin 1998) checked against code the library does not share
+    # each verdict is held to the oracle's least failure, once over all
+    # pairs and once over the pairs at distance <= 2 only: the distance-2
+    # lemma (Karpovsky, Chakrabarty and Levitin 1998) checked against code
+    # the library does not share
     disagreements = 0
     checked = 0
 
@@ -135,16 +135,11 @@ def test_criterion_03_dist2_equivalence(criterion_log):
         return ("unseparated", w.u, w.v)
 
     def agree(g, code, near_pairs):
-        full = is_identifying_code(g, code, "full")
-        near = is_identifying_code(g, code, "dist2")
+        verdict = is_identifying_code(g, code)
         edges = g.edges()
         want = oracle_witness(g.n, edges, code)
         want_near = oracle_witness(g.n, edges, code, near_pairs)
-        return (
-            (full.ok, full.witness) == (near.ok, near.witness)
-            and as_oracle(full) == want == want_near
-            and full.ok == (want is None)
-        )
+        return as_oracle(verdict) == want == want_near and verdict.ok == (want is None)
 
     for _, g in small_corpus():
         near_pairs = oracle_dist2_pairs(g.n, g.edges())
@@ -165,8 +160,8 @@ def test_criterion_03_dist2_equivalence(criterion_log):
     criterion_log(
         3,
         ok,
-        f"full vs dist2 verdicts identical, and equal to the oracle's over all "
-        f"pairs and over distance-2 pairs, on {checked} (graph, code) pairs, "
+        f"verdicts equal to the oracle's over all pairs and over distance-2 "
+        f"pairs, on {checked} (graph, code) pairs, "
         f"disagreements={disagreements}",
     )
     assert ok
@@ -205,7 +200,7 @@ def test_criterion_05_sparsify_soundness(criterion_log):
     for seed in range(100):
         res = sparsify(g, SparsifyParams(c=2.0, seed=seed))
         h = g.delete_edges(res.deleted_edges)
-        if not is_identifying_code(h, sorted(res.final_code), "full").ok:
+        if not is_identifying_code(h, sorted(res.final_code)).ok:
             invalid += 1
         if res.retries_used <= 50:
             prompt += 1

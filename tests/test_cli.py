@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from idcodes import cli, solvers, watching
 from idcodes import graphs as graphs_mod
 from idcodes.cli import run_cli
 
-from corpus import twin_graphs
+from corpus import CLI_CASES, cli_inputs, cli_transcript, twin_graphs
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,8 +60,8 @@ def test_gen_solve_pipeline(tmp_path):
     assert cfile.read_text().split() == ["0", "2"]
     r = run(["verify", "--in", str(gfile), "--code", str(cfile)])
     assert r.returncode == 0 and r.stdout.strip() == "ok"
-    r = run(["verify", "--in", str(gfile), "--code", str(cfile), "--mode", "dist2"])
-    assert r.returncode == 0
+    r = run(["verify", "--in", str(gfile), "--code", str(cfile), "--mode", "full"])
+    assert r.returncode == 2 and "usage:" in r.stderr
 
 
 def test_gen_dot_format():
@@ -81,6 +82,30 @@ def test_readme_command_lines_parse():
     assert len(lines) >= 10
     for argv in lines:
         cli.build_parser().parse_args(argv)
+
+
+def test_readme_examples_print_what_the_readme_shows(tmp_path, monkeypatch, capsys):
+    # every README line but `experiment` runs, verify on g.txt (the first
+    # line's path) and c.txt (its exact code); a "# prints X" or numeric
+    # comment is the whole stdout, and the sparsify CSV row is shown in full
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["gen", "--family", "path", "--n", "5", "--out", "g.txt"]) == 0
+    assert run_cli(["solve", "--in", "g.txt", "--out", "c.txt"]) == 0
+    capsys.readouterr()
+    shown, outs = [], {}
+    for ln in readme:
+        if ln.startswith("idcodes ") and not ln.startswith("idcodes experiment"):
+            argv = ln.split("#")[0].split()[1:]
+            assert run_cli(argv) == 0, ln
+            outs[argv[0]] = capsys.readouterr().out
+            note = re.search(r"#\s*(?:prints (\S+)|([\d.]+))\s*$", ln)
+            if note:
+                shown.append(note[1] or note[2])
+                assert outs[argv[0]] == shown[-1] + "\n", ln
+    assert shown == ["5", "ok", "3", "19.9316", "0.386294"]
+    header = readme.index(next(ln for ln in readme if ln.startswith("family,n,p,")))
+    assert outs["sparsify"] == "\n".join(readme[header : header + 2]) + "\n"
 
 
 def test_verify_twins_exit_code(tmp_path):
@@ -201,7 +226,7 @@ def test_sparsify_output_files_reverify(tmp_path):
     code = [int(x) for x in cfile.read_text().split()]
     deleted = [tuple(map(int, ln.split())) for ln in dfile.read_text().splitlines()]
     h = g.delete_edges(deleted)
-    assert is_identifying_code(h, code, "full").ok
+    assert is_identifying_code(h, code).ok
     res = sparsify(g, SparsifyParams(c=2.0, seed=3))
     assert set(code) == set(res.final_code)
     assert set(deleted) == set(res.deleted_edges)
@@ -420,6 +445,31 @@ def test_experiment_keeps_rows_without_a_prediction(tmp_path, capsys):
     assert rows[1]["greedy_ratio"] == "" and err == ""
 
 
+def test_experiment_runs_no_greedy_on_a_draw_with_twins(tmp_path, monkeypatch, capsys):
+    # a draw with twins has no identifying code: its greedy_ratio is empty
+    # and greedy never runs on it, to a stall or otherwise
+    real = cli.greedy_idcode
+    seen = []
+
+    def spy(g):
+        assert least_twins(g) is None
+        seen.append(g)
+        return real(g)
+
+    monkeypatch.setattr(cli, "greedy_idcode", spy)
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "families": [{"kind": "gnp", "n": 10, "p": 0.8}], "trials": 6, "master_seed": 1,
+    }))
+    assert run_cli(["experiment", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [dict(zip(lines[0].split(","), ln.split(","))) for ln in lines[1:]]
+    twins = [least_twins(gnp(10, 0.8, 1 ^ t)) is not None for t in range(6)]
+    assert twins == [False, False, True, True, True, False]
+    assert [r["greedy_ratio"] == "" for r in rows] == twins
+    assert len(seen) == 3
+
+
 def test_experiment_keeps_rows_of_low_degree_families(tmp_path, capsys):
     # theorem1 rejects a perfect matching (max degree 1); in a sweep that
     # family gets a degenerate row and the families after it still run
@@ -508,6 +558,18 @@ def test_sparsify_and_experiment_output_match_golden(tmp_path, monkeypatch, caps
         assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"]), case["argv"]
 
 
+def test_cli_transcripts_match_golden(tmp_path, monkeypatch):
+    # every subcommand's exit code, stdout, stderr and --out files on
+    # small inputs, run in-process in one directory
+    doc = json.loads((GOLDEN / "cli.json").read_text())
+    assert [case["argv"] for case in doc["cases"]] == [list(argv) for argv in CLI_CASES]
+    monkeypatch.chdir(tmp_path)
+    for name, text in cli_inputs().items():
+        (tmp_path / name).write_text(text)
+    for case in doc["cases"]:
+        assert cli_transcript(case["argv"]) == case, case["argv"]
+
+
 def test_sparsify_and_greedy_commands_build_no_per_edge_forms(tmp_path, monkeypatch):
     # the hot path reads the edge array and its derived arrays only: no
     # edges() tuples and no Python-int neighborhood masks
@@ -561,11 +623,11 @@ def test_verifiers_twins_degrees_and_verify_command_build_no_csr(tmp_path, monke
     built = _count_csr_builds(monkeypatch)
     g = gnp(60, 0.5, 4)
     assert least_twins(g) is None
-    assert is_identifying_code(g, code, "full").ok and is_dominating(g, code).ok
+    assert is_identifying_code(g, code).ok and is_dominating(g, code).ok
     assert int(g.degrees.sum()) == 2 * g.m
     assert [g.has_edge(0, v) for v in range(g.n)].count(True) == g.degree(0)
     h = g.delete_edges(g.edge_array()[::3])
-    assert not is_identifying_code(h, code[:1], "full").ok
+    assert not is_identifying_code(h, code[:1]).ok
     assert is_dominating(complement(g), range(g.n)).ok
     (tmp_path / "g.txt").write_text(write_edge_list(path(2)))
     (tmp_path / "c.txt").write_text("0\n")

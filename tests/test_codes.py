@@ -94,11 +94,6 @@ def test_domination_checked_before_separation():
     assert v.witness == UndominatedVertex(2)
 
 
-def test_mode_validation():
-    with pytest.raises(ValueError):
-        is_identifying_code(path(3), [0], mode="nope")
-
-
 def _random_codes(n, rng, count=3):
     for _ in range(count):
         yield [v for v in range(n) if rng.random() < 0.5]
@@ -108,7 +103,7 @@ def test_verdicts_match_oracle_across_corpus():
     rng = random.Random(7)
     for name, g in small_corpus():
         for code in _random_codes(g.n, rng):
-            v = is_identifying_code(g, code, "full")
+            v = is_identifying_code(g, code)
             undom = oracle_undominated(g.n, g.edges(), code)
             unsep = oracle_unseparated(g.n, g.edges(), code)
             assert v.ok == (not undom and not unsep), (name, code)
@@ -120,15 +115,6 @@ def test_verdicts_match_oracle_across_corpus():
                 assert signature(g, code, u) == oracle_signature(
                     g.n, g.edges(), code, u
                 )
-
-
-def test_dist2_mode_agrees_with_full_mode():
-    rng = random.Random(11)
-    for name, g in list(small_corpus())[::3]:
-        for code in _random_codes(g.n, rng):
-            full = is_identifying_code(g, code, "full")
-            fast = is_identifying_code(g, code, "dist2")
-            assert full.ok == fast.ok, (name, code)
 
 
 def test_locating_dominating_matches_oracle():
@@ -178,9 +164,12 @@ def _check_witnesses(name, g, code):
         "dist2": oracle_witness(n, edges, code, oracle_dist2_pairs(n, edges)),
         "ld": oracle_witness(n, edges, code, combinations(outside, 2)),
     }
+    # one verdict, held to the least failure over all pairs and over the
+    # pairs at distance <= 2 alone
+    verdict = _witness(is_identifying_code(g, code))
     got = {
-        "full": _witness(is_identifying_code(g, code, "full")),
-        "dist2": _witness(is_identifying_code(g, code, "dist2")),
+        "full": verdict,
+        "dist2": verdict,
         "ld": _witness(is_locating_dominating(g, code)),
     }
     assert got == expect, (name, code)
@@ -221,14 +210,14 @@ def test_witnesses_match_oracle_on_multiword_rows():
             assert signature(g, code, v) == oracle_signature(n, g.edges(), code, v), name
 
 
-def test_dist2_mode_memory_stays_linear_in_rows_and_edges():
+def test_identifying_check_memory_stays_linear_in_rows_and_edges():
     # K_{2,3000} has ~4.5e6 pairs at distance 2; the check must stay within
     # O(n W + m), never hold a list of those pairs
     g = complete_bipartite(2, 3000)
     words = (g.n + 63) // 64
     tracemalloc.start()
     try:
-        v = is_identifying_code(g, range(g.n), "dist2")
+        v = is_identifying_code(g, range(g.n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

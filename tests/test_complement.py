@@ -279,8 +279,8 @@ def test_complement_checks_raise_runtime_error(monkeypatch):
     real = mod.is_identifying_code
     g = path(4)
 
-    def fails_off_g(h, c, mode="full"):
-        return real(h, c, mode) if h is g else Verdict(False, UndominatedVertex(0))
+    def fails_off_g(h, c):
+        return real(h, c) if h is g else Verdict(False, UndominatedVertex(0))
 
     with monkeypatch.context() as m:
         m.setattr(mod, "is_identifying_code", fails_off_g)

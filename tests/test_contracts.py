@@ -2,6 +2,7 @@ import ast
 import sys
 from pathlib import Path
 
+import idcodes
 from idcodes import codes
 
 SRC = Path(__file__).parent.parent / "src" / "idcodes"
@@ -17,6 +18,20 @@ def test_no_assert_statements_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_public_names_are_the_names_the_package_imports():
+    # __init__.py names each public object once, in its import lists, and
+    # __all__ is read off them; the submodules it loads are not public
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for a in node.names
+    ]
+    assert len(set(imported)) == len(imported) == 75
+    assert idcodes.__all__ == sorted(imported)
 
 
 def test_verifiers_import_none_of_the_code_they_check():

@@ -25,9 +25,10 @@ from idcodes import (
     to_dot,
     write_edge_list,
 )
+from idcodes import graphs as graphs_mod
 
 from corpus import mixed_graph, small_corpus
-from oracles import oracle_complement_edges, oracle_dist2_pairs, oracle_twins
+from oracles import oracle_complement_edges, oracle_dist2_pairs, oracle_gnp_edges, oracle_twins
 
 
 def test_graph_basics():
@@ -171,6 +172,26 @@ def test_gnp_determinism_and_density():
     ms = [gnp(40, 0.25, s).m for s in range(30)]
     mean = sum(ms) / len(ms)
     assert abs(mean - 0.25 * 780) < 40
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_gnp_blocks_match_the_one_shot_draw(monkeypatch, block):
+    # blocks of 7 or 64 uniforms split rows of the pair order
+    monkeypatch.setattr(graphs_mod, "_BLOCK_WORDS", block)
+    for n, p, seed in [(1, 0.5, 0), (2, 0.5, 1), (37, 0.3, 2), (50, 0.9, 3), (13, 1.0, 4)]:
+        assert gnp(n, p, seed).edges() == oracle_gnp_edges(n, p, seed), (n, p, seed)
+
+
+def test_gnp_memory_stays_within_a_block_and_the_edges():
+    # 32e6 pairs but 16 044 edges: the pairs' uniforms are never all held
+    tracemalloc.start()
+    try:
+        g = gnp(8000, 0.0005, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 16_044
+    assert peak <= 4 * 8 * graphs_mod._BLOCK_WORDS + 64 * (g.n + g.m), peak
 
 
 def test_generate_dispatch():

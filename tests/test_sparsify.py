@@ -353,7 +353,7 @@ def test_sparsify_h15_seed7_contract():
     assert res.retries_used <= 1000
     assert res.final_code == res.code | res.dominating
     h = g.delete_edges(res.deleted_edges)
-    assert is_identifying_code(h, sorted(res.final_code), "full").ok
+    assert is_identifying_code(h, sorted(res.final_code)).ok
     cs = res.code
     for u, v in res.deleted_edges:
         assert u in cs or v in cs

@@ -179,6 +179,16 @@ def test_watch_bounds_examples():
     assert not big.gamma_exact
 
 
+def test_watch_bounds_requires_domination():
+    # a set that leaves a vertex unwatched bounds nothing: its upper bound
+    # would read 0 on P3, and 2 < lower 5 on C30
+    with pytest.raises(NotDominatingError, match="not a dominating set"):
+        watch_bounds(path(3), frozenset())
+    with pytest.raises(NotDominatingError):
+        watch_bounds(cycle(30), {0})
+    assert watch_bounds(cycle(30), range(0, 30, 3)).upper == 20
+
+
 def test_watching_sandwich_on_small_twin_free_graphs():
     for seed in range(10):
         g = gnp(9, 0.5, seed)
