@@ -51,7 +51,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -453,6 +453,22 @@ def mask_to_set(mask: int) -> frozenset[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return frozenset(out)
+
+
+def transpose_masks(masks: Sequence[int], n: int) -> list[int]:
+    """Per bit v < n, the bitmask of the indices j with bit v set in
+    masks[j]: the (len(masks) x n) bit matrix transposed, a block of masks
+    at a time, each block unpacking at most _BLOCK_WORDS bits."""
+    nbytes = (n + 7) // 8
+    cols = np.zeros((n, (len(masks) + 7) // 8), dtype=np.uint8)
+    step = max(8, _BLOCK_WORDS // n // 8 * 8)
+    for a in range(0, len(masks), step):
+        block = masks[a : a + step]
+        raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in block), dtype=np.uint8)
+        bits = np.unpackbits(raw.reshape(len(block), nbytes), axis=1, count=n, bitorder="little")
+        packed = np.packbits(bits, axis=0, bitorder="little")
+        cols[:, a // 8 : a // 8 + len(packed)] = packed.T
+    return [int.from_bytes(row.tobytes(), "little") for row in cols]
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:

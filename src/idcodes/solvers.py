@@ -2,26 +2,37 @@
 heuristics.
 
 Both exact solvers are one hitting-set search, _min_hitting_set, and
-each passes it four things: its hitting sets, its greedy start set, its
-own lower bound and its rule. An identifying code must hit N[v] for
-every v and N[u] ^ N[v] for every pair u, v at distance <= 2; a
-dominating set must hit every N[v]. Branch and bound runs over
-include/exclude decisions on vertices in descending-degree order. The
-incumbent is the greedy start set after one reverse-delete pass, lowest
-degree first, that drops a vertex when the rest still hits every set and
-the rule calls it solved, the same test the walk applies at a leaf. At
-each node the sets that the chosen vertices do not hit yet are
-restricted to the undecided vertices. The shared prunes fire, in this
-order, when the node cannot beat the incumbent (size), when one of those
-sets is empty (infeasible), when the solver's own rule fires, or when a
-greedy packing of pairwise disjoint ones, smallest first, needs as many
-picks as the incumbent has left (packing), since one pick hits at most
-one set of a packing. The identifying-code rule tests for two vertices
-that no undecided vertex can split (class) and bounds the picks by
-ceil(log2) of the largest signature class (log2); the dominating rule
-bounds them by the undominated count over the best single coverage
-(cover). Budgets count node expansions; an exhausted budget returns the
-incumbent flagged non-optimal instead of failing.
+each passes it its hitting sets, its greedy start set, its own lower
+bound and its rule. An identifying code must hit N[v] for every v and
+N[u] ^ N[v] for every pair u, v at distance <= 2; a dominating set must
+hit every N[v]. Branch and bound runs over include/exclude decisions on
+vertices in descending-degree order. The incumbent is the greedy start
+set after one reverse-delete pass, lowest degree first, that drops a
+vertex when the rest still hits every set and the rule calls it solved,
+the same test the walk applies at a leaf. The shared prunes fire, in
+this order, when the node cannot beat the incumbent (size), when a set
+the chosen vertices miss has no undecided vertex either (infeasible),
+when the solver's own rule fires, or when a greedy packing of pairwise
+disjoint unhit sets, restricted to the undecided vertices and taken
+smallest first, needs as many picks as the incumbent has left (packing),
+since one pick hits at most one set of a packing. The identifying-code
+rule tests for two vertices that no undecided vertex can split (class)
+and bounds the picks by ceil(log2) of the largest signature class
+(log2); the dominating rule bounds them by the undominated count over
+the best single coverage (cover). Budgets count node expansions; an
+exhausted budget returns the incumbent flagged non-optimal instead of
+failing.
+
+A node's state travels down the walk's stack with it. The sets its
+chosen vertices miss are one bitmask over the set indices, so the
+infeasible test is a few big-int operations, not a pass over the sets.
+A rule summary that depends only on the chosen vertices (the largest
+signature class; the undominated vertices) passes to the exclude child,
+which has the same chosen vertices. The include child has its parent's
+pool of chosen and undecided vertices, so the class test, which passed
+there, is not run again. Every node but the root thus makes at most
+one O(n) pass for its rule, not two, and only nodes that reach the
+packing prune list their unhit sets.
 
 The greedy identifying code scores every vertex per pick from the sizes
 |S & N[w]| of the signature classes S inside each closed neighborhood.
@@ -32,7 +43,9 @@ make the same picks (greedy_idcode).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -42,7 +55,7 @@ from . import _kernels, graphs
 from .bounds import ceil_log2, idcode_lower_bound
 from .codes import is_identifying_code
 from .graphs import Graph, _dist2_blocks, least_twins
-from .graphs import mask_to_set, unpack_rows, vertex_mask
+from .graphs import mask_to_set, transpose_masks, unpack_rows, vertex_mask
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -50,6 +63,10 @@ DEFAULT_BUDGET = 10_000_000
 # holds at least DENSE_DEGREE entries per vertex and 1/DENSE_FILL of n**2
 DENSE_DEGREE = 40
 DENSE_FILL = 12
+
+# _cell_picks compacts its cells once their ids exceed the live entries
+# by this many
+CELL_SLACK = 1024
 
 # prune rules of each solver, in the order a node tests them
 IDCODE_RULES = ("size", "infeasible", "class", "log2", "packing")
@@ -101,17 +118,14 @@ def _hitting_sets(g: Graph) -> list[int]:
     return list(sets)
 
 
-def _unhit_sets(sets: list[int], chosen: int, undecided: int) -> Optional[list[int]]:
-    """The sets chosen does not hit, restricted to undecided; None when one
-    of them misses undecided too, so that no completion hits it."""
-    live = []
-    for s in sets:
-        if not s & chosen:
-            r = s & undecided
-            if not r:
-                return None
-            live.append(r)
-    return live
+# bin() digits to the 0/1 bytes that itertools.compress reads as flags
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _unhit_sets(sets: list[int], unhit: int, undecided: int) -> list[int]:
+    """The sets whose indices the bitmask unhit names, in order, restricted
+    to undecided."""
+    return [s & undecided for s in compress(sets, bin(unhit)[:1:-1].encode().translate(_FLAGS))]
 
 
 def _packing_size(live: list[int]) -> int:
@@ -127,47 +141,84 @@ def _packing_size(live: list[int]) -> int:
 
 
 def _min_hitting_set(
-    g: Graph, sets: list[int], start: frozenset[int], bound: int, rule, rules: tuple[str, ...], budget: int
+    g: Graph, sets: list[int], start: frozenset[int], bound: int, part, prune, rules: tuple[str, ...], budget: int
 ) -> SearchResult:
-    """Smallest vertex set of g that hits every set in sets and that rule
-    calls solved, by a depth-first walk over include/exclude decisions on
-    the vertices by descending degree, ties to the lower index, the include
-    branch first. A solver passes four things of its own: its hitting sets
+    """Smallest vertex set of g that hits every set in sets and that the
+    solver calls solved, by a depth-first walk over include/exclude
+    decisions on the vertices by descending degree, ties to the lower
+    index, the include branch first. A solver passes its hitting sets
     (sets), its greedy start set (start), its lower bound (bound) and its
-    rule; rules names the prunes that SearchResult.prunes counts.
+    rule as two functions, part and prune; rules names the prunes that
+    SearchResult.prunes counts.
 
-    At each node rule(chosen, undecided, live, room) sees the unhit sets
-    restricted to the undecided vertices (live) and the picks left before
-    the incumbent's size (room). It returns "solved", the name of the rule
-    that prunes the node, or None; the size and infeasible prunes run
-    before it and the packing prune after.
+    Each entry of the walk's explicit stack carries its node's state: the
+    depth i (the undecided vertices are order[i:]), the chosen vertices,
+    the indices of the sets they do not hit yet (unhit, a bitmask) and
+    the rule's summary of chosen, or None where it is still to be
+    computed. part(chosen, unhit, room) computes that summary, an int
+    that is 0 exactly when chosen solves the problem; it may return None
+    when chosen does not solve it and prune has no use for the summary
+    at this room, the picks left before the incumbent's size.
+    prune(chosen, undecided, part, room, same_pool) returns the name of
+    the rule that prunes the node or None. The prunes fire in
+    order: size, infeasible, solved (part is 0), prune, then packing.
+
+    A node's state comes from its parent's in O(1) big-int operations:
+    an include child of v clears from unhit hits[v], the indices of the
+    sets v hits, and a node is infeasible iff unhit names a set that no
+    vertex of order[i:] hits (stuck[i]). An exclude child keeps its
+    parent's chosen vertices and hence its part. An include child keeps
+    its parent's pool chosen | undecided, so prune learns that from
+    same_pool and may skip its tests on the pool, which passed at the
+    parent. Only nodes that reach the packing prune build the unhit sets
+    restricted to the undecided vertices (_unhit_sets).
 
     The incumbent is start after one reverse-delete pass in the opposite
     order, lowest degree first: it drops v when rest = best without v is a
     leaf the walk would accept, that is rest hits every set and
-    rule(rest, 0, [], 1) == "solved". The walk stops once the incumbent
-    meets the larger of bound and the root packing bound. An explicit stack
-    replaces recursion, so the depth is not bounded by the interpreter's
-    recursion limit. Past budget nodes the incumbent is returned flagged
-    non-optimal.
+    part(rest, 0, 1) == 0. The walk stops once the incumbent meets the
+    larger of bound and the root packing bound. An explicit stack replaces
+    recursion, so the depth is not bounded by the interpreter's recursion
+    limit. Past budget nodes the incumbent is returned flagged
+    non-optimal. The masks take O(n) ints of len(sets) bits, O(n W) words
+    since there are at most 2n sets.
     """
+    n = g.n
     order = np.argsort(-g.degrees, kind="stable").tolist()
-    # suffix[i]: bitmask of order[i:], the undecided vertices at depth i
-    suffix = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << order[i])
-    best = vertex_mask(g.n, start)
-    for v in reversed(order):
+    hits = transpose_masks(sets, n)
+    full = (1 << len(sets)) - 1
+    # suffix[i]: bitmask of order[i:], the undecided vertices at depth i;
+    # stuck[i]: the indices of the sets that none of them hits
+    suffix = [0] * (n + 1)
+    stuck = [full] * (n + 1)
+    reach = 0
+    for i in range(n - 1, -1, -1):
+        v = order[i]
+        suffix[i] = suffix[i + 1] | (1 << v)
+        reach |= hits[v]
+        stuck[i] = full ^ reach
+    best = vertex_mask(n, start)
+    members = [v for v in reversed(order) if best >> v & 1]
+    # later[k]: the sets that members[k:] hit; those members are still in
+    # best when members[k - 1] is tested, and kept holds what the tested
+    # members that stayed hit
+    later = [0] * (len(members) + 1)
+    for k in range(len(members) - 1, -1, -1):
+        later[k] = later[k + 1] | hits[members[k]]
+    kept = 0
+    for k, v in enumerate(members):
         rest = best & ~(1 << v)
-        if rest != best and all(s & rest for s in sets) and rule(rest, 0, [], 1) == "solved":
+        if kept | later[k + 1] == full and part(rest, 0, 1) == 0:
             best = rest
+        else:
+            kept |= hits[v]
     lb = max(bound, _packing_size(sets))
     prunes = dict.fromkeys(rules, 0)
     best_size = best.bit_count()
     nodes, optimal = 0, True
-    stack = [(0, 0)] if best_size > lb else []
+    stack = [(0, 0, full, None, False)] if best_size > lb else []
     while stack:
-        i, chosen = stack.pop()
+        i, chosen, unhit, known, same_pool = stack.pop()
         nodes += 1
         if nodes > budget:
             optimal = False
@@ -176,12 +227,17 @@ def _min_hitting_set(
         room = best_size - size
         if room <= 0:
             fired = "size"
-        elif (live := _unhit_sets(sets, chosen, suffix[i])) is None:
+        elif unhit & stuck[i]:
             fired = "infeasible"
         else:
-            fired = rule(chosen, suffix[i], live, room)
-            if fired is None and _packing_size(live) >= room:
-                fired = "packing"
+            if known is None:
+                known = part(chosen, unhit, room)
+            if known == 0:
+                fired = "solved"
+            else:
+                fired = prune(chosen, suffix[i], known, room, same_pool)
+                if fired is None and _packing_size(_unhit_sets(sets, unhit, suffix[i])) >= room:
+                    fired = "packing"
         if fired == "solved":
             best, best_size = chosen, size
             if best_size <= lb:
@@ -189,20 +245,29 @@ def _min_hitting_set(
         elif fired:
             prunes[fired] += 1
         else:
-            stack.append((i + 1, chosen))
-            stack.append((i + 1, chosen | (1 << order[i])))
+            v = order[i]
+            stack.append((i + 1, chosen, unhit, known, False))
+            stack.append((i + 1, chosen | (1 << v), unhit & ~hits[v], None, True))
     return SearchResult(mask_to_set(best), optimal, nodes, MappingProxyType(prunes))
 
 
 def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Minimum-cardinality identifying code by branch and bound.
 
-    The walk of _min_hitting_set over the sets of _hitting_sets, with a
-    rule that prunes a node when two vertices keep equal traces on the
-    chosen and undecided vertices (class), or when the incumbent is no
-    larger than the chosen vertices plus ceil(log2) of the largest
-    signature class (log2). The walk stops early once the incumbent meets
-    the larger of the counting bound idcode_lower_bound(n) and the root
+    The walk of _min_hitting_set over the sets of _hitting_sets. Its part
+    is the partition of V by signature N[v] & chosen, summed up as
+    ceil(log2) of the largest signature class, at least 1 while a vertex
+    is undominated, so 0 exactly when chosen is an identifying code. Its
+    prune fires when two vertices keep equal traces on the chosen and
+    undecided vertices (class), or when the incumbent is no larger than
+    the chosen vertices plus that part (log2). A node makes at most one
+    pass over the closed neighborhoods, not two: an exclude child takes
+    its parent's part and tests only the pool, and an include child,
+    whose pool is its parent's, only computes its part. It skips even
+    that while a hitting set is unhit, so that chosen is no code, and
+    room exceeds max(1, ceil(log2(n))), the most the part can be, so that
+    log2 cannot fire. The walk stops early once the incumbent meets the
+    larger of the counting bound idcode_lower_bound(n) and the root
     packing bound.
     """
     if g.n < 1:
@@ -211,58 +276,51 @@ def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     n = g.n
     masks = g.closed_masks
     sets = _hitting_sets(g)
+    cap = max(1, ceil_log2(n))  # the largest part: every vertex in one class
 
-    def rule(chosen: int, undecided: int, live: list[int], room: int) -> Optional[str]:
-        undom = False
-        class_size: dict[int, int] = {}
-        for m in masks:
-            sig = m & chosen
-            if not sig:
-                undom = True
-            class_size[sig] = class_size.get(sig, 0) + 1
-        max_cls = max(class_size.values())
-        if max_cls == 1 and not undom:
-            return "solved"
+    def part(chosen: int, unhit: int, room: int) -> Optional[int]:
+        if unhit and room > cap:
+            return None
+        sizes = Counter(map(chosen.__and__, masks))
+        extra = ceil_log2(max(sizes.values()))
+        return 1 if extra == 0 and 0 in sizes else extra
+
+    def prune(chosen: int, undecided: int, extra: Optional[int], room: int, same_pool: bool) -> Optional[str]:
         # two vertices of one class that no undecided vertex splits keep
         # equal traces on the pool; vertices of different classes already
         # differ on chosen
-        pool = chosen | undecided
-        if len({m & pool for m in masks}) < n:
+        if not same_pool and len(set(map((chosen | undecided).__and__, masks))) < n:
             return "class"
-        extra = ceil_log2(max_cls)
-        if undom and extra == 0:
-            extra = 1
-        return "log2" if extra >= room else None
+        return "log2" if extra is not None and extra >= room else None
 
-    return _min_hitting_set(g, sets, start, idcode_lower_bound(n), rule, IDCODE_RULES, budget)
+    return _min_hitting_set(g, sets, start, idcode_lower_bound(n), part, prune, IDCODE_RULES, budget)
 
 
 def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Minimum dominating set by branch and bound (always exists).
 
-    The walk of _min_hitting_set over the closed neighborhoods, with a
-    rule that prunes a node when the incumbent is no larger than the
-    chosen vertices plus the undominated count over the largest number
-    any one undecided vertex covers (cover). The walk stops early once the
-    incumbent meets the larger of ceil(n / (max degree + 1)) and the root
-    packing bound.
+    The walk of _min_hitting_set over the closed neighborhoods. Set j is
+    N[j], so the unhit sets the walk carries are the undominated
+    vertices, and they are its part. Its prune fires when the incumbent
+    is no larger than the chosen vertices plus the undominated count over
+    the largest number any one undecided vertex covers (cover), one pass
+    over the undecided vertices. The walk stops early once the incumbent
+    meets the larger of ceil(n / (max degree + 1)) and the root packing
+    bound.
     """
     if g.n < 1:
         raise ValueError("exact_min_dominating needs n >= 1")
     masks = g.closed_masks
 
-    def rule(chosen: int, undecided: int, live: list[int], room: int) -> Optional[str]:
-        if not live:
-            return "solved"
-        undom = 0
-        for v, m in enumerate(masks):
-            if not m & chosen:
-                undom |= 1 << v
+    def part(chosen: int, undom: int, room: int) -> int:
+        return undom
+
+    def prune(chosen: int, undecided: int, undom: int, room: int, same_pool: bool) -> Optional[str]:
         best_cover = max((masks[w] & undom).bit_count() for w in mask_to_set(undecided))
         return "cover" if -(-undom.bit_count() // best_cover) >= room else None
 
     bound = -(-g.n // (int(g.degrees.max()) + 1))
-    return _min_hitting_set(g, masks, greedy_dominating(g), bound, rule, DOMINATING_RULES, budget)
+    return _min_hitting_set(g, masks, greedy_dominating(g), bound, part, prune, DOMINATING_RULES, budget)
 
 
 def greedy_dominating(g: Graph) -> frozenset[int]:
@@ -354,11 +412,14 @@ def _cell_picks(g: Graph) -> Optional[list[int]]:
     of every cell, which only the entries of the rows x in N[p] hold.
     A pick thus moves O(sum of |N[x]| over x in N[p]) entries; the cell
     and class counts are updated without any sort. Once the cell ids
-    outnumber the live entries, the empty cells and the cells of
-    one-vertex classes are dropped, with their entries, and the rest
-    renumbered. Memory is O(n + m). Beyond the moved entries, a pick makes
-    a few passes over all cell ids (the kernel, the count of moved entries
-    per cell). Returns None when no vertex gains, which only twins cause.
+    exceed the live entries by CELL_SLACK, the empty cells and the cells
+    of one-vertex classes are dropped, with their entries, and the rest
+    renumbered. Right after a compaction almost every cell holds one
+    entry, so without the slack the fresh cells of the next few picks
+    would trigger it again. Memory is O(n + m). Beyond the moved entries,
+    a pick makes a few passes over all cell ids (the kernel, the count of
+    moved entries per cell). Returns None when no vertex gains, which
+    only twins cause.
     """
     n = g.n
     indptr, nbrs = g._csr
@@ -379,16 +440,17 @@ def _cell_picks(g: Graph) -> Optional[list[int]]:
     # its live entries end at row_end[x]
     row_len, row_end = size, start + size
     lo, hi = start.tolist(), row_end.tolist()
-    # cells and classes get fresh ids at the end; between compactions
-    # there are at most 2e cell ids, and at most e + 1 class ids in all
-    count = np.zeros(2 * e, dtype=np.int64)
-    owner = np.zeros(2 * e, dtype=np.int64)
-    klass = np.zeros(2 * e, dtype=np.int64)
+    # cells and classes get fresh ids at the end; a pick adds at most one
+    # cell per live entry, so there are at most 2e + CELL_SLACK cell ids
+    # between compactions, and at most e + 1 class ids in all
+    count = np.zeros(2 * e + CELL_SLACK, dtype=np.int64)
+    owner = np.zeros(2 * e + CELL_SLACK, dtype=np.int64)
+    klass = np.zeros(2 * e + CELL_SLACK, dtype=np.int64)
     count[:n], owner[:n] = size, np.arange(n)
     sizes = np.zeros(e + 1, dtype=np.int64)
     sizes[0] = n + 1
     new_class = np.empty(e + 1, dtype=np.int64)
-    new_cell = np.empty(2 * e, dtype=np.int64)
+    new_cell = np.empty(2 * e + CELL_SLACK, dtype=np.int64)
     cells, classes = n, 1
     unseparated = n * (n + 1) // 2  # pairs of V plus the ghost
     code: list[int] = []
@@ -430,7 +492,7 @@ def _cell_picks(g: Graph) -> Optional[list[int]]:
         owner[cells : cells + k] = hit_owner
         klass[cells : cells + k] = new_class[hit_class]
         cells += k
-        if cells > len(cell):
+        if cells > len(cell) + CELL_SLACK:
             keep = count[:cells] > 0
             keep &= sizes[klass[:cells]] > 1
             kept = keep.nonzero()[0]

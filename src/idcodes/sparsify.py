@@ -69,7 +69,7 @@ from typing import Iterable
 import numpy as np
 
 from ._kernels import greedy_cover_segments
-from .codes import is_dominating, is_identifying_code
+from .codes import UndominatedVertex, is_identifying_code
 from .graphs import Edge, Graph, _dist2_blocks, ball_rows, concat_ranges, degree_stats
 from .graphs import pack_rows, row_keys
 from .solvers import greedy_dominating
@@ -590,12 +590,16 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
     code = set(np.flatnonzero(in_code).tolist())
     if variant == "theorem1":
         dom = set(greedy_dominating(g))
-        if not is_dominating(h, sorted(code | dom)).ok:
-            dom = set(greedy_dominating(h))
     else:
         dom = set(np.flatnonzero(in_dom).tolist())
     final = code | dom
     verdict = is_identifying_code(h, sorted(final))
+    # the check tests domination first: g's dominating set may leave a
+    # vertex of h undominated, and then h's own is taken instead
+    if variant == "theorem1" and isinstance(verdict.witness, UndominatedVertex):
+        dom = set(greedy_dominating(h))
+        final = code | dom
+        verdict = is_identifying_code(h, sorted(final))
     if not verdict.ok:
         raise RuntimeError(f"accepted rounds must yield a valid code: {verdict}")
     stats = SparsifyStats(

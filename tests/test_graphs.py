@@ -182,6 +182,19 @@ def test_gnp_blocks_match_the_one_shot_draw(monkeypatch, block):
         assert gnp(n, p, seed).edges() == oracle_gnp_edges(n, p, seed), (n, p, seed)
 
 
+@pytest.mark.parametrize("block", [1, 2000, None])
+def test_transpose_masks_matches_bit_loop(monkeypatch, block):
+    # blocks of 8 masks (the fewest a block takes), of 24 masks for
+    # n = 70 with a short last block, and one block for all
+    if block is not None:
+        monkeypatch.setattr(graphs_mod, "_BLOCK_WORDS", block)
+    rng = np.random.default_rng(5)
+    for n, k in [(1, 1), (3, 2), (9, 17), (70, 131), (130, 8)]:
+        masks = [int(x) for x in rng.integers(0, 2, size=(k, n)) @ (1 << np.arange(n, dtype=object))]
+        want = [sum(1 << j for j, m in enumerate(masks) if m >> v & 1) for v in range(n)]
+        assert graphs_mod.transpose_masks(masks, n) == want, (n, k)
+
+
 def test_gnp_memory_stays_within_a_block_and_the_edges():
     # 32e6 pairs but 16 044 edges: the pairs' uniforms are never all held
     tracemalloc.start()

@@ -121,13 +121,13 @@ def test_budget_exhaustion_deep_search_returns_incumbent(monkeypatch):
     # the walk passes depth 1000 before this budget runs out; a recursive
     # walk dies there with RecursionError
     depth = 0
-    unhit = solvers._unhit_sets
+    build = solvers._unhit_sets
     g = gnp(1050, 0.3, 0)
 
-    def spy(sets, chosen, undecided):
+    def spy(sets, unhit, undecided):
         nonlocal depth
         depth = max(depth, g.n - undecided.bit_count())
-        return unhit(sets, chosen, undecided)
+        return build(sets, unhit, undecided)
 
     monkeypatch.setattr(solvers, "_unhit_sets", spy)
     res = exact_min_idcode(g, budget=2200)
@@ -200,12 +200,10 @@ def test_start_incumbent_is_valid_and_minimal():
 
 def test_exact_search_matches_golden():
     # the whole search, not only its sizes: nodes, optimal flag, code and
-    # prune counts of both solvers; the slow case is left out for time
+    # prune counts of both solvers, the slow case included
     doc = json.loads((GOLDEN / "exact_search.json").read_text())
     families = {"cycle": cycle, "path": path, "gnp": gnp}
     for case in doc["cases"]:
-        if case.get("slow"):
-            continue
         g = families[case["family"]](*case["args"])
         for solver, kind in ((exact_min_idcode, "idcode"), (exact_min_dominating, "dominating")):
             res = solver(g)
@@ -277,8 +275,9 @@ def test_packing_bound_never_exceeds_fewest_extra_picks(graph, data):
     undecided = sum(1 << v for v in range(n) if state[v] == 2)
     for sets, kind in ((solvers._hitting_sets(g), "idcode"), (list(g.closed_masks), "dominating")):
         fewest = oracle_fewest_extra_picks(n, edges, included, excluded, kind)
-        live = solvers._unhit_sets(sets, chosen, undecided)
-        if live is None:
+        unhit = sum(1 << j for j, s in enumerate(sets) if not s & chosen)
+        live = solvers._unhit_sets(sets, unhit, undecided)
+        if not all(live):
             assert fewest is None, kind
         elif fewest is not None:
             assert solvers._packing_size(live) <= fewest, kind

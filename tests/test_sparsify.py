@@ -26,6 +26,7 @@ from idcodes import (
     cycle,
     disjoint_cliques,
     gnp,
+    greedy_dominating,
     is_identifying_code,
     pair_collision_frequency,
     pick_code,
@@ -709,6 +710,32 @@ def test_sparsify_raises_when_its_final_check_fails(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="valid code"):
         sparsify(disjoint_cliques(4, 8), SparsifyParams(c=2.0, seed=1))
+
+
+def test_sparsify_certifies_its_code_once(monkeypatch):
+    # theorem1 checks the code plus g's greedy dominating set with one
+    # identifying-code check on the sparsified graph h; only when that
+    # leaves a vertex of h undominated does it take h's greedy dominating
+    # set and check again
+    module = importlib.import_module("idcodes.sparsify")
+    real = module.is_identifying_code
+    verdicts = []
+
+    def spy(h, code):
+        verdicts.append(real(h, code))
+        return verdicts[-1]
+
+    monkeypatch.setattr(module, "is_identifying_code", spy)
+    g = gnp(60, 0.5, 1)
+    res = sparsify(g, SparsifyParams(c=2.0, seed=1))
+    assert verdicts == [Verdict(True)]
+    assert res.dominating == greedy_dominating(g)
+    verdicts.clear()
+    g = gnp(12, 0.2, 0)
+    res = sparsify(g, SparsifyParams(c=0.3, seed=4))
+    assert [type(v.witness) for v in verdicts] == [UndominatedVertex, type(None)]
+    assert res.dominating == greedy_dominating(g.delete_edges(res.deleted_edges))
+    assert res.dominating != greedy_dominating(g)
 
 
 def test_sparsify_child_inherits_the_parents_rows(monkeypatch):
