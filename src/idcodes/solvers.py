@@ -141,15 +141,24 @@ def _packing_size(live: list[int]) -> int:
 
 
 def _min_hitting_set(
-    g: Graph, sets: list[int], start: frozenset[int], bound: int, part, prune, rules: tuple[str, ...], budget: int
+    g: Graph,
+    sets: list[int],
+    hits: list[int],
+    start: frozenset[int],
+    bound: int,
+    part,
+    prune,
+    rules: tuple[str, ...],
+    budget: int,
 ) -> SearchResult:
     """Smallest vertex set of g that hits every set in sets and that the
     solver calls solved, by a depth-first walk over include/exclude
     decisions on the vertices by descending degree, ties to the lower
     index, the include branch first. A solver passes its hitting sets
-    (sets), its greedy start set (start), its lower bound (bound) and its
-    rule as two functions, part and prune; rules names the prunes that
-    SearchResult.prunes counts.
+    (sets), per vertex v the bitmask of the indices of the sets v hits
+    (hits[v]), its greedy start set (start), its lower bound (bound) and
+    its rule as two functions, part and prune; rules names the prunes
+    that SearchResult.prunes counts.
 
     Each entry of the walk's explicit stack carries its node's state: the
     depth i (the undecided vertices are order[i:]), the chosen vertices,
@@ -164,9 +173,9 @@ def _min_hitting_set(
     order: size, infeasible, solved (part is 0), prune, then packing.
 
     A node's state comes from its parent's in O(1) big-int operations:
-    an include child of v clears from unhit hits[v], the indices of the
-    sets v hits, and a node is infeasible iff unhit names a set that no
-    vertex of order[i:] hits (stuck[i]). An exclude child keeps its
+    an include child of v clears hits[v] from unhit, and a node is
+    infeasible iff unhit names a set that no vertex of order[i:] hits
+    (stuck[i]). An exclude child keeps its
     parent's chosen vertices and hence its part. An include child keeps
     its parent's pool chosen | undecided, so prune learns that from
     same_pool and may skip its tests on the pool, which passed at the
@@ -185,7 +194,6 @@ def _min_hitting_set(
     """
     n = g.n
     order = np.argsort(-g.degrees, kind="stable").tolist()
-    hits = transpose_masks(sets, n)
     full = (1 << len(sets)) - 1
     # suffix[i]: bitmask of order[i:], the undecided vertices at depth i;
     # stuck[i]: the indices of the sets that none of them hits
@@ -293,7 +301,8 @@ def exact_min_idcode(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
             return "class"
         return "log2" if extra is not None and extra >= room else None
 
-    return _min_hitting_set(g, sets, start, idcode_lower_bound(n), part, prune, IDCODE_RULES, budget)
+    hits = transpose_masks(sets, n)
+    return _min_hitting_set(g, sets, hits, start, idcode_lower_bound(n), part, prune, IDCODE_RULES, budget)
 
 
 def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -320,7 +329,8 @@ def exact_min_dominating(g: Graph, budget: int = DEFAULT_BUDGET) -> SearchResult
         return "cover" if -(-undom.bit_count() // best_cover) >= room else None
 
     bound = -(-g.n // (int(g.degrees.max()) + 1))
-    return _min_hitting_set(g, masks, greedy_dominating(g), bound, part, prune, DOMINATING_RULES, budget)
+    # v is in N[j] iff j is in N[v], so the sets v hits are N[v] itself
+    return _min_hitting_set(g, masks, masks, greedy_dominating(g), bound, part, prune, DOMINATING_RULES, budget)
 
 
 def greedy_dominating(g: Graph) -> frozenset[int]:
