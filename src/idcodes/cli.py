@@ -14,8 +14,9 @@ import argparse
 import functools
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Iterator, Optional
 
 from . import bounds as bounds_mod
 from . import graphs, watching
@@ -68,11 +69,9 @@ def _fmt(x) -> str:
 
 
 def _family_from_args(args: argparse.Namespace) -> FamilySpec:
-    kind = _FAMILY_ALIASES.get(args.family)
-    if kind is None:
-        raise FormatError(f"unknown family {args.family!r}")
+    # argparse has already checked args.family against the aliases
     return FamilySpec(
-        kind=kind,
+        kind=_FAMILY_ALIASES[args.family],
         n=args.n or 0,
         p=args.p if args.p is not None else 0.0,
         seed=args.graph_seed,
@@ -422,18 +421,25 @@ def load_experiment_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(tuple(fams), params, _field(raw, "trials", 1, int))
 
 
-def run_experiment(cfg: ExperimentConfig, out: TextIO) -> None:
-    """One CSV row per (family, trial); trial seed = master xor trial index.
+def run_experiment(cfg: ExperimentConfig) -> Iterator[str]:
+    """The sweep's CSV lines, header first, then one row per (family,
+    trial); trial seed = master xor trial index.
 
+    Every family is checked before the header is yielded, so a family the
+    generators reject raises before any line: the fixed families are
+    built, and gnp checks each family's n and p on at most one vertex.
     gnp families redraw the graph with the trial seed and fill the
     greedy_ratio column (greedy code size over the asymptotic prediction,
     left empty where the graph has twins or the prediction is undefined);
-    fixed families reuse one graph and vary only the run seed. Rows are
-    flushed as they complete; failures keep their row with a status.
+    fixed families reuse one graph and vary only the run seed. Each row is
+    yielded as it completes; failures keep their row with a status.
     """
-    out.write(_CSV_COLUMNS + "\n")
-    for spec in cfg.families:
-        fixed = graphs.generate(spec) if spec.kind != "gnp" else None
+    fixed = [
+        graphs.gnp(min(spec.n, 1), spec.p, 0) if spec.kind == "gnp" else graphs.generate(spec)
+        for spec in cfg.families
+    ]
+    yield _CSV_COLUMNS + "\n"
+    for spec, g in zip(cfg.families, fixed):
         prediction: Optional[float] = None
         if spec.kind == "gnp":
             try:
@@ -447,7 +453,6 @@ def run_experiment(cfg: ExperimentConfig, out: TextIO) -> None:
                 label = _family_label(replace(spec, seed=seed))
                 p_value: Optional[float] = spec.p
             else:
-                g = fixed
                 label = _family_label(spec)
                 p_value = None
             params = replace(cfg.params, seed=seed)
@@ -464,18 +469,21 @@ def run_experiment(cfg: ExperimentConfig, out: TextIO) -> None:
                 status = "infeasible"
             except RetriesExhaustedError:
                 status = "retries_exhausted"
-            out.write(_result_row(label, g, params, trial, res, status, p_value, ratio) + "\n")
-            out.flush()
+            yield _result_row(label, g, params, trial, res, status, p_value, ratio) + "\n"
 
 
 def _cmd_experiment(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = load_experiment_config(fh.read())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            run_experiment(cfg, fh)
-    else:
-        run_experiment(cfg, sys.stdout)
+    lines = run_experiment(cfg)
+    # the header comes once every family is checked: a rejected family
+    # leaves stdout empty and an existing --out file as it was
+    header = next(lines)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        out.write(header)
+        for line in lines:
+            out.write(line)
+            out.flush()
     return 0
 
 

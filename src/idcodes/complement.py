@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .codes import InvalidCodeError, is_identifying_code
-from .graphs import Graph, complement, least_twins, vertex_mask
+from .graphs import Graph, _members, complement, least_twins, vertex_mask
 from .solvers import NotTwinFreeError, exact_min_idcode
 
 
@@ -96,9 +96,7 @@ def separate_class(gbar: Graph, cls: Iterable[int]) -> frozenset[int]:
     difference of the two smallest members, split the class by adjacency
     to it, and split both sides the same way."""
     members = sorted(set(cls))
-    for v in members:
-        if not 0 <= v < gbar.n:
-            raise ValueError(f"vertex {v} out of range for n={gbar.n}")
+    _members(members, gbar.n)
     masks = gbar.closed_masks
     cmask = vertex_mask(gbar.n, members)
     for u in members:

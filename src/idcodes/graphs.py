@@ -445,6 +445,19 @@ def vertex_mask(n: int, vs: Iterable[int]) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
+def _members(vs: Iterable[int], n: int) -> np.ndarray:
+    """Membership flags of the vertex set vs over 0..n-1; a ValueError
+    names the first vertex of vs outside that range."""
+    vals = list(vs)
+    arr = np.asarray(vals) if vals else np.empty(0, dtype=np.int64)
+    bad = (arr < 0) | (arr >= n)
+    if bad.any():
+        raise ValueError(f"vertex {vals[int(np.argmax(bad))]} out of range for n={n}")
+    flags = np.zeros(n, dtype=bool)
+    flags[arr.astype(np.int64)] = True
+    return flags
+
+
 def mask_to_set(mask: int) -> frozenset[int]:
     """The set bits of mask, one step per set bit."""
     out = []

@@ -2,14 +2,14 @@
 
 The public building blocks (pick_code, bounded_f, sample_subgraph,
 check_events, pair_collision_frequency) operate on whole graphs exactly
-as defined. sample_subgraph and pair_collision_frequency delete edges by
-the rule of the driver's theorem1 rounds (_deleted), each with its own
-random draws. The driver, sparsify, runs the construction per connected
-component in synchronized rounds, redrawing only components that still
-fail: component draws are independent, so the output law equals
-whole-graph retrying while needing far fewer rounds. Acceptance is gated
-on separation failures only; degree-deviation counts are tallied per
-round as diagnostics.
+as defined. Every edge deletion, in both variants of the driver's
+rounds and in sample_subgraph and pair_collision_frequency (each with
+its own random draws), goes through one rule, _deleted. The driver,
+sparsify, runs the construction per connected component in synchronized
+rounds, redrawing only components that still fail: component draws are
+independent, so the output law equals whole-graph retrying while needing
+far fewer rounds. Acceptance is gated on separation failures only;
+degree-deviation counts are tallied per round as diagnostics.
 
 A round is a fixed sequence of array passes over all still-active
 components at once, never a loop over their vertices or edges. Vertices
@@ -34,7 +34,9 @@ one n x W array; no list of the distance-2 pairs is ever built, and a run
 in which no vertex ties never reads the neighbor lists. The uniform
 variant's dominating sets come from one greedy cover stepping through
 all active components together, and its members outside the code are
-added to the code row before the ids are taken.
+added to the code row before the ids are taken. Its terms f/dc stay at
+1/2 at every vertex, so each code-incident edge goes with probability
+1/4.
 
 After the last round the deletion flags are mapped back to g's sorted
 edge order (on a connected graph they are in it already): the kept rows
@@ -70,8 +72,8 @@ import numpy as np
 
 from ._kernels import greedy_cover_segments
 from .codes import UndominatedVertex, is_identifying_code
-from .graphs import Edge, Graph, _dist2_blocks, ball_rows, concat_ranges, degree_stats
-from .graphs import pack_rows, row_keys
+from .graphs import Edge, Graph, _dist2_blocks, _members, ball_rows, concat_ranges
+from .graphs import degree_stats, pack_rows, row_keys
 from .solvers import greedy_dominating
 
 _ONE = np.uint64(1)
@@ -227,8 +229,8 @@ class SparsifyParams:
     variant: str = "theorem1"
 
     def __post_init__(self) -> None:
-        if not self.c > 0:  # NaN too
-            raise ValueError("c must be positive")
+        if not (self.c > 0 and math.isfinite(self.c)):  # NaN too
+            raise ValueError("c must be positive and finite")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
         if self.seed < 0:
@@ -300,18 +302,6 @@ def _inclusion_prob(raw: float, clamp: bool) -> float:
     return raw
 
 
-def _members(vs: Iterable[int], n: int) -> np.ndarray:
-    """Membership flags of the vertex set vs over 0..n-1."""
-    vals = list(vs)
-    arr = np.asarray(vals) if vals else np.empty(0, dtype=np.int64)
-    bad = (arr < 0) | (arr >= n)
-    if bad.any():
-        raise ValueError(f"vertex {vals[int(np.argmax(bad))]} out of range for n={n}")
-    flags = np.zeros(n, dtype=bool)
-    flags[arr.astype(np.int64)] = True
-    return flags
-
-
 def pick_code(g: Graph, params: SparsifyParams) -> frozenset[int]:
     """Each vertex joins the code independently with probability
     min(1, c*ln(dmax)/dmin); one uniform draw per vertex in index order."""
@@ -327,11 +317,13 @@ def _check_c(c: float) -> None:
 
 
 def _deleted(terms: np.ndarray, eu, ev, draws: np.ndarray) -> np.ndarray:
-    """The edge-deletion rule of the theorem1 rounds, sample_subgraph and
-    pair_collision_frequency: the code-incident edge (eu[j], ev[j]) is
-    deleted when its uniform draws[j] falls below (terms[eu[j]] +
-    terms[ev[j]]) / 4, where terms[x] = f(x)/dc(x) (0 where dc(x) = 0).
-    With f <= dc every probability is at most 1/2."""
+    """The one edge-deletion rule, of both variants' rounds,
+    sample_subgraph and pair_collision_frequency: the code-incident edge
+    (eu[j], ev[j]) is deleted when its uniform draws[j] falls below
+    (terms[eu[j]] + terms[ev[j]]) / 4, where terms[x] = f(x)/dc(x) (0
+    where dc(x) = 0; the uniform rounds keep it at 1/2, so their edges go
+    with probability exactly 1/4). With f <= dc every probability is at
+    most 1/2."""
     return draws < (terms[eu] + terms[ev]) / 4.0
 
 
@@ -367,12 +359,12 @@ def sample_subgraph(
         raise ValueError("f is not bounded by the code degrees")
     if not g.m:
         return g, frozenset()
-    terms = np.divide(f, dc, out=np.zeros(n), where=dc > 0)
     es = g.edge_array()
-    inc = np.compress(in_code[es[:, 0]] | in_code[es[:, 1]], es, axis=0)
+    inc = np.flatnonzero(in_code[es[:, 0]] | in_code[es[:, 1]])
     draws = np.random.default_rng(seed).random(len(inc))
-    dropped = np.compress(_deleted(terms, inc[:, 0], inc[:, 1], draws), inc, axis=0)
-    return g.delete_edges(dropped), frozenset(map(tuple, dropped.tolist()))
+    gone = np.zeros(g.m, dtype=bool)
+    gone[inc[_deleted(f / np.maximum(dc, 1), es[inc, 0], es[inc, 1], draws)]] = True
+    return g._without(gone), frozenset(map(tuple, np.compress(gone, es, axis=0).tolist()))
 
 
 def check_events(
@@ -447,8 +439,9 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
     - "theorem1": random code, degree-capped edge deletion, retry until
       every pair at distance <= 2 is separated by the code, then complete
       with a greedy dominating set.
-    - "uniform": p = min(1, c*ln(n)/dmin) and a flat 1/4 deletion
-      probability for code-incident edges; retries until the code plus a
+    - "uniform": p = min(1, c*ln(n)/dmin), and the same deletion rule
+      (_deleted) with f/dc = 1/2 at every vertex, so each code-incident
+      edge goes with probability 1/4; retries until the code plus a
       greedy dominating set identifies the sparsified component.
 
     The returned code is verified on the sparsified graph before
@@ -459,11 +452,9 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
     if variant == "theorem1" and dmax < 2:
         raise MaxDegreeError("construction needs max degree >= 2")
     n = g.n
-    if variant == "theorem1":
-        raw_p = params.c * math.log(dmax) / dmin
-    else:
-        raw_p = params.c * math.log(n) / dmin
-    p = _inclusion_prob(raw_p, params.clamp)
+    p = _inclusion_prob(
+        params.c * math.log(dmax if variant == "theorem1" else n) / dmin, params.clamp
+    )
     cap = params.c * math.log(dmax)
 
     members, starts = g.component_order
@@ -479,8 +470,9 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
     in_code = np.zeros(n, dtype=bool)
     in_dom = np.zeros(n, dtype=bool)
     deleted = np.zeros(len(eu), dtype=bool)
-    # per-vertex scratch, read only at the active vertices
-    term = np.zeros(n)
+    # per-vertex scratch, read only at the active vertices; term holds
+    # f/dc, which the uniform variant leaves at 1/2
+    term = np.full(n, 0.5)
     pos = np.zeros(n, dtype=np.int64)
     # the 2-balls in g as local rows, each filled when first needed
     ball = np.empty((n, W), dtype=np.uint64)
@@ -512,15 +504,14 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
         gates = np.zeros((len(active), W), dtype=np.uint64)
         _toggle_bits(gates, seg[drawn], ranks[vs[drawn]])
         draws = streams.rest(inc_len)
+        a_cnt = 0
         if variant == "theorem1":
             # the rows are closed, so a code vertex also counts its own bit
             dc = np.bitwise_count(h & gates[seg]).sum(1, dtype=np.int64) - drawn
             term[vs] = np.minimum(cap, dc) / np.maximum(dc, 1)
             mean = deg[vs] * p
             a_cnt = int(np.count_nonzero(np.abs(dc - mean) >= mean / 2.0))
-            drop = inc[_deleted(term, au[inc], av[inc], draws)]
-        else:
-            a_cnt, drop = 0, inc[draws < 0.25]
+        drop = inc[_deleted(term, au[inc], av[inc], draws)]
         flags = np.zeros(len(au), dtype=bool)
         flags[drop] = True
         deleted[e_at] = flags
@@ -639,17 +630,14 @@ def pair_collision_frequency(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    for x in (u, v):
-        if not 0 <= x < g.n:
-            raise ValueError(f"vertex {x} out of range for n={g.n}")
+    _members((u, v), g.n)
     code_set = frozenset(code)
     if u == v or g.has_edge(u, v) or not (g.neighbors(u) & g.neighbors(v)):
         raise ValueError("pair must be at distance exactly 2")
     if u in code_set or v in code_set:
         return 0.0
     f = bounded_f(g, code_set, c)
-    dc = g.neighbor_counts(_members(code_set, g.n))
-    terms = np.divide(f, dc.astype(np.float64), out=np.zeros(g.n), where=dc > 0)
+    terms = f / np.maximum(g.neighbor_counts(_members(code_set, g.n)), 1)
     su, sv = (np.array(sorted(g.neighbors(x) & code_set), dtype=np.int64) for x in (u, v))
     rng = np.random.default_rng(seed)
     keep_u = ~_deleted(terms, u, su, rng.random((trials, len(su))))

@@ -330,6 +330,20 @@ def test_sparsify_nan_const_c_exits_two():
     assert r.stdout == ""
 
 
+def test_infinite_const_c_exits_two_from_the_cli_and_a_config(tmp_path, capsys):
+    # c = inf ran (p clamped to 1, "inf" in the c column); JSON reads
+    # Infinity and 1e400 as inf too
+    assert run_cli(["sparsify", "--family", "cycle", "--n", "12", "--const-c", "inf"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: c must be positive and finite\n"
+    for c in ("Infinity", "1e400"):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text('{"families": [{"kind": "cycle", "n": 9}], "c": %s}' % c)
+        assert run_cli(["experiment", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: c must be positive and finite\n"
+
+
 def test_sparsify_rejected_graph_prints_no_header(tmp_path, capsys):
     # a perfect matching has max degree 1, which theorem1 rejects before
     # drawing anything: exit 2 with nothing on stdout
@@ -443,6 +457,27 @@ def test_experiment_keeps_rows_without_a_prediction(tmp_path, capsys):
     rows = [dict(zip(header, ln.split(","))) for ln in lines[1:]]
     assert [r["status"] for r in rows] == ["ok", "degenerate", "ok"]
     assert rows[1]["greedy_ratio"] == "" and err == ""
+
+
+def test_experiment_checks_every_family_before_any_output(tmp_path, capsys):
+    # a family the generators reject used to stop the sweep midway, after
+    # the header and the rows before it, and --out truncated an existing
+    # file to that partial CSV
+    cfg = tmp_path / "exp.json"
+    res = tmp_path / "results.csv"
+    res.write_bytes(b"earlier results\n")
+    cases = (
+        ([{"kind": "cycle", "n": 9}, {"kind": "cycle", "n": 2}], "cycle needs n >= 3"),
+        ([{"kind": "cycle", "n": 9}, {"kind": "gnp", "n": 12, "p": 1.5}], "gnp needs 0 <= p <= 1"),
+        ([{"kind": "gnp", "n": 0, "p": 0.5}], "gnp needs n >= 1"),
+    )
+    for families, msg in cases:
+        cfg.write_text(json.dumps({"families": families, "c": 2}))
+        for out_args in ([], ["--out", str(res)]):
+            assert run_cli(["experiment", "--config", str(cfg)] + out_args) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {msg}\n"
+            assert res.read_bytes() == b"earlier results\n"
 
 
 def test_experiment_runs_no_greedy_on_a_draw_with_twins(tmp_path, monkeypatch, capsys):

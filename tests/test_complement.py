@@ -121,6 +121,9 @@ def test_separate_class_requires_clique():
         separate_class(gbar, [0, 2])
     with pytest.raises(ValueError, match="^vertex 9 out of range for n=3$"):
         separate_class(gbar, [0, 9])
+    # the class is checked in sorted order, so the least bad vertex is named
+    with pytest.raises(ValueError, match="^vertex -2 out of range for n=3$"):
+        separate_class(gbar, [9, -2])
 
 
 def test_separate_class_names_the_first_non_adjacent_pair():

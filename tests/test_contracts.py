@@ -152,3 +152,44 @@ def test_library_imports_only_the_standard_library_and_numpy():
                 if root != "numpy" and root not in sys.stdlib_module_names
             ]
     assert not found, found
+
+
+def _private_definitions(tree):
+    """The underscore-named functions, classes and methods of a module,
+    at any depth, and its module-level underscore constants; dunder names
+    are not private."""
+    found = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for t in targets:
+            found += [n.id for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in found if n.startswith("_") and not n.endswith("__")]
+
+
+def test_every_private_name_is_used_in_the_library():
+    # a private helper, method or constant that nothing in the library
+    # reads is dead code: a change that stops using it must delete it.
+    # Uses are read names and attributes, not text matches, so neither
+    # the definition nor an import counts
+    defined, used = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name in _private_definitions(tree):
+            defined.setdefault(name, path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert "_deleted" in defined and "_members" in defined
+    unused = sorted(f"{where}: {name}" for name, where in defined.items() if name not in used)
+    assert not unused, unused

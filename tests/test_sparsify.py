@@ -67,6 +67,14 @@ def test_params_reject_nan_c():
         SparsifyParams(c=float("nan"))
 
 
+def test_params_reject_infinite_c():
+    # c = inf passed "c > 0" and clamped p to 1, though bounded_f and
+    # check_events reject the same c
+    for c in (float("inf"), 1e400):
+        with pytest.raises(ValueError, match="c must be positive and finite"):
+            SparsifyParams(c=c)
+
+
 def test_degenerate_graphs_rejected():
     lonely = Graph(3, [(0, 1)])
     with pytest.raises(DegenerateGraphError):
@@ -448,8 +456,9 @@ def test_pair_collision_frequency_validation():
 
 def test_pair_collision_frequency_rejects_out_of_range_vertices():
     g = cycle(6)
-    for u, v in ((-1, 1), (1, -1), (0, 9), (9, 0)):
-        with pytest.raises(ValueError, match="out of range"):
+    # u is checked before v
+    for u, v, bad in ((-1, 1, -1), (1, -1, -1), (0, 9, 9), (9, 0, 9), (9, -2, 9)):
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range for n=6$"):
             pair_collision_frequency(g, [2], 2.0, u, v)
 
 
