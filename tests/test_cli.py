@@ -673,13 +673,14 @@ def test_verifiers_twins_degrees_and_verify_command_build_no_csr(tmp_path, monke
 
 
 def test_sparsify_builds_the_csr_of_its_graph_only(monkeypatch):
-    # the 2-balls of tied vertices read the parent's neighbor lists, built
-    # once on the first round with ties; the verified child is checked on
-    # its packed rows. At p = 1 every vertex is in the code and no two
-    # vertices tie here, so no CSR is built at all
+    # the 2-balls of undominated tied vertices read the parent's neighbor
+    # lists, built once on the first round with such ties; the verified
+    # child is checked on its packed rows. The uniform variant's code and
+    # dominating set dominate every vertex, and at p = 1 every vertex is in
+    # the code and no two vertices tie here, so no CSR is built at all
     cases = (
         (gnp(60, 0.5, 4), "theorem1", 2.0, 0),
-        (disjoint_cliques(9, 4), "uniform", 2.0, 1),
+        (disjoint_cliques(9, 4), "uniform", 2.0, 0),
         (disjoint_cliques(9, 4), "theorem1", 2.0, 1),
         (gnp(60, 0.5, 4), "theorem1", 66.0, 0),
         (gnp(60, 0.5, 4), "uniform", 66.0, 0),
@@ -693,8 +694,9 @@ def test_sparsify_builds_the_csr_of_its_graph_only(monkeypatch):
 
 
 def test_sparsify_lists_no_distance_2_pairs(monkeypatch):
-    # separation failures come from the 2-balls of tied vertices, never
-    # from a list of every pair at distance <= 2
+    # separation failures come from the sizes of tied classes and the
+    # 2-balls of undominated tied vertices, never from a list of every
+    # pair at distance <= 2
     def refuse(*args):
         raise AssertionError("sparsify listed the distance-2 pairs")
 

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -43,6 +44,7 @@ from oracles import (
     adjacency,
     oracle_collision_probability,
     oracle_dist2_pairs,
+    oracle_distances,
     oracle_undominated,
     oracle_unseparated,
 )
@@ -329,6 +331,57 @@ def test_check_events_finds_no_separation_failure_after_sparsify(variant):
         h = g.delete_edges(res.deleted_edges)
         code = res.code if variant == "theorem1" else res.code | res.dominating
         assert not [x for x in check_events(g, h, code, 2.0) if x.kind == "B"], (g.n, g.m)
+
+
+def test_equal_nonempty_traces_lie_within_distance_2():
+    # the premise of the rounds' class count: two vertices whose traces
+    # N_h[x] & C agree and are nonempty share a code vertex c, and c is in
+    # both closed neighborhoods in g, so the pair is within distance 2
+    rng = np.random.default_rng(8)
+    graphs = [gnp(40, 0.1, 1), gnp(60, 0.3, 2), gnp(50, 0.7, 3)]
+    graphs += [mixed_graph((3, 17, 64, 65), (1.0, 0.5, 0.1, 0.6), 5)]
+    pairs = 0
+    for g in graphs:
+        edges = g.edge_array()
+        dist = [oracle_distances(g.n, g.edges(), x) for x in range(g.n)]
+        for q in (0.05, 0.2, 0.5):
+            code = set(np.flatnonzero(rng.random(g.n) < q).tolist())
+            adj = adjacency(g.n, edges[rng.random(len(edges)) < 0.5].tolist())
+            classes = {}
+            for x in range(g.n):
+                trace = frozenset((adj[x] | {x}) & code)
+                if trace:
+                    classes.setdefault(trace, []).append(x)
+            for members in classes.values():
+                for a, b in itertools.combinations(members, 2):
+                    assert dist[a].get(b, 3) <= 2, (g.n, a, b)
+                    pairs += 1
+    assert pairs > 100, pairs
+
+
+def test_uniform_sparsify_computes_no_2_balls(monkeypatch):
+    # the uniform code plus its dominating set dominates every vertex, so
+    # every tied class fails by its size alone; theorem1 leaves vertices
+    # undominated and reads their 2-balls
+    module = importlib.import_module("idcodes.sparsify")
+    calls = []
+    real = module.ball_rows
+
+    def spy(g, vs, rows):
+        calls.append(len(vs))
+        return real(g, vs, rows)
+
+    monkeypatch.setattr(module, "ball_rows", spy)
+    graphs = _golden_graphs()
+    failures = 0
+    for g in graphs:
+        for seed in range(3):
+            res = sparsify(g, SparsifyParams(c=2.0, seed=seed, variant="uniform"))
+            failures += sum(t.b_violations for t in res.trials)
+    assert calls == [] and failures > 0, failures
+    for g in graphs:
+        sparsify(g, SparsifyParams(c=2.0, seed=0))
+    assert calls
 
 
 @pytest.mark.parametrize("block_words", [None, 8])
@@ -781,7 +834,8 @@ def test_sparsify_final_check_reads_rows_apart_from_the_round_edits(monkeypatch)
     params = [SparsifyParams(c=0.5, seed=seed) for seed in range(4)]
     for prm in params:
         sparsify(g, prm)  # valid codes while the edits are in place
-    monkeypatch.setattr(module, "_toggle_bits", lambda rows, at, cols: None)
+    monkeypatch.setattr(module, "_set_bits", lambda rows, at, cols: None)
+    monkeypatch.setattr(module, "_clear_bits", lambda rows, at, cols: None)
     failed = 0
     for prm in params:
         try:
