@@ -19,10 +19,12 @@ Every other form is derived from that array on first use and cached:
 The degrees (one bincount), the packed rows (two word passes over the
 sorted edges) and `has_edge` (a lookup of the edge key) read the edge
 array alone. The CSR comes from one sort of the 2m arc keys v * n + w;
-only the readers of neighbor lists build it: the 2-balls (`ball_rows`,
-which the distance-2 pairs and theorem1 `sparsify`'s undominated tied
-vertices read), `greedy_idcode` on sparse graphs, `neighbor_counts`,
-`neighbors` and `closed_neighborhood`.
+only the readers of neighbor lists build it: the 2-balls of `ball_rows`
+(which the distance-2 pairs read), `greedy_idcode` on sparse graphs,
+`neighbor_counts`, `neighbors` and `closed_neighborhood`. The 2-balls
+of theorem1 `sparsify`'s undominated tied vertices (`_local_balls`) read
+each neighborhood from the set bits of the vertex's own local row
+instead, so `sparsify` builds no CSR.
 
 A child graph, made by deleting edges (`delete_edges`, and the sparsified
 graph of `sparsify`), inherits the views its parent has already cached
@@ -550,8 +552,9 @@ def find_twins(g: Graph) -> list[Edge]:
 
 
 # per block: words of rows gathered by ball_rows or XORed for the exact
-# solver's pair sets, or doubles drawn by gnp (2 MiB), and bits, so pairs,
-# unpacked by _dist2_blocks
+# solver's pair sets, words of rows and unpacked bits of _local_balls, or
+# doubles drawn by gnp (2 MiB), and bits, so pairs, unpacked by
+# _dist2_blocks
 _BLOCK_WORDS = 1 << 18
 
 
@@ -584,6 +587,35 @@ def ball_rows(g: Graph, vs: np.ndarray, rows: np.ndarray) -> np.ndarray:
             d = deg[busy]
             hood = rows[nbrs[concat_ranges(lo[busy], d)]]
             out[busy] |= np.bitwise_or.reduceat(hood, np.cumsum(d) - d)
+        a = b
+    return out
+
+
+def _local_balls(g: Graph, vs: np.ndarray) -> np.ndarray:
+    """Per vertex v of vs, its 2-ball in g as a component-local row (the
+    layout of local_closed), as a new (len(vs), W) array: the OR of the
+    local rows of N[v].
+
+    N[v] is read from the set bits of v's own local row, so no neighbor
+    list is built. A block holds at most _BLOCK_WORDS words of unpacked
+    bits and gathered rows (at least one vertex's), so the memory beyond
+    the graph and the result stays bounded.
+    """
+    rows = g.local_closed
+    members, starts = g.component_order
+    W = rows.shape[1]
+    base = starts[g.component_ids[vs]]
+    out = rows[vs]
+    # a vertex's 64 * W unpacked bits take 8 * W words, its rows (d + 1) * W
+    cost = np.cumsum((g.degrees[vs] + 9) * W)
+    a = 0
+    while a < len(vs):
+        spent = cost[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(cost, spent + _BLOCK_WORDS, side="right")))
+        at, col = np.nonzero(unpack_rows(out[a:b], 64 * W))
+        hood = rows[members[base[a:b][at] + col]]
+        # every row holds its own bit, so no vertex's run is empty
+        out[a:b] = np.bitwise_or.reduceat(hood, np.searchsorted(at, np.arange(b - a)))
         a = b
     return out
 

@@ -11,46 +11,62 @@ independent, so the output law equals whole-graph retrying while needing
 far fewer rounds. Acceptance is gated on separation failures only;
 degree-deviation counts are tallied per round as diagnostics.
 
-A round is a fixed sequence of array passes over all still-active
-components at once, never a loop over their vertices or edges. Vertices
-and edges are kept grouped by component, so a round gathers only the
-active ranges. The round gathers the active vertices' component-local
-packed rows (Graph.local_closed: a vertex's column is its rank inside its
-component) and packs each component's code into one local row. The code
-degrees are popcounts of the gathered rows masked by their component's
-code row, less the vertex's own bit, and the deletion probabilities are
-gathered per code-incident edge. Clearing the deleted edges' bits in the
-gathered rows gives the surviving closed neighborhoods. A pair at
-distance <= 2 fails when its two rows masked by the code row (traces)
-are equal, so the active vertices are sorted into classes of equal
-(component, trace) by one stable sort of the exact trace keys
-(row_keys, no hashing), and only classes of two or more can fail. Two
-vertices with the same nonempty trace share a code vertex, which lies
-in both closed neighborhoods in g, so they are within distance 2: a
-class of s members whose trace is nonempty fails C(s, 2) pairs, counted
-from s alone. Only a component's class of undominated vertices (empty
-traces) needs distances: it is packed into one local row, and its
-member u fails with every other member inside u's 2-ball in g, so its
-partner count is one popcount of the ball masked by the class row,
-less u itself; bincount tallies half the partner counts per component.
-The 2-balls (graphs.ball_rows) never change between rounds, so each is
-computed the first time its vertex ties undominated and kept in one
-n x W array; no list of the distance-2 pairs is ever built, and a run
-with no undominated tied vertex never reads the neighbor lists. The
-uniform variant's dominating sets come from one greedy cover stepping
-through all active components together, and its members outside the
-code are added to the code row before the traces are taken, so every
-vertex is dominated and its runs compute no 2-ball. Its terms f/dc stay
-at 1/2 at every vertex, so each code-incident edge goes with
+Round r of component i depends only on component i of g and its stream
+(below), not on any other round, so the rounds are evaluated in passes
+over (component, round) keys: a pass starting at round r takes rounds
+r..r+B-1 of every still-active component, keeps each component's first
+accepting round and discards its later ones. B is the largest count,
+at most r and at most what is left of the retry budget, for which the
+pass holds no more vertices and edges than round 0 (_pass_rounds): so
+memory stays at O(n W + m), round 0 and every round of a connected
+graph are passes of their own, and the long tail of rounds in which few
+components still fail takes a few passes, not one per round. The trials
+are then rebuilt round by round, as one round at a time would record
+them: the frozen draws of the components accepted earlier plus the draws
+of that round's active ones, up to the round where the last component
+accepts.
+
+A pass is a fixed sequence of array operations over all its keys at
+once, never a loop over their vertices or edges. Vertices and edges are
+kept grouped by component, so a pass gathers only the active ranges, one
+copy per key, and indexes every array by position among its keys'
+vertices or edges, never by vertex, since a vertex appears once per
+round. The pass gathers the keys' component-local packed rows
+(Graph.local_closed: a vertex's column is its rank inside its component)
+and packs each key's code into one local row. The code degrees are
+popcounts of the gathered rows masked by their key's code row, less the
+vertex's own bit, and the deletion probabilities are gathered per
+code-incident edge. Clearing the deleted edges' bits in the gathered
+rows gives the surviving closed neighborhoods. A pair at distance <= 2
+fails when its two rows masked by the code row (traces) are equal, so
+the vertices are sorted into classes of equal (key, trace) by one stable
+sort of the exact trace keys (row_keys, no hashing), and only classes of
+two or more can fail. Two vertices with the same nonempty trace share a
+code vertex, which lies in both closed neighborhoods in g, so they are
+within distance 2: a class of s members whose trace is nonempty fails
+C(s, 2) pairs, counted from s alone. Only a key's class of undominated
+vertices (empty traces) needs distances: it is packed into one local
+row, and its member u fails with every other member inside u's 2-ball in
+g, so its partner count is one popcount of the ball masked by the class
+row, less u itself; bincount tallies half the partner counts per key.
+The 2-balls (graphs._local_balls, which reads each neighborhood from the
+set bits of the vertex's own local row) never change between rounds, so
+each is computed the first time its vertex ties undominated and kept in
+one n x W array; no list of the distance-2 pairs and no neighbor list
+is ever built. The uniform variant's dominating sets come from one
+greedy cover stepping through all keys together, and its members
+outside the code are added to the code row before the traces are taken,
+so every vertex is dominated and its runs compute no 2-ball. Its terms
+f/dc stay at 1/2 at every vertex, so each code-incident edge goes with
 probability 1/4.
 
-The rounds edit packed rows only with _set_bits and _clear_bits, which
+The passes edit packed rows only with _set_bits and _clear_bits, which
 add or subtract each bit to or from its word (numpy's add.at and
 subtract.at scatters run about 5x faster than the bitwise ones); every
 target bit is distinct and clear before a set, or set before a clear, so
 the words come out as with OR and AND-NOT.
 
-After the last round the deletion flags are mapped back to g's sorted
+After the last pass the deletion flags are mapped back to g's sorted
 edge order (on a connected graph they are in it already): the kept rows
 build the sparsified graph directly, and the deleted rows are the
 result's sorted tuple of deleted edges. The sparsified graph inherits g's
@@ -58,19 +74,22 @@ packed rows and degrees when g has them cached, as a connected g does
 (its component-local rows are its packed rows): a copy with the deleted
 edges' bits cleared by the graphs module's own code (Graph._without),
 never by _set_bits or _clear_bits, so the final verification reads rows
-that share no code with the rounds' row edits.
+that share no code with the passes' row edits. The passes' arrays are
+freed before that verification.
 
 Randomness is derived per (seed, component, round): component i draws in
 round r from the stream of numpy.random.default_rng((seed, i, r)), its
 vertex draws before its edge draws, so results are reproducible and
-independent of which components are still active. No generator is built
-per stream. The seed-sequence hash and the PCG64 seeding step run as
-array passes over a block of (component, round) keys at once (the
-components active at the block's first round, for enough rounds to make
-about 64 keys), and one reused PCG64 is set to each stream's state in
-turn. Each stream is drawn in one call: its vertex doubles and one double
-per edge of its component, of which the code-incident edges take the
-first ones.
+independent of which components are still active and of how the rounds
+are grouped into passes. No generator is built per stream. The
+seed-sequence hash and the PCG64 seeding step run as array passes over
+a grid of (component, round) keys at once: the components of a pass by
+three times its span of rounds, or by enough rounds to make a block of
+about 64 keys if that is more, so the next pass usually finds its keys
+in the grid and derives none. One reused PCG64 is set to each stream's
+state in turn. Each stream is drawn in one call: its vertex doubles and
+one double per edge of its component, of which the code-incident edges
+take the first ones.
 """
 
 from __future__ import annotations
@@ -84,7 +103,7 @@ import numpy as np
 
 from ._kernels import greedy_cover_segments
 from .codes import UndominatedVertex, is_identifying_code
-from .graphs import Edge, Graph, _dist2_blocks, _members, _word_bits, ball_rows, concat_ranges
+from .graphs import Edge, Graph, _dist2_blocks, _local_balls, _members, _word_bits, concat_ranges
 from .graphs import degree_stats, pack_rows, row_keys
 from .solvers import greedy_dominating
 
@@ -118,7 +137,7 @@ def _stream_words(seed: int, comps: np.ndarray, rounds: np.ndarray) -> np.ndarra
     of (seed, i, r), run for all keys at once: the seed's little-endian
     32-bit words, then i, then r.
     """
-    if max(int(comps[-1]), int(rounds[-1])) > _U32:
+    if max(int(comps.max()), int(rounds.max())) > _U32:
         raise OverflowError("component and round indices must be below 2**32")
     head = []
     while True:
@@ -172,28 +191,45 @@ def _pcg64_state(words: list[int]) -> dict:
 
 
 class _Streams:
-    """The round streams of one sparsify run, drawn through one reused
-    PCG64: start(...) gives each active component's first doubles of the
-    round, rest(...) the doubles that follow them in the same stream."""
+    """The streams of one sparsify run, drawn through one reused PCG64:
+    start(...) gives the first doubles of each (component, round) key of a
+    pass, rest(...) the doubles that follow them in the same streams."""
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
         self.bits = np.random.PCG64(0)
         self.gen = np.random.Generator(self.bits)
-        self.stop = 0
+        self.comps = np.empty(0, dtype=np.int64)
+        self.first = self.stop = 0
 
     def start(
-        self, active: np.ndarray, r: int, heads: np.ndarray, spare: np.ndarray
+        self, comps: np.ndarray, rounds: np.ndarray, heads: np.ndarray, spare: np.ndarray
     ) -> np.ndarray:
-        """Round r's first heads[j] doubles of each stream j, concatenated
-        in the order of active; rest may then take up to spare[j] more.
-        Rounds come in increasing order, and active only loses components
-        from one round to the next, as in sparsify."""
-        if r >= self.stop:
-            rounds = np.arange(r, r + max(1, _BLOCK // len(active)))
-            self.words = _stream_words(self.seed, active, rounds)
-            self.comps, self.first, self.stop = active, r, r + len(rounds)
-        keys = self.words[r - self.first, np.searchsorted(self.comps, active)].tolist()
+        """The first heads[j] doubles of the stream of each key (comps[j],
+        rounds[j]), concatenated in key order; rest may then take up to
+        spare[j] more. The keys come in any order, and their rounds should
+        span a short range. The seed words are read from a grid of
+        components by consecutive rounds: the last grid derived when it
+        holds every key, else a new one over the keys' components, from
+        their least round on, for three times their span of rounds (room
+        for a next pass of up to twice as many rounds) or about _BLOCK
+        keys, whichever is more, and never past round 2**32 - 1."""
+        lo, hi = int(rounds.min()), int(rounds.max())
+        at = np.searchsorted(self.comps, comps)
+        if not (
+            self.first <= lo
+            and hi < self.stop
+            and at.max() < len(self.comps)
+            and (self.comps[at] == comps).all()
+        ):
+            cols = np.sort(comps)
+            cols = cols[np.concatenate(([True], cols[1:] != cols[:-1]))]
+            span = hi + 1 - lo
+            count = max(span, min(max(3 * span, _BLOCK // len(cols)), _U32 + 1 - lo))
+            self.words = _stream_words(self.seed, cols, np.arange(lo, lo + count))
+            self.comps, self.first, self.stop = cols, lo, lo + count
+            at = np.searchsorted(cols, comps)
+        keys = self.words[rounds - self.first, at].tolist()
         # one call per stream draws its heads and every spare double
         take = heads + spare
         ends = np.cumsum(take)
@@ -206,8 +242,7 @@ class _Streams:
         return self.buf[concat_ranges(offs, heads)]
 
     def rest(self, counts: np.ndarray) -> np.ndarray:
-        """The next counts[j] doubles of each stream j of the round,
-        concatenated."""
+        """The next counts[j] doubles of each key j's stream, concatenated."""
         return self.buf[concat_ranges(self.tails, counts)]
 
 
@@ -430,6 +465,16 @@ def _clear_bits(rows: np.ndarray, at: np.ndarray, cols: np.ndarray) -> None:
     np.subtract.at(rows.reshape(-1), *_word_bits(at, cols, rows.shape[1]))
 
 
+def _pass_rounds(r: int, n: int, m: int, vertices: int, edges: int, max_retries: int) -> int:
+    """How many rounds, from round r on, one pass evaluates for the
+    still-active components, which hold the given numbers of g's n
+    vertices and m edges: at most as many as fit in round 0's n vertices
+    and m edges, at most r (so a pass at most doubles the rounds run so
+    far) and none past max_retries. Round 0, and every round of a
+    connected graph, is a pass of its own."""
+    return max(1, min(r, n // vertices, m // edges, max_retries + 1 - r))
+
+
 def _grouped(
     rows: np.ndarray, comp: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -447,6 +492,199 @@ def _grouped(
         rows = np.take(rows, order, axis=0)
         starts = np.searchsorted(lab[order], np.arange(k + 1))
     return rows[:, 0], rows[:, 1], starts, order
+
+
+def _rounds(
+    g: Graph, params: SparsifyParams, p: float, cap: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[TrialRecord], np.ndarray]:
+    """The Las Vegas rounds of sparsify, in passes: the code flags,
+    dominating flags and deletion flags (in g's edge order) of the
+    accepted draws, the trials and the accept rounds. The arrays of the
+    passes are freed on return, before sparsify verifies the code."""
+    variant, max_retries = params.variant, params.max_retries
+    n = g.n
+    members, starts = g.component_order
+    sizes = np.diff(starts)
+    k = len(sizes)
+    ranks, local = g.ranks, g.local_closed
+    W = local.shape[1]
+    eu, ev, e_starts, e_order = _grouped(g.edge_array(), g.component_ids, k)
+    m = len(eu)
+    e_sizes = np.diff(e_starts)
+    # each edge's endpoints as positions in members (on a connected graph
+    # they are the vertices)
+    if k > 1:
+        inv = np.empty(n, dtype=np.int64)
+        inv[members] = np.arange(n)
+        eu, ev = inv[eu], inv[ev]
+    deg = g.degrees.astype(np.float64)
+    # the kept draw of every component, as vertex and edge flags
+    in_code = np.zeros(n, dtype=bool)
+    in_dom = np.zeros(n, dtype=bool)
+    deleted = np.zeros(m, dtype=bool)
+    # the 2-balls in g as local rows, each filled when first needed
+    ball = np.empty((n, W), dtype=np.uint64)
+    has_ball = np.zeros(n, dtype=bool)
+
+    accept = np.full(k, -1)
+    active = np.arange(k)
+    # the code vertices and deleted edges of the accepted components
+    kept_code = kept_del = 0
+    streams = _Streams(params.seed)
+    trials: list[TrialRecord] = []
+    r = 0
+    while len(active) and r <= max_retries:
+        # one pass: rounds r..r+B-1 of every active component, as keys
+        # j = t * L + i (component active[i] in round r + t); every array
+        # below is indexed by key, or by position among the keys' vertices
+        # or edges, never by vertex or edge
+        L = len(active)
+        B = _pass_rounds(
+            r, n, m, int(sizes[active].sum()), int(e_sizes[active].sum()), max_retries
+        )
+        comp = np.tile(active, B)
+        size_a, e_len = sizes[comp], e_sizes[comp]
+        v_off = np.cumsum(size_a) - size_a
+        e_bounds = np.concatenate(([0], np.cumsum(e_len)))
+        full = L == k  # then B is 1
+        if full:
+            vs, e_at = members, slice(None)
+        else:
+            vs = members[concat_ranges(starts[comp], size_a)]
+            e_at = concat_ranges(e_starts[comp], e_len)
+        rounds = np.repeat(np.arange(r, r + B), L)
+        drawn = streams.start(comp, rounds, size_a, e_len) < p
+        seg = np.repeat(np.arange(len(comp)), size_a)
+        col = ranks[vs]
+
+        # each edge's endpoints as positions in the pass
+        pu, pv = eu[e_at], ev[e_at]
+        if not full:
+            shift = np.repeat(v_off - starts[comp], e_len)
+            pu += shift
+            pv += shift
+            del shift
+        inc = np.flatnonzero(drawn[pu] | drawn[pv])
+        inc_len = np.diff(np.searchsorted(inc, e_bounds))
+        # the keys' rows of g, and each key's code as one local row
+        h = local[vs]
+        gates = np.zeros((len(comp), W), dtype=np.uint64)
+        _set_bits(gates, seg[drawn], col[drawn])
+        draws = streams.rest(inc_len)
+        if variant == "theorem1":
+            # the rows are closed, so a code vertex also counts its own bit
+            dc = np.bitwise_count(h & gates[seg]).sum(1, dtype=np.int64) - drawn
+            term = np.minimum(cap, dc) / np.maximum(dc, 1)
+            mean = deg[vs] * p
+            strays = np.bincount(seg[np.abs(dc - mean) >= mean / 2.0], minlength=len(comp))
+        else:
+            term = np.full(len(vs), 0.5)
+            strays = np.zeros(len(comp), dtype=np.int64)
+        drop = inc[_deleted(term, pu[inc], pv[inc], draws)]
+        flags = np.zeros(len(pu), dtype=bool)
+        flags[drop] = True
+
+        # the keys' rows of h: clear both bits of every deleted edge
+        du, dv = pu[drop], pv[drop]
+        _clear_bits(h, np.concatenate((du, dv)), col[np.concatenate((dv, du))])
+
+        if variant == "uniform":
+            dom = np.zeros(len(vs), dtype=bool)
+            dom[greedy_cover_segments(h, size_a)] = True
+            extra = dom & ~drawn
+            _set_bits(gates, seg[extra], col[extra])
+        # a vertex fails with the members of its class (same key, same
+        # gated row of h) within distance 2 in g. The members of a class
+        # with a nonempty gated row share a code vertex, so all its C(s, 2)
+        # pairs fail; only the class of a key's undominated vertices needs
+        # their 2-balls. vs lists the keys in order, so one stable sort by
+        # row key leaves each key's members of a row key together: a class
+        # starts where the row key or the key changes
+        gated = h & gates[seg]
+        keys = row_keys(gated)
+        order = np.argsort(keys, kind="stable")
+        keys, owner = keys[order], seg[order]
+        cut = np.flatnonzero(
+            np.concatenate(([True], (keys[1:] != keys[:-1]) | (owner[1:] != owner[:-1])))
+        )
+        cnt = np.diff(np.append(cut, len(vs)))
+        cut, cnt = cut[cnt > 1], cnt[cnt > 1]
+        fails = np.zeros(len(comp), dtype=np.int64)
+        if len(cut):
+            empty = ~gated[order[cut]].any(1)
+            pairs = np.where(empty, 0, cnt * (cnt - 1) // 2)
+            fails = np.bincount(owner[cut], pairs, minlength=len(comp)).astype(np.int64)
+            if empty.any():
+                cut, cnt = cut[empty], cnt[empty]
+                tied = order[concat_ranges(cut, cnt)]
+                cls = np.repeat(np.arange(len(cut)), cnt)
+                tv = vs[tied]
+                class_rows = np.zeros((len(cut), W), dtype=np.uint64)
+                _set_bits(class_rows, cls, col[tied])
+                # a vertex tied in two rounds of the pass is filled twice
+                new = tv[~has_ball[tv]]
+                if len(new):
+                    ball[new] = _local_balls(g, new)
+                    has_ball[new] = True
+                shared = np.bitwise_count(ball[tv] & class_rows[cls])
+                partners = shared.sum(1, dtype=np.int64) - 1
+                # every failing pair is counted from both of its ends
+                tally = np.bincount(seg[tied], partners, minlength=len(comp))
+                fails += tally.astype(np.int64) // 2
+
+        # each component's first accepting round in the pass (B if none);
+        # the trials stop at the round where the last component accepts
+        ok = fails.reshape(B, L) <= 0
+        first = np.where(ok.any(0), ok.argmax(0), B)
+        T = min(B, int(first.max()) + 1)
+        t = np.arange(T)[:, None]
+        # the key whose draw component i holds at round t: its accepted
+        # one once it has accepted, whose violations no longer count
+        held = np.minimum(t, first) * L + np.arange(L)
+        code_k = np.bincount(seg[drawn], minlength=len(comp))
+        del_k = np.diff(np.searchsorted(drop, e_bounds))
+        tallies = np.stack((code_k, del_k, strays, fails))[:, held]
+        tallies[2:, first < t] = 0
+        code_t, del_t, a_t, b_t = tallies.sum(2).tolist()
+        trials += [
+            TrialRecord(r + j, kept_code + code_t[j], kept_del + del_t[j], a_t[j], b_t[j])
+            for j in range(T)
+        ]
+
+        # keep each accepted component's draw. A pass of one round draws
+        # each component once and keeps every draw: a failing one is
+        # replaced when its component is accepted
+        done = np.flatnonzero(first < B)
+        at_key = first[done] * L + done
+        kept_code += int(code_k[at_key].sum())
+        kept_del += int(del_k[at_key].sum())
+        if B == 1:
+            v_at = e_pos = slice(None)
+        else:
+            v_at = concat_ranges(v_off[at_key], size_a[at_key])
+            e_pos = concat_ranges(e_bounds[at_key], e_len[at_key])
+        in_code[vs[v_at]] = drawn[v_at]
+        if variant == "uniform":
+            in_dom[vs[v_at]] = dom[v_at]
+        deleted[e_at if full else e_at[e_pos]] = flags[e_pos]
+        accept[active[done]] = r + first[done]
+        active = active[first == B]
+        r += B
+    if len(active):
+        last = trials[-1]
+        raise RetriesExhaustedError(
+            f"no success within {max_retries} retries; last round: "
+            f"{last.a_violations} degree deviations, "
+            f"{last.b_violations} separation failures",
+            last,
+        )
+
+    # back in g's edge order
+    if k == 1:
+        return in_code, in_dom, deleted, trials, accept
+    gone = np.empty_like(deleted)
+    gone[e_order] = deleted
+    return in_code, in_dom, gone, trials, accept
 
 
 def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
@@ -475,140 +713,8 @@ def sparsify(g: Graph, params: SparsifyParams) -> SparsifyResult:
     )
     cap = params.c * math.log(dmax)
 
-    members, starts = g.component_order
-    sizes = np.diff(starts)
-    k = len(sizes)
-    ranks, local = g.ranks, g.local_closed
-    W = local.shape[1]
+    in_code, in_dom, gone, trials, accept = _rounds(g, params, p, cap)
     edges = g.edge_array()
-    eu, ev, e_starts, e_order = _grouped(edges, g.component_ids, k)
-    deg = g.degrees.astype(np.float64)
-    # the current draw of every component, as vertex and edge flags; a
-    # round rewrites only the entries of its active components
-    in_code = np.zeros(n, dtype=bool)
-    in_dom = np.zeros(n, dtype=bool)
-    deleted = np.zeros(len(eu), dtype=bool)
-    # per-vertex scratch, read only at the active vertices; term holds
-    # f/dc, which the uniform variant leaves at 1/2
-    term = np.full(n, 0.5)
-    pos = np.zeros(n, dtype=np.int64)
-    # the 2-balls in g as local rows, each filled when first needed
-    ball = np.empty((n, W), dtype=np.uint64)
-    has_ball = np.zeros(n, dtype=bool)
-
-    accept = np.full(k, -1)
-    active = np.arange(k)
-    streams = _Streams(params.seed)
-    trials: list[TrialRecord] = []
-    for r in range(params.max_retries + 1):
-        if not len(active):
-            break
-        size_a = sizes[active]
-        e_len = e_starts[active + 1] - e_starts[active]
-        if len(active) == k:
-            vs, e_at = members, slice(None)
-        else:
-            vs = members[concat_ranges(starts[active], size_a)]
-            e_at = concat_ranges(e_starts[active], e_len)
-        drawn = streams.start(active, r, size_a, e_len) < p
-        in_code[vs] = drawn
-
-        au, av = eu[e_at], ev[e_at]
-        inc = np.flatnonzero(in_code[au] | in_code[av])
-        inc_len = np.diff(np.searchsorted(inc, np.concatenate(([0], np.cumsum(e_len)))))
-        # the active rows of g, and each component's code as one local row
-        h = local[vs]
-        seg = np.repeat(np.arange(len(active)), size_a)
-        gates = np.zeros((len(active), W), dtype=np.uint64)
-        _set_bits(gates, seg[drawn], ranks[vs[drawn]])
-        draws = streams.rest(inc_len)
-        a_cnt = 0
-        if variant == "theorem1":
-            # the rows are closed, so a code vertex also counts its own bit
-            dc = np.bitwise_count(h & gates[seg]).sum(1, dtype=np.int64) - drawn
-            term[vs] = np.minimum(cap, dc) / np.maximum(dc, 1)
-            mean = deg[vs] * p
-            a_cnt = int(np.count_nonzero(np.abs(dc - mean) >= mean / 2.0))
-        drop = inc[_deleted(term, au[inc], av[inc], draws)]
-        flags = np.zeros(len(au), dtype=bool)
-        flags[drop] = True
-        deleted[e_at] = flags
-
-        # the active rows of h: clear both bits of every deleted edge
-        pos[vs] = np.arange(len(vs))
-        du, dv = au[drop], av[drop]
-        _clear_bits(h, np.concatenate((pos[du], pos[dv])), ranks[np.concatenate((dv, du))])
-
-        if variant == "uniform":
-            dom = np.zeros(len(vs), dtype=bool)
-            dom[greedy_cover_segments(h, size_a)] = True
-            in_dom[vs] = dom
-            extra = dom & ~drawn
-            _set_bits(gates, seg[extra], ranks[vs[extra]])
-        # a vertex fails with the members of its class (same component,
-        # same gated row of h) within distance 2 in g. The members of a
-        # class with a nonempty gated row share a code vertex, so all its
-        # C(s, 2) pairs fail; only the class of a component's undominated
-        # vertices needs their 2-balls. vs lists the components in order,
-        # so one stable sort by key leaves each component's members of a
-        # key together: a class starts where the key or component changes
-        gated = h & gates[seg]
-        keys = row_keys(gated)
-        order = np.argsort(keys, kind="stable")
-        keys, comp = keys[order], seg[order]
-        cut = np.flatnonzero(
-            np.concatenate(([True], (keys[1:] != keys[:-1]) | (comp[1:] != comp[:-1])))
-        )
-        cnt = np.diff(np.append(cut, len(vs)))
-        cut, cnt = cut[cnt > 1], cnt[cnt > 1]
-        fails = np.zeros(len(active), dtype=np.int64)
-        if len(cut):
-            empty = ~gated[order[cut]].any(1)
-            pairs = np.where(empty, 0, cnt * (cnt - 1) // 2)
-            fails = np.bincount(comp[cut], pairs, minlength=len(active)).astype(np.int64)
-            if empty.any():
-                cut, cnt = cut[empty], cnt[empty]
-                tied = order[concat_ranges(cut, cnt)]
-                cls = np.repeat(np.arange(len(cut)), cnt)
-                tv = vs[tied]
-                class_rows = np.zeros((len(cut), W), dtype=np.uint64)
-                _set_bits(class_rows, cls, ranks[tv])
-                new = tv[~has_ball[tv]]
-                if len(new):
-                    ball[new] = ball_rows(g, new, local)
-                    has_ball[new] = True
-                shared = np.bitwise_count(ball[tv] & class_rows[cls])
-                partners = shared.sum(1, dtype=np.int64) - 1
-                # every failing pair is counted from both of its ends
-                tally = np.bincount(seg[tied], partners, minlength=len(active))
-                fails += tally.astype(np.int64) // 2
-
-        accept[active[fails == 0]] = r
-        active = active[fails > 0]
-        trials.append(
-            TrialRecord(
-                r,
-                int(np.count_nonzero(in_code)),
-                int(np.count_nonzero(deleted)),
-                a_cnt,
-                int(fails.sum()),
-            )
-        )
-    if len(active):
-        last = trials[-1]
-        raise RetriesExhaustedError(
-            f"no success within {params.max_retries} retries; last round: "
-            f"{last.a_violations} degree deviations, "
-            f"{last.b_violations} separation failures",
-            last,
-        )
-
-    # back in g's edge order, the deleted rows come out sorted
-    if k == 1:
-        gone = deleted
-    else:
-        gone = np.empty_like(deleted)
-        gone[e_order] = deleted
     dels = np.compress(gone, edges, axis=0)
     h = g._without(gone)
     code = set(np.flatnonzero(in_code).tolist())

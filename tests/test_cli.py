@@ -673,24 +673,35 @@ def test_verifiers_twins_degrees_and_verify_command_build_no_csr(tmp_path, monke
 
 
 def test_sparsify_builds_the_csr_of_its_graph_only(monkeypatch):
-    # the 2-balls of undominated tied vertices read the parent's neighbor
-    # lists, built once on the first round with such ties; the verified
-    # child is checked on its packed rows. The uniform variant's code and
-    # dominating set dominate every vertex, and at p = 1 every vertex is in
-    # the code and no two vertices tie here, so no CSR is built at all
+    # no CSR is built at all: the 2-balls of undominated tied vertices are
+    # read from the packed component-local rows, and the verified child is
+    # checked on its packed rows. The theorem1 run on the cliques reads
+    # such 2-balls, the uniform variant's code and dominating set dominate
+    # every vertex, and at p = 1 every vertex is in the code and no two
+    # vertices tie here
+    module = importlib.import_module("idcodes.sparsify")
+    real = module._local_balls
+    balls = []
+
+    def spy(g, vs):
+        balls.append(len(vs))
+        return real(g, vs)
+
+    monkeypatch.setattr(module, "_local_balls", spy)
     cases = (
-        (gnp(60, 0.5, 4), "theorem1", 2.0, 0),
-        (disjoint_cliques(9, 4), "uniform", 2.0, 0),
-        (disjoint_cliques(9, 4), "theorem1", 2.0, 1),
-        (gnp(60, 0.5, 4), "theorem1", 66.0, 0),
-        (gnp(60, 0.5, 4), "uniform", 66.0, 0),
+        (gnp(60, 0.5, 4), "theorem1", 2.0, False),
+        (disjoint_cliques(9, 4), "uniform", 2.0, False),
+        (disjoint_cliques(9, 4), "theorem1", 2.0, True),
+        (gnp(60, 0.5, 4), "theorem1", 66.0, False),
+        (gnp(60, 0.5, 4), "uniform", 66.0, False),
     )
-    for g, variant, c, builds in cases:
+    for g, variant, c, tied in cases:
         built = _count_csr_builds(monkeypatch)
+        balls.clear()
         res = sparsify(g, SparsifyParams(c=c, seed=3, variant=variant))
-        assert all(b is g for b in built), variant
-        assert len(built) == builds, (variant, c)
-        assert builds == 0 or res.trials[0].b_violations > 0, (variant, c)
+        assert built == [], (variant, c)
+        assert bool(balls) == tied, (variant, c)
+        assert not tied or res.trials[0].b_violations > 0, (variant, c)
 
 
 def test_sparsify_lists_no_distance_2_pairs(monkeypatch):

@@ -282,6 +282,33 @@ def test_ball_rows_match_oracle(monkeypatch, block_words):
                 assert got == near[v], (name, v)
 
 
+@pytest.mark.parametrize("block_words", [None, 1, 8, 100])
+def test_local_balls_match_oracle_without_neighbor_lists(monkeypatch, block_words):
+    # the 2-balls read from the component-local rows set exactly the
+    # vertices at distance <= 2 and the vertex itself, for any order of the
+    # requested vertices, repeats too, and build no CSR
+    if block_words is not None:
+        monkeypatch.setattr(graphs_mod, "_BLOCK_WORDS", block_words)
+    rng = np.random.default_rng(12)
+    graphs = list(small_corpus())[::4] + list(_extra_graphs()) + list(interleaved_graphs())
+    for name, g in graphs:
+        g = Graph(g.n, g.edge_array())
+        near = {v: {v} for v in range(g.n)}
+        for u, v in oracle_dist2_pairs(g.n, g.edges()):
+            near[u].add(v)
+            near[v].add(u)
+        members, starts = g.component_order
+        picked = rng.permutation(g.n)[: rng.integers(0, g.n + 1)]
+        picked = np.concatenate((picked, picked[:2]))
+        balls = graphs_mod._local_balls(g, picked)
+        assert balls.shape == (len(picked), g.local_closed.shape[1]), name
+        for v, ball in zip(picked.tolist(), balls):
+            bits = np.unpackbits(ball.astype("<u8").view(np.uint8), bitorder="little")
+            base = starts[g.component_ids[v]]
+            assert {int(members[base + col]) for col in np.flatnonzero(bits)} == near[v], (name, v)
+        assert "_csr" not in g.__dict__, name
+
+
 def test_local_closed_rows_follow_component_ranks():
     for name, g in interleaved_graphs():
         comps = g.components

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -365,13 +366,13 @@ def test_uniform_sparsify_computes_no_2_balls(monkeypatch):
     # undominated and reads their 2-balls
     module = importlib.import_module("idcodes.sparsify")
     calls = []
-    real = module.ball_rows
+    real = module._local_balls
 
-    def spy(g, vs, rows):
+    def spy(g, vs):
         calls.append(len(vs))
-        return real(g, vs, rows)
+        return real(g, vs)
 
-    monkeypatch.setattr(module, "ball_rows", spy)
+    monkeypatch.setattr(module, "_local_balls", spy)
     graphs = _golden_graphs()
     failures = 0
     for g in graphs:
@@ -695,26 +696,45 @@ def test_stream_state_equals_default_rng(seed, i, r):
 @settings(max_examples=150, deadline=None)
 @given(
     STREAM_SEEDS,
-    st.lists(WORD, min_size=1, max_size=6, unique=True),
-    st.integers(0, 10**6),
+    st.lists(
+        st.tuples(st.one_of(st.integers(0, 3), WORD), st.integers(0, 4)),
+        min_size=1,
+        max_size=10,
+        unique=True,
+    ),
+    st.one_of(st.integers(0, 10**6), st.just(2**32 - 6)),
     st.data(),
 )
-def test_streams_draw_what_default_rng_draws(seed, comps, r, data):
-    # two rounds of one block, the second over a subset of the components
-    active = np.array(sorted(comps))
+def test_streams_draw_what_default_rng_draws(seed, pairs, r, data):
+    # two passes of (component, round) keys in any order, a component
+    # repeated over several rounds; the second pass takes every other key
+    # of the first, one round later, so it may read the first pass's grid.
+    # Rounds reach 2**32 - 1, where no grid may run past the last round
     streams = _Streams(seed)
-    for rnd in (r, r + 1):
-        k = len(active)
+    for later in (0, 1):
+        comps = np.array([i for i, _ in pairs])
+        rounds = np.array([r + t + later for _, t in pairs])
+        k = len(pairs)
         heads = np.array(data.draw(st.lists(st.integers(0, 40), min_size=k, max_size=k)))
         spare = np.array(data.draw(st.lists(st.integers(0, 600), min_size=k, max_size=k)))
         counts = np.array([data.draw(st.integers(0, s)) for s in spare.tolist()])
-        first, rest = streams.start(active, rnd, heads, spare), streams.rest(counts)
-        gens = [np.random.default_rng((seed, i, rnd)) for i in active.tolist()]
+        first, rest = streams.start(comps, rounds, heads, spare), streams.rest(counts)
+        gens = [np.random.default_rng((seed, i, t)) for i, t in zip(comps.tolist(), rounds.tolist())]
         want_first = np.concatenate([g.random(h) for g, h in zip(gens, heads)])
         want_rest = np.concatenate([g.random(c) for g, c in zip(gens, counts)])
         assert first.tolist() == want_first.tolist()
         assert rest.tolist() == want_rest.tolist()
-        active = active[::2]
+        pairs = pairs[::2]
+
+
+def test_stream_words_reject_indices_past_32_bits():
+    # the bound holds for the largest index, wherever it stands
+    for comps, rounds in (([2**32, 0], [0]), ([0], [2**32, 1]), ([5], [2**32])):
+        with pytest.raises(OverflowError):
+            _stream_words(7, np.array(comps), np.array(rounds))
+    words = _stream_words(7, np.array([2**32 - 1, 0]), np.array([2**32 - 1, 3]))
+    want = np.random.default_rng((7, 2**32 - 1, 3)).bit_generator.state
+    assert _pcg64_state(words[1, 0].tolist()) == want
 
 
 def test_sparsify_builds_no_generator_per_stream(monkeypatch):
@@ -733,6 +753,115 @@ def test_sparsify_builds_no_generator_per_stream(monkeypatch):
             res = sparsify(g, SparsifyParams(c=2.0, seed=seed, variant=variant))
             assert len(res.trials) > 1
     assert calls == []
+
+
+def _outcome(g, params):
+    """Every field sparsify returns, or the error it raises, with an
+    exhausted budget's last trial."""
+    try:
+        res = sparsify(g, params)
+    except RetriesExhaustedError as exc:
+        return ("exhausted", str(exc), exc.last_trial)
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
+    return (
+        res.trials,
+        res.accept_rounds,
+        res.retries_used,
+        res.deleted_edges,
+        res.code,
+        res.dominating,
+        res.final_code,
+        res.stats,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(2, 40), st.sampled_from([1.0, 1.0, 0.6, 0.3])),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(0, 2**16),
+    st.sampled_from(["theorem1", "uniform"]),
+    st.sampled_from([0.5, 2.0]),
+    st.integers(0, 2**40),
+    st.integers(1, 40),
+)
+def test_passes_of_several_rounds_change_nothing(parts, graph_seed, variant, c, seed, retries):
+    # disjoint unions of unequal cliques and G(n, p) pieces: passes of
+    # several rounds give what passes of one round each give, field for
+    # field, also when the budget runs out
+    sizes, densities = zip(*parts)
+    g = mixed_graph(sizes, densities, graph_seed)
+    params = SparsifyParams(c=c, seed=seed, max_retries=retries, variant=variant)
+    module = importlib.import_module("idcodes.sparsify")
+    batched = _outcome(g, params)
+    with mock.patch.object(module, "_pass_rounds", lambda *args: 1):
+        assert _outcome(g, params) == batched
+
+
+def _spy_passes(monkeypatch):
+    """Record (vertices, edges, rounds) of every pass sparsify runs."""
+    module = importlib.import_module("idcodes.sparsify")
+    real = module._Streams.start
+    passes = []
+
+    def spy(self, comps, rounds, heads, spare):
+        passes.append((int(heads.sum()), int(spare.sum()), sorted(set(rounds.tolist()))))
+        return real(self, comps, rounds, heads, spare)
+
+    monkeypatch.setattr(module._Streams, "start", spy)
+    return passes
+
+
+def test_no_pass_holds_more_than_round_0(monkeypatch):
+    # a pass of several rounds holds at most round 0's vertices and edges,
+    # and runs consecutive rounds
+    passes = _spy_passes(monkeypatch)
+    graphs = [disjoint_cliques(31, 64), disjoint_cliques(15, 32)] + _golden_graphs()
+    batched = 0
+    for g in graphs:
+        for variant in ("theorem1", "uniform"):
+            for seed in range(2):
+                passes.clear()
+                try:
+                    sparsify(g, SparsifyParams(c=2.0, seed=seed, max_retries=200, variant=variant))
+                except RetriesExhaustedError:
+                    pass
+                assert passes[0] == (g.n, g.m, [0]), (g, variant, seed)
+                for vertices, edges, rounds in passes:
+                    assert vertices <= g.n and edges <= g.m
+                    assert rounds == list(range(rounds[0], rounds[0] + len(rounds)))
+                batched += sum(len(rounds) > 1 for _, _, rounds in passes)
+    assert batched > 0
+
+
+def test_theorem1_on_the_cliques_runs_its_rounds_in_few_passes(monkeypatch):
+    # 64 x K32 spends most rounds on a tail of few components, which the
+    # passes of several rounds take together
+    passes = _spy_passes(monkeypatch)
+    g = disjoint_cliques(31, 64)
+    for seed in range(3):
+        passes.clear()
+        res = sparsify(g, SparsifyParams(c=2.0, seed=seed))
+        assert 2 * len(passes) <= len(res.trials), (seed, len(passes), len(res.trials))
+
+
+def test_a_connected_graph_runs_one_round_per_pass(monkeypatch):
+    passes = _spy_passes(monkeypatch)
+    for g in (gnp(60, 0.5, 1), gnp(90, 0.3, 2), complete(33), cycle(40)):
+        assert len(g.components) == 1
+        for variant in ("theorem1", "uniform"):
+            passes.clear()
+            try:
+                res = sparsify(g, SparsifyParams(c=2.0, seed=1, max_retries=30, variant=variant))
+                trials = len(res.trials)
+            except RetriesExhaustedError:
+                trials = 31
+            assert [rounds for _, _, rounds in passes] == [[r] for r in range(trials)]
+            assert all(vertices == g.n and edges == g.m for vertices, edges, _ in passes)
 
 
 @pytest.mark.parametrize("variant", ["theorem1", "uniform"])
