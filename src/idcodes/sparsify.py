@@ -667,6 +667,10 @@ def _rounds(
         if variant == "uniform":
             in_dom[vs[v_at]] = dom[v_at]
         deleted[e_at if full else e_at[e_pos]] = flags[e_pos]
+        # free the pass's edge arrays before the next pass allocates its
+        # own: a pass of several rounds is about as large as round 0, and
+        # holding two at once makes the heap grow over a long run
+        del e_at, pu, pv, inc, draws, flags
         accept[active[done]] = r + first[done]
         active = active[first == B]
         r += B
