@@ -58,14 +58,8 @@ _CSV_COLUMNS = (
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
-        return format(x, ".6g")
-    return str(x)
+def _fmt(x: float) -> str:
+    return format(x, ".6g") if isinstance(x, float) else str(x)
 
 
 def _family_from_args(args: argparse.Namespace) -> FamilySpec:

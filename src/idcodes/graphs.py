@@ -19,8 +19,9 @@ Every other form is derived from that array on first use and cached:
 The degrees (one bincount), the packed rows (two word passes over the
 sorted edges) and `has_edge` (a lookup of the edge key) read the edge
 array alone. The CSR comes from one sort of the 2m arc keys v * n + w;
-only the readers of neighbor lists build it: the 2-balls of `ball_rows`
-(which the distance-2 pairs read), `greedy_idcode` on sparse graphs,
+only the readers of neighbor lists build it: the 2-balls of the
+distance-2 pairs (`_dist2_blocks`, which reads the neighbors of a block
+of consecutive vertices as one slice), `greedy_idcode` on sparse graphs,
 `neighbor_counts`, `neighbors` and `closed_neighborhood`. The 2-balls
 of theorem1 `sparsify`'s undominated tied vertices (`_local_balls`) read
 each neighborhood from the set bits of the vertex's own local row
@@ -551,10 +552,10 @@ def find_twins(g: Graph) -> list[Edge]:
     return list(zip(np.repeat(np.arange(g.n), after).tolist(), v.tolist()))
 
 
-# per block: words of rows gathered by ball_rows or XORed for the exact
-# solver's pair sets, words of rows and unpacked bits of _local_balls, or
-# doubles drawn by gnp (2 MiB), and bits, so pairs, unpacked by
-# _dist2_blocks
+# per block: words of neighbor rows gathered by _dist2_blocks or rows
+# XORed for the exact solver's pair sets, words of rows and unpacked bits
+# of _local_balls, or doubles drawn by gnp (2 MiB), and bits, so pairs,
+# unpacked by _dist2_blocks
 _BLOCK_WORDS = 1 << 18
 
 
@@ -562,33 +563,6 @@ def concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The index ranges [starts[k], starts[k] + lens[k]), concatenated."""
     ends = np.cumsum(lens)
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lens, lens)
-
-
-def ball_rows(g: Graph, vs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per vertex v of vs, the OR of rows[w] over w in N[v], as a new
-    (len(vs), W) array. With g's packed or component-local closed rows this
-    is the 2-ball of v (the vertices at distance <= 2) in the same columns.
-
-    Reads g's neighbor lists, and gathers at most _BLOCK_WORDS words of
-    neighbor rows at a time (at least one vertex's), so the memory beyond
-    the graph and the result stays bounded.
-    """
-    indptr, nbrs = g._csr
-    out = rows[vs]
-    lo, hi = indptr[vs], indptr[vs + 1]
-    deg = hi - lo
-    offs = np.concatenate(([0], np.cumsum(deg)))
-    cap = max(1, _BLOCK_WORDS // rows.shape[1])
-    a = 0
-    while a < len(vs):
-        b = max(a + 1, int(np.searchsorted(offs, offs[a] + cap, side="right")) - 1)
-        busy = np.flatnonzero(deg[a:b]) + a
-        if len(busy):
-            d = deg[busy]
-            hood = rows[nbrs[concat_ranges(lo[busy], d)]]
-            out[busy] |= np.bitwise_or.reduceat(hood, np.cumsum(d) - d)
-        a = b
-    return out
 
 
 def _local_balls(g: Graph, vs: np.ndarray) -> np.ndarray:
@@ -621,16 +595,18 @@ def _local_balls(g: Graph, vs: np.ndarray) -> np.ndarray:
 
 
 def _dist2_blocks(g: Graph) -> Iterator[np.ndarray]:
-    """dist2_pairs as one (k, 2) int64 array per block of rows u.
+    """dist2_pairs as one (k, 2) int64 array per block of consecutive rows u.
 
-    Row u of a block is the 2-ball of u in the component-local rows
-    (ball_rows); its bits above the rank of u are the partners v > u, since
-    ranks follow the vertex order inside a component. Only s_max columns
-    are unpacked per row, s_max the largest component size; graphs of at
-    most 64 vertices keep the global rows, one word either way. A block
-    gathers at most _BLOCK_WORDS words of neighbor rows and unpacks at
-    most max(_BLOCK_WORDS, s_max) bits, so it holds at most as many pairs
-    and the memory beyond the graph stays bounded.
+    Row u of a block is the 2-ball of u in the component-local rows: the
+    OR of the rows of N[u], whose neighbors the block reads as one slice
+    of g's neighbor lists. Its bits above the rank of u are the partners v
+    > u, since ranks follow the vertex order inside a component. Only
+    s_max columns are unpacked per row, s_max the largest component size;
+    graphs of at most 64 vertices keep the global rows, one word either
+    way. A block gathers at most _BLOCK_WORDS words of neighbor rows (at
+    least one row's) and unpacks at most max(_BLOCK_WORDS, s_max) bits, so
+    it holds at most as many pairs and the memory beyond the graph stays
+    bounded.
     """
     n = g.n
     if n > 64:
@@ -641,10 +617,20 @@ def _dist2_blocks(g: Graph) -> Iterator[np.ndarray]:
         rows, ranks, starts, s_max = g.packed_closed, np.arange(n), (), n
     spread = len(starts) > 2  # local columns differ from the vertices
     cols = np.arange(s_max)
+    indptr, nbrs = g._csr
     step = max(1, _BLOCK_WORDS // max(1, s_max))  # s_max is 0 on the empty graph
-    for a in range(0, n, step):
-        b = min(n, a + step)
-        reach = ball_rows(g, np.arange(a, b), rows)
+    cap = max(1, _BLOCK_WORDS // rows.shape[1])  # neighbor rows per block
+    a = 0
+    while a < n:
+        # rows a..b-1 have at most cap neighbors in all, or b is a + 1
+        b = int(np.searchsorted(indptr, indptr[a] + cap, side="right")) - 1
+        b = max(a + 1, min(a + step, b))
+        reach = rows[a:b].copy()
+        busy = np.flatnonzero(g.degrees[a:b])  # reduceat needs nonempty runs
+        if len(busy):
+            hood = rows[nbrs[indptr[a] : indptr[b]]]
+            reach[busy] |= np.bitwise_or.reduceat(hood, indptr[a:b][busy] - indptr[a])
+            del hood
         bits = unpack_rows(reach, s_max)
         pu, pv = np.nonzero(bits & (cols > ranks[a:b, None]))  # keep v > u, row-major
         pu += a
@@ -653,6 +639,7 @@ def _dist2_blocks(g: Graph) -> Iterator[np.ndarray]:
         block = np.stack((pu, pv), axis=1)
         del reach, bits, pu, pv  # not held while the caller reads the block
         yield block
+        a = b
 
 
 def dist2_pairs(g: Graph) -> Iterator[Edge]:

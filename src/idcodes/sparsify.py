@@ -83,13 +83,15 @@ vertex draws before its edge draws, so results are reproducible and
 independent of which components are still active and of how the rounds
 are grouped into passes. No generator is built per stream. The
 seed-sequence hash and the PCG64 seeding step run as array passes over
-a grid of (component, round) keys at once: the components of a pass by
-three times its span of rounds, or by enough rounds to make a block of
-about 64 keys if that is more, so the next pass usually finds its keys
-in the grid and derives none. One reused PCG64 is set to each stream's
-state in turn. Each stream is drawn in one call: its vertex doubles and
-one double per edge of its component, of which the code-incident edges
-take the first ones.
+a grid of (component, round) keys at once: the active components of a
+pass by three times its B rounds, or by enough rounds to make a block of
+about 64 keys if that is more. The passes run in ascending rounds and
+the active components only shrink, so the grid holds every key of the
+next pass as long as that pass ends within its rounds, and the next
+pass usually derives none. One reused PCG64 is set to each stream's
+state in turn. Each stream is drawn in one call into the pass's one
+buffer: its vertex doubles and one double per edge of its component, of
+which the code-incident edges take the first ones.
 """
 
 from __future__ import annotations
@@ -191,59 +193,41 @@ def _pcg64_state(words: list[int]) -> dict:
 
 
 class _Streams:
-    """The streams of one sparsify run, drawn through one reused PCG64:
-    start(...) gives the first doubles of each (component, round) key of a
-    pass, rest(...) the doubles that follow them in the same streams."""
+    """The streams of one sparsify run, drawn through one reused PCG64."""
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
         self.bits = np.random.PCG64(0)
         self.gen = np.random.Generator(self.bits)
-        self.comps = np.empty(0, dtype=np.int64)
-        self.first = self.stop = 0
+        self.stop = 0
 
-    def start(
-        self, comps: np.ndarray, rounds: np.ndarray, heads: np.ndarray, spare: np.ndarray
-    ) -> np.ndarray:
-        """The first heads[j] doubles of the stream of each key (comps[j],
-        rounds[j]), concatenated in key order; rest may then take up to
-        spare[j] more. The keys come in any order, and their rounds should
-        span a short range. The seed words are read from a grid of
-        components by consecutive rounds: the last grid derived when it
-        holds every key, else a new one over the keys' components, from
-        their least round on, for three times their span of rounds (room
-        for a next pass of up to twice as many rounds) or about _BLOCK
-        keys, whichever is more, and never past round 2**32 - 1."""
-        lo, hi = int(rounds.min()), int(rounds.max())
-        at = np.searchsorted(self.comps, comps)
-        if not (
-            self.first <= lo
-            and hi < self.stop
-            and at.max() < len(self.comps)
-            and (self.comps[at] == comps).all()
-        ):
-            cols = np.sort(comps)
-            cols = cols[np.concatenate(([True], cols[1:] != cols[:-1]))]
-            span = hi + 1 - lo
-            count = max(span, min(max(3 * span, _BLOCK // len(cols)), _U32 + 1 - lo))
-            self.words = _stream_words(self.seed, cols, np.arange(lo, lo + count))
-            self.comps, self.first, self.stop = cols, lo, lo + count
-            at = np.searchsorted(cols, comps)
-        keys = self.words[rounds - self.first, at].tolist()
-        # one call per stream draws its heads and every spare double
-        take = heads + spare
+    def draw(
+        self, active: np.ndarray, r: int, B: int, take: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One pass's doubles: the first take[j] of the stream of each key
+        j = t * L + i, component active[i] in round r + t for t < B (L =
+        len(active)), concatenated in key order into one buffer, and each
+        key's offset in it. A run's passes come in ascending rounds, and
+        active is sorted and only loses components from pass to pass.
+
+        The seed words are read from a grid of components by consecutive
+        rounds: the last grid derived, if it runs to round r + B - 1, else
+        a new one over active from round r on, for 3 * B rounds (room for a
+        next pass of up to twice as many rounds) or about _BLOCK keys,
+        whichever is more, and never past round 2**32 - 1."""
+        if r + B > self.stop:
+            count = max(B, min(max(3 * B, _BLOCK // len(active)), _U32 + 1 - r))
+            self.words = _stream_words(self.seed, active, np.arange(r, r + count))
+            self.comps, self.first, self.stop = active, r, r + count
+        at = np.searchsorted(self.comps, active)
+        keys = self.words[r - self.first : r + B - self.first, at].reshape(-1, 4).tolist()
         ends = np.cumsum(take)
         offs = ends - take
-        self.buf = np.empty(int(ends[-1]))
-        self.tails = offs + heads
+        buf = np.empty(int(ends[-1]))
         for key, a, b in zip(keys, offs.tolist(), ends.tolist()):
             self.bits.state = _pcg64_state(key)
-            self.gen.random(out=self.buf[a:b])
-        return self.buf[concat_ranges(offs, heads)]
-
-    def rest(self, counts: np.ndarray) -> np.ndarray:
-        """The next counts[j] doubles of each key j's stream, concatenated."""
-        return self.buf[concat_ranges(self.tails, counts)]
+            self.gen.random(out=buf[a:b])
+        return buf, offs
 
 
 class DegenerateGraphError(ValueError):
@@ -552,8 +536,8 @@ def _rounds(
         else:
             vs = members[concat_ranges(starts[comp], size_a)]
             e_at = concat_ranges(e_starts[comp], e_len)
-        rounds = np.repeat(np.arange(r, r + B), L)
-        drawn = streams.start(comp, rounds, size_a, e_len) < p
+        buf, offs = streams.draw(active, r, B, size_a + e_len)
+        drawn = buf[concat_ranges(offs, size_a)] < p
         seg = np.repeat(np.arange(len(comp)), size_a)
         col = ranks[vs]
 
@@ -570,7 +554,7 @@ def _rounds(
         h = local[vs]
         gates = np.zeros((len(comp), W), dtype=np.uint64)
         _set_bits(gates, seg[drawn], col[drawn])
-        draws = streams.rest(inc_len)
+        draws = buf[concat_ranges(offs + size_a, inc_len)]
         if variant == "theorem1":
             # the rows are closed, so a code vertex also counts its own bit
             dc = np.bitwise_count(h & gates[seg]).sum(1, dtype=np.int64) - drawn
@@ -670,7 +654,7 @@ def _rounds(
         # free the pass's edge arrays before the next pass allocates its
         # own: a pass of several rounds is about as large as round 0, and
         # holding two at once makes the heap grow over a long run
-        del e_at, pu, pv, inc, draws, flags
+        del e_at, pu, pv, inc, buf, draws, flags
         accept[active[done]] = r + first[done]
         active = active[first == B]
         r += B

@@ -545,6 +545,47 @@ def test_experiment_bad_config_exits_two(tmp_path):
         assert "Traceback" not in r.stderr, cfg
 
 
+def test_experiment_config_rules_each_raise():
+    # one config per rule of the reader, each raising its own message
+    cycle5 = {"kind": "cycle", "n": 5}
+    for cfg, message in (
+        ([1], "config must be a JSON object"),
+        ({"families": [3]}, "family entry must be a JSON object, got 3"),
+        ({"families": [{"kind": "wat"}]}, "unknown family kind 'wat'"),
+        ({"families": [{"kind": "cycle", "n": "5"}]}, "config field 'n' must be a JSON int"),
+        ({"families": [cycle5], "c": True}, "config field 'c' must be a JSON float"),
+        ({"families": [cycle5], "clamp": 1}, "config field 'clamp' must be a JSON bool"),
+        ({"families": [cycle5], "trials": 0}, "trials must be >= 1"),
+        ({"families": []}, "at least one family is required"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cli.load_experiment_config(json.dumps(cfg))
+
+
+def test_experiment_keeps_rows_of_infeasible_and_exhausted_runs():
+    header = cli._CSV_COLUMNS + "\n"
+    for cfg, rows in (
+        (
+            {"families": [{"kind": "cycle", "n": 9}], "clamp": False},
+            ["cycle(n=9),9,,2,2,66,theorem1,0,0,infeasible,,,,,,\n"],
+        ),
+        (
+            {"families": [{"kind": "cycle", "n": 40}], "c": 0.5, "max_retries": 2, "trials": 2},
+            [
+                f"cycle(n=40),40,,2,2,0.5,theorem1,{t},{t},retries_exhausted,,,,,,\n"
+                for t in range(2)
+            ],
+        ),
+    ):
+        assert list(cli.run_experiment(cli.load_experiment_config(json.dumps(cfg)))) == [header] + rows
+
+
+def test_read_set_skips_blank_lines(tmp_path):
+    listed = tmp_path / "code.txt"
+    listed.write_text("3\n\n  5 \n\n")
+    assert cli._read_set(str(listed)) == [3, 5]
+
+
 def _assert_prints_lower_bound(r):
     assert r.returncode == 0 and r.stdout.strip() == "10", r.stderr
 

@@ -54,6 +54,9 @@ def test_signature_examples():
         signature(g, [5], 0)
     with pytest.raises(InvalidCodeError):
         signature(g, [-1], 0)
+    for v in (-1, 3):
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range for n=3$"):
+            signature(g, [0], v)
 
 
 def test_is_dominating():

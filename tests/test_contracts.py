@@ -1,11 +1,17 @@
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import idcodes
 from idcodes import codes
 
+from corpus import CLI_CASES, cli_inputs
+
 SRC = Path(__file__).parent.parent / "src" / "idcodes"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_no_assert_statements_in_library():
@@ -171,6 +177,64 @@ def test_library_imports_only_the_standard_library_and_numpy():
                 if root != "numpy" and root not in sys.stdlib_module_names
             ]
     assert not found, found
+
+
+# Runs each argv read from stdin through run_cli in a process where every
+# import of a module that is not numpy, the standard library or idcodes
+# fails, and prints the exit codes, output and written files as JSON
+_ISOLATED_CLI = """
+import contextlib, io, json, sys
+from pathlib import Path
+import numpy
+
+allowed = set(sys.stdlib_module_names) | {"numpy", "idcodes"}
+
+
+class Refuse:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.partition(".")[0] not in allowed:
+            raise ImportError(f"{name} is not numpy, the standard library or idcodes")
+
+
+sys.meta_path.insert(0, Refuse)
+from idcodes.cli import run_cli
+
+runs = []
+for argv in json.load(sys.stdin):
+    outs = [val for flag, val in zip(argv, argv[1:]) if flag.startswith("--out")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    files = {name: Path(name).read_text() for name in outs if Path(name).exists()}
+    runs.append({"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files})
+json.dump(runs, sys.stdout)
+"""
+
+
+def test_every_command_runs_with_numpy_and_the_standard_library_alone(tmp_path):
+    # pyproject.toml declares numpy as the one runtime dependency, while
+    # scipy, networkx and hypothesis may import where the tests run. The
+    # static scan above misses an import made by name at run time, so every
+    # golden CLI transcript also runs where nothing else can be imported
+    for name, text in cli_inputs().items():
+        (tmp_path / name).write_text(text)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC.parent), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", _ISOLATED_CLI],
+        input=json.dumps([list(argv) for argv in CLI_CASES]),
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    want = json.loads((GOLDEN / "cli.json").read_text())["cases"]
+    assert len(runs) == len(want) == len(CLI_CASES)
+    for run, case in zip(runs, want):
+        assert run == {key: case[key] for key in run}, case["argv"]
 
 
 def _private_definitions(tree):

@@ -82,6 +82,15 @@ def test_generators_exact_edge_sets():
     assert g.n == 6 and g.edges() == ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))
     h = connected_cliques(2, 2)
     assert h.m == g.m + 1 and h.has_edge(0, 3)
+    for make, args in (
+        (path, (0,)),
+        (star, (0,)),
+        (complete, (0,)),
+        (complete_bipartite, (0, 1)),
+        (disjoint_cliques, (0, 1)),
+    ):
+        with pytest.raises(ValueError, match=f"^{make.__name__} needs"):
+            make(*args)
 
 
 def test_components():

@@ -25,6 +25,7 @@ from idcodes import (
     check_events,
     complete,
     complete_bipartite,
+    connected_cliques,
     cycle,
     disjoint_cliques,
     gnp,
@@ -158,6 +159,10 @@ def test_sample_subgraph_empty_code_keeps_everything():
     g = cycle(5)
     h, deleted = sample_subgraph(g, [], bounded_f(g, [], 2.0), seed=1)
     assert h == g and deleted == frozenset()
+    # an edgeless graph has no edge to draw for, whatever the code
+    g = Graph(4)
+    h, deleted = sample_subgraph(g, [0, 2], bounded_f(g, [0, 2], 2.0), seed=1)
+    assert h is g and deleted == frozenset()
 
 
 def test_sample_subgraph_structure_and_determinism():
@@ -696,35 +701,28 @@ def test_stream_state_equals_default_rng(seed, i, r):
 @settings(max_examples=150, deadline=None)
 @given(
     STREAM_SEEDS,
-    st.lists(
-        st.tuples(st.one_of(st.integers(0, 3), WORD), st.integers(0, 4)),
-        min_size=1,
-        max_size=10,
-        unique=True,
-    ),
+    st.lists(st.one_of(st.integers(0, 3), WORD), min_size=1, max_size=10, unique=True),
     st.one_of(st.integers(0, 10**6), st.just(2**32 - 6)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
     st.data(),
 )
-def test_streams_draw_what_default_rng_draws(seed, pairs, r, data):
-    # two passes of (component, round) keys in any order, a component
-    # repeated over several rounds; the second pass takes every other key
-    # of the first, one round later, so it may read the first pass's grid.
-    # Rounds reach 2**32 - 1, where no grid may run past the last round
+def test_streams_draw_what_default_rng_draws(seed, comps, r, spans, data):
+    # two passes as sparsify runs them: sorted components over rounds
+    # r..r+B-1, then every other one over the rounds that follow, which may
+    # read the first pass's grid; every component is drawn in each of its
+    # pass's rounds. Rounds reach 2**32 - 1, where no grid may run past the
+    # last round
     streams = _Streams(seed)
-    for later in (0, 1):
-        comps = np.array([i for i, _ in pairs])
-        rounds = np.array([r + t + later for _, t in pairs])
-        k = len(pairs)
-        heads = np.array(data.draw(st.lists(st.integers(0, 40), min_size=k, max_size=k)))
-        spare = np.array(data.draw(st.lists(st.integers(0, 600), min_size=k, max_size=k)))
-        counts = np.array([data.draw(st.integers(0, s)) for s in spare.tolist()])
-        first, rest = streams.start(comps, rounds, heads, spare), streams.rest(counts)
-        gens = [np.random.default_rng((seed, i, t)) for i, t in zip(comps.tolist(), rounds.tolist())]
-        want_first = np.concatenate([g.random(h) for g, h in zip(gens, heads)])
-        want_rest = np.concatenate([g.random(c) for g, c in zip(gens, counts)])
-        assert first.tolist() == want_first.tolist()
-        assert rest.tolist() == want_rest.tolist()
-        pairs = pairs[::2]
+    active = np.array(sorted(comps))
+    for B in spans:
+        keys = [(i, r + t) for t in range(B) for i in active.tolist()]
+        take = data.draw(st.lists(st.integers(0, 640), min_size=len(keys), max_size=len(keys)))
+        buf, offs = streams.draw(active, r, B, np.array(take))
+        assert len(buf) == sum(take)
+        for (i, t), a, k in zip(keys, offs.tolist(), take):
+            want = np.random.default_rng((seed, i, t)).random(k)
+            assert buf[a : a + k].tolist() == want.tolist(), (i, t)
+        active, r = active[::2], r + B
 
 
 def test_stream_words_reject_indices_past_32_bits():
@@ -803,26 +801,30 @@ def test_passes_of_several_rounds_change_nothing(parts, graph_seed, variant, c, 
 
 
 def _spy_passes(monkeypatch):
-    """Record (vertices, edges, rounds) of every pass sparsify runs."""
+    """Record (active components, rounds, doubles drawn) of every pass
+    sparsify runs."""
     module = importlib.import_module("idcodes.sparsify")
-    real = module._Streams.start
+    real = module._Streams.draw
     passes = []
 
-    def spy(self, comps, rounds, heads, spare):
-        passes.append((int(heads.sum()), int(spare.sum()), sorted(set(rounds.tolist()))))
-        return real(self, comps, rounds, heads, spare)
+    def spy(self, active, r, B, take):
+        passes.append((active.tolist(), list(range(r, r + B)), int(take.sum())))
+        return real(self, active, r, B, take)
 
-    monkeypatch.setattr(module._Streams, "start", spy)
+    monkeypatch.setattr(module._Streams, "draw", spy)
     return passes
 
 
 def test_no_pass_holds_more_than_round_0(monkeypatch):
-    # a pass of several rounds holds at most round 0's vertices and edges,
-    # and runs consecutive rounds
+    # a pass of several rounds holds at most round 0's vertices and edges
+    # and draws one double per vertex and edge of its keys, and each pass
+    # starts at the round after the last one's
     passes = _spy_passes(monkeypatch)
     graphs = [disjoint_cliques(31, 64), disjoint_cliques(15, 32)] + _golden_graphs()
     batched = 0
     for g in graphs:
+        sizes = np.bincount(g.component_ids)
+        e_sizes = np.bincount(g.component_ids[g.edge_array()[:, 0]], minlength=len(sizes))
         for variant in ("theorem1", "uniform"):
             for seed in range(2):
                 passes.clear()
@@ -830,11 +832,15 @@ def test_no_pass_holds_more_than_round_0(monkeypatch):
                     sparsify(g, SparsifyParams(c=2.0, seed=seed, max_retries=200, variant=variant))
                 except RetriesExhaustedError:
                     pass
-                assert passes[0] == (g.n, g.m, [0]), (g, variant, seed)
-                for vertices, edges, rounds in passes:
+                assert passes[0] == (list(range(len(sizes))), [0], g.n + g.m), (g, variant, seed)
+                for active, rounds, doubles in passes:
+                    vertices = len(rounds) * int(sizes[active].sum())
+                    edges = len(rounds) * int(e_sizes[active].sum())
+                    assert doubles == vertices + edges
                     assert vertices <= g.n and edges <= g.m
-                    assert rounds == list(range(rounds[0], rounds[0] + len(rounds)))
-                batched += sum(len(rounds) > 1 for _, _, rounds in passes)
+                starts = [rounds[0] for _, rounds, _ in passes]
+                assert starts == [0] + [rounds[-1] + 1 for _, rounds, _ in passes[:-1]]
+                batched += sum(len(rounds) > 1 for _, rounds, _ in passes)
     assert batched > 0
 
 
@@ -860,8 +866,36 @@ def test_a_connected_graph_runs_one_round_per_pass(monkeypatch):
                 trials = len(res.trials)
             except RetriesExhaustedError:
                 trials = 31
-            assert [rounds for _, _, rounds in passes] == [[r] for r in range(trials)]
-            assert all(vertices == g.n and edges == g.m for vertices, edges, _ in passes)
+            assert passes == [([0], [r], g.n + g.m) for r in range(trials)]
+
+
+def test_long_connected_runs_reuse_seed_words_and_balls(monkeypatch):
+    # one round per pass, yet the seed words are derived once per 64
+    # rounds and each vertex's 2-ball at most once over the whole run
+    module = importlib.import_module("idcodes.sparsify")
+    real_words, real_balls = module._stream_words, module._local_balls
+    derived, ball_rows = [], []
+
+    def words(seed, comps, rounds):
+        derived.append(len(rounds))
+        return real_words(seed, comps, rounds)
+
+    def balls(g, vs):
+        ball_rows.append(len(vs))
+        return real_balls(g, vs)
+
+    monkeypatch.setattr(module, "_stream_words", words)
+    monkeypatch.setattr(module, "_local_balls", balls)
+    for g, c, retries in ((cycle(600), 2.0, 200), (connected_cliques(15, 40), 1.0, 300)):
+        for seed in range(3):
+            derived.clear()
+            ball_rows.clear()
+            try:
+                rounds = len(sparsify(g, SparsifyParams(c=c, seed=seed, max_retries=retries)).trials)
+            except RetriesExhaustedError as exc:
+                rounds = exc.last_trial.trial + 1
+            assert len(derived) == math.ceil(rounds / 64), (g, seed, rounds, derived)
+            assert 0 < sum(ball_rows) <= g.n, (g, seed, sum(ball_rows))
 
 
 @pytest.mark.parametrize("variant", ["theorem1", "uniform"])

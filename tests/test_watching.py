@@ -177,6 +177,8 @@ def test_watch_bounds_examples():
     assert not greedy.gamma_exact
     big = watch_bounds(gnp(EXACT_GAMMA_LIMIT + 10, 0.3, 0))
     assert not big.gamma_exact
+    with pytest.raises(ValueError, match="needs n >= 1"):
+        watch_bounds(Graph(0))
 
 
 def test_watch_bounds_requires_domination():
