@@ -10,18 +10,19 @@ vertices in descending-degree order. The incumbent is the greedy start
 set after one reverse-delete pass, lowest degree first, that drops a
 vertex when the rest still hits every set and the rule calls it solved,
 the same test the walk applies at a leaf. The shared prunes fire, in
-this order, when the node cannot beat the incumbent (size), when a set
-the chosen vertices miss has no undecided vertex either (infeasible),
-when the solver's own rule fires, or when a greedy packing of pairwise
-disjoint unhit sets, restricted to the undecided vertices and taken
-smallest first, needs as many picks as the incumbent has left (packing),
-since one pick hits at most one set of a packing. The identifying-code
-rule tests for two vertices that no undecided vertex can split (class)
-and bounds the picks by ceil(log2) of the largest signature class
-(log2); the dominating rule bounds them by the undominated count over
-the best single coverage (cover). Budgets count node expansions; an
-exhausted budget returns the incumbent flagged non-optimal instead of
-failing.
+this order, when a set the chosen vertices miss has no undecided vertex
+either (infeasible), when the solver's own rule fires, or when a greedy
+packing of pairwise disjoint unhit sets, restricted to the undecided
+vertices and taken smallest first, needs as many picks as the incumbent
+has left (packing), since one pick hits at most one set of a packing.
+No node needs a test that it can still beat the incumbent: every node
+the walk reaches has fewer chosen vertices than the incumbent
+(_min_hitting_set says why). The identifying-code rule tests for two
+vertices that no undecided vertex can split (class) and bounds the
+picks by ceil(log2) of the largest signature class (log2); the
+dominating rule bounds them by the undominated count over the best
+single coverage (cover). Budgets count node expansions; an exhausted
+budget returns the incumbent flagged non-optimal instead of failing.
 
 A node's state travels down the walk's stack with it. The sets its
 chosen vertices miss are one bitmask over the set indices, so the
@@ -69,8 +70,8 @@ DENSE_FILL = 12
 CELL_SLACK = 1024
 
 # prune rules of each solver, in the order a node tests them
-IDCODE_RULES = ("size", "infeasible", "class", "log2", "packing")
-DOMINATING_RULES = ("size", "infeasible", "cover", "packing")
+IDCODE_RULES = ("infeasible", "class", "log2", "packing")
+DOMINATING_RULES = ("infeasible", "cover", "packing")
 
 class NotTwinFreeError(ValueError):
     """Twin vertices admit no identifying code."""
@@ -170,7 +171,19 @@ def _min_hitting_set(
     at this room, the picks left before the incumbent's size.
     prune(chosen, undecided, part, room, same_pool) returns the name of
     the rule that prunes the node or None. The prunes fire in
-    order: size, infeasible, solved (part is 0), prune, then packing.
+    order: infeasible, solved (part is 0), prune, then packing.
+
+    Every node the walk pops has room >= 1, so none is tested for room
+    <= 0. A node with room 1 never branches: the identifying-code part
+    skips itself only at room > cap >= 1, and unless part is 0 (solved)
+    the rule fires, log2 on a part >= 1 and cover on a quotient >= 1. So
+    a node branches at room >= 2 and pushes children of room >= 1. The
+    incumbent shrinks only at a solved include child, since an exclude
+    child has the chosen vertices of its unsolved parent. Every node then
+    on the stack is the exclude child of one of that child's ancestors
+    and has fewer chosen vertices. A branching whose pending siblings
+    each hold a pick of their own, such as a branch over the vertices of
+    one unhit set, breaks this second step and needs the room test back.
 
     A node's state comes from its parent's in O(1) big-int operations:
     an include child of v clears hits[v] from unhit, and a node is
@@ -185,12 +198,12 @@ def _min_hitting_set(
     The incumbent is start after one reverse-delete pass in the opposite
     order, lowest degree first: it drops v when rest = best without v is a
     leaf the walk would accept, that is rest hits every set and
-    part(rest, 0, 1) == 0. The walk stops once the incumbent meets the
-    larger of bound and the root packing bound. An explicit stack replaces
-    recursion, so the depth is not bounded by the interpreter's recursion
-    limit. Past budget nodes the incumbent is returned flagged
-    non-optimal. The masks take O(n) ints of len(sets) bits, O(n W) words
-    since there are at most 2n sets.
+    part(rest, 0, 1) == 0. The walk stops, before the root if need be,
+    once the incumbent meets the larger of bound and the root packing
+    bound. An explicit stack replaces recursion, so the depth is not
+    bounded by the interpreter's recursion limit. Past budget nodes the
+    incumbent is returned flagged non-optimal. The masks take O(n) ints
+    of len(sets) bits, O(n W) words since there are at most 2n sets.
     """
     n = g.n
     order = np.argsort(-g.degrees, kind="stable").tolist()
@@ -224,8 +237,8 @@ def _min_hitting_set(
     prunes = dict.fromkeys(rules, 0)
     best_size = best.bit_count()
     nodes, optimal = 0, True
-    stack = [(0, 0, full, None, False)] if best_size > lb else []
-    while stack:
+    stack = [(0, 0, full, None, False)]
+    while stack and best_size > lb:
         i, chosen, unhit, known, same_pool = stack.pop()
         nodes += 1
         if nodes > budget:
@@ -233,9 +246,7 @@ def _min_hitting_set(
             break
         size = chosen.bit_count()
         room = best_size - size
-        if room <= 0:
-            fired = "size"
-        elif unhit & stuck[i]:
+        if unhit & stuck[i]:
             fired = "infeasible"
         else:
             if known is None:
@@ -248,8 +259,6 @@ def _min_hitting_set(
                     fired = "packing"
         if fired == "solved":
             best, best_size = chosen, size
-            if best_size <= lb:
-                break
         elif fired:
             prunes[fired] += 1
         else:

@@ -296,6 +296,15 @@ def test_complement_checks_raise_runtime_error(monkeypatch):
             equivalence_classes(path(3), [])
         with pytest.raises(RuntimeError, match="two members outside"):
             equivalence_classes(Graph(2), [])
+    # a partition with no class leaves an empty code unpatched: every
+    # vertex of the complement is undominated, and on one vertex the
+    # forced patch outgrows twice the empty base
+    with monkeypatch.context() as m:
+        m.setattr(mod, "equivalence_classes", lambda *a: mod.EquivClassPartition(()))
+        with pytest.raises(RuntimeError, match="multiple vertices undominated"):
+            complement_code(path(4), [])
+        with pytest.raises(RuntimeError, match="factor-2 size bound violated"):
+            complement_code(Graph(1), [])
 
 
 def test_complement_code_matches_golden():

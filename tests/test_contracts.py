@@ -1,17 +1,22 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import idcodes
-from idcodes import codes
+from idcodes import codes, solvers
 
 from corpus import CLI_CASES, cli_inputs
 
-SRC = Path(__file__).parent.parent / "src" / "idcodes"
-GOLDEN = Path(__file__).parent / "golden"
+TESTS = Path(__file__).parent
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "idcodes"
+GOLDEN = TESTS / "golden"
 
 
 def test_no_assert_statements_in_library():
@@ -158,25 +163,47 @@ def test_graphs_owns_the_bit_layout_and_codes_lends_only_verifiers():
     assert not found, found
 
 
+def _absolute_imports(path):
+    """(line, top-level package) of every absolute import in a file, at
+    any depth."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name.split(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
 def test_library_imports_only_the_standard_library_and_numpy():
     # numpy is the one runtime dependency (pyproject.toml); scipy and
     # networkx may be importable where the tests run, but the library must
     # not need them
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                roots = [a.name.split(".")[0] for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                roots = [node.module.split(".")[0]]
-            else:
-                continue
-            found += [
-                f"{path.name}:{node.lineno}: {root}"
-                for root in roots
-                if root != "numpy" and root not in sys.stdlib_module_names
-            ]
+    found = [
+        f"{path.name}:{line}: {root}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, root in _absolute_imports(path)
+        if root != "numpy" and root not in sys.stdlib_module_names
+    ]
     assert not found, found
+
+
+def test_tests_import_only_declared_dependencies():
+    # pip install -e '.[test]' must be enough to run the tests offline, so
+    # every third-party module they import is a runtime dependency or in
+    # the test extra of pyproject.toml
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    specs = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec)[0].lower() for spec in specs}
+    local = {path.stem for path in TESTS.glob("*.py")} | {"idcodes"}
+    found = {
+        f"{path.name}:{line}: {root}": root
+        for path in sorted(TESTS.rglob("*.py"))
+        for line, root in _absolute_imports(path)
+        if root not in local and root not in sys.stdlib_module_names
+    }
+    assert {"numpy", "pytest"} <= set(found.values())
+    undeclared = sorted(where for where, root in found.items() if root.lower() not in declared)
+    assert not undeclared, undeclared
 
 
 # Runs each argv read from stdin through run_cli in a process where every
@@ -276,3 +303,12 @@ def test_every_private_name_is_used_in_the_library():
     assert "_deleted" in defined and "_members" in defined
     unused = sorted(f"{where}: {name}" for name, where in defined.items() if name not in used)
     assert not unused, unused
+
+
+def test_every_prune_rule_fires_in_the_golden_search():
+    # a prune rule whose count stays 0 over every pinned search guards a
+    # branch the walk never takes
+    cases = json.loads((GOLDEN / "exact_search.json").read_text())["cases"]
+    for kind, rules in (("idcode", solvers.IDCODE_RULES), ("dominating", solvers.DOMINATING_RULES)):
+        idle = [rule for rule in rules if not sum(case[kind]["prunes"][rule] for case in cases)]
+        assert not idle, (kind, idle)

@@ -307,17 +307,17 @@ def _view_graphs():
         # the constructor's sorting path: rows reversed, endpoints swapped
         yield f"{name}/unsorted", Graph(g.n, g.edge_array()[::-1, ::-1])
         yield f"{name}/complement", complement(g)
-        # children of delete_edges: a "warm" parent has its packed rows and
-        # degrees cached, so the child inherits them; a "cold" one has
-        # none, so the child builds its own
+        # children of delete_edges: the child inherits the views its
+        # parent has cached (none, the packed rows alone, or the packed
+        # rows and degrees) and builds any other from its own edges
         for what, drop in (("half", g.edge_array()[::2]), ("none", []), ("all", g.edge_array())):
-            for warm in (False, True):
+            for cached in ((), ("packed_closed",), ("packed_closed", "degrees")):
                 parent = Graph(g.n, g.edge_array())
-                if warm:
-                    parent.packed_closed, parent.degrees
+                for view in cached:
+                    getattr(parent, view)
                 child = parent.delete_edges(drop)
-                assert ("packed_closed" in vars(child)) == ("degrees" in vars(child)) == warm
-                yield f"{name}/child-{what}-{'warm' if warm else 'cold'}", child
+                assert {"packed_closed", "degrees"} & vars(child).keys() == set(cached)
+                yield f"{name}/child-{what}-{'+'.join(cached) or 'cold'}", child
 
 
 def _oracle_ranks(n, adj):

@@ -57,6 +57,8 @@ def test_graph_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert a != Graph(4, [(0, 1)])
+    # another type is left to its own comparison, so the graph is unequal
+    assert a.__eq__((3, [(0, 1)])) is NotImplemented and a != (3, [(0, 1)])
 
 
 def test_delete_edges():

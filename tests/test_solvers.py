@@ -106,13 +106,13 @@ def test_exact_search_node_counts_pinned():
     # (include branch first, reverse-delete incumbent, packing bound)
     res = exact_min_idcode(cycle(23))
     assert (res.nodes, sorted(res.code)) == (129, [0, 2, 4, 6, 8, 9, 10, 11, 13, 15, 17, 19, 21])
-    assert dict(res.prunes) == {"size": 0, "infeasible": 26, "class": 3, "log2": 5, "packing": 31}
+    assert dict(res.prunes) == {"infeasible": 26, "class": 3, "log2": 5, "packing": 31}
     g = gnp(16, 0.3, 5)
     res = exact_min_idcode(g)
     assert (res.nodes, sorted(res.code)) == (137, [4, 5, 7, 8, 11, 13])
     res = exact_min_dominating(g)
     assert (res.nodes, sorted(res.code)) == (5, [6, 7, 8, 10])
-    assert dict(res.prunes) == {"size": 0, "infeasible": 0, "cover": 0, "packing": 3}
+    assert dict(res.prunes) == {"infeasible": 0, "cover": 0, "packing": 3}
     res = exact_min_dominating(gnp(40, 0.2, 1), budget=50)
     assert (res.nodes, res.optimal, sorted(res.code)) == (51, False, [0, 1, 6, 7, 9, 10, 37])
 
@@ -225,7 +225,7 @@ def test_search_result_prunes():
         assert tuple(res.prunes) == solvers.IDCODE_RULES
         assert 0 < sum(res.prunes.values()) < res.nodes
         with pytest.raises(TypeError):
-            res.prunes["size"] = 1
+            res.prunes["packing"] = 1
         dom = exact_min_dominating(g)
         assert tuple(dom.prunes) == solvers.DOMINATING_RULES
         assert sum(dom.prunes.values()) <= dom.nodes
